@@ -123,7 +123,6 @@ type System struct {
 	perf      *perfctr.Counters
 	pktFree   *pktDone // free list of packet completion records (engine is single-threaded)
 	streams   []*dmaStream
-	ff        *ffController // nil unless EnableFastForward was called
 
 	// fabs holds each logical SPE's routing fabric so a recycled system
 	// can rebind ramps for a new layout without rebuilding the SPEs.
@@ -213,7 +212,6 @@ func (s *System) init(cfg Config) {
 	s.tracer, s.perf = nil, nil
 	clear(s.streams)
 	s.streams = s.streams[:0]
-	s.ff = nil
 	s.scen = Scenario{}
 
 	for logical := 0; logical < NumSPEs; logical++ {
@@ -410,12 +408,6 @@ func (s *System) RunChecked(maxCycles sim.Time) (err error) {
 	}()
 	if maxCycles == 0 {
 		maxCycles = s.cfg.MaxCycles
-	}
-	if s.ff != nil {
-		// A steady-state jump must never overshoot the watchdog budget: a
-		// cycle-exact run would have stopped at the boundary, and the
-		// fast-forwarded run must fail (or pass) identically.
-		s.ff.budget = maxCycles
 	}
 	if err := s.Eng.RunChecked(maxCycles); err != nil {
 		return err

@@ -115,13 +115,6 @@ var workloadPresets = map[string]workloadPreset{
 	"stream": {ops: []string{"triad", "copy", "scale", "add"}, minChunk: 16, maxChunk: mfc.MaxTransfer, build: streamPattern},
 }
 
-// patternFamily reports whether the scenario runs on the pattern
-// interpreter: a named workload preset or an explicit "pattern" program.
-func (sc Scenario) patternFamily() bool {
-	_, ok := workloadPresets[sc.Kind]
-	return ok || sc.Kind == "pattern"
-}
-
 // WithDefaultOp returns sc with an empty Op replaced by the kind's
 // default operation: "get" for the canonical kinds (preserving the
 // historical sweep default), the preset's first op for workload kinds,

@@ -163,8 +163,9 @@ func TestStreamOpTraffic(t *testing.T) {
 }
 
 // TestWorkloadsNotSnapshottable declares the whole workload library
-// cold-path: snapshot capture must fail with ErrNotSnapshottable for
-// every kind, so sweeps fall back to per-point cold boots (proven by
+// cold-path: Snapshottable must report false and snapshot capture must
+// fail with ErrNotSnapshottable for every kind, so sweeps fall back to
+// per-point cold boots without booting a template (proven by
 // TestWorkloadSweepColdFallback in internal/core).
 func TestWorkloadsNotSnapshottable(t *testing.T) {
 	for _, sc := range []Scenario{
@@ -176,6 +177,9 @@ func TestWorkloadsNotSnapshottable(t *testing.T) {
 			Phases: []Phase{{Access: "seq", Op: "get", Bytes: 4096}}, Region: 4096,
 		}},
 	} {
+		if sc.Snapshottable() {
+			t.Errorf("%s: Snapshottable() = true, want false", sc.Kind)
+		}
 		sys := New(DefaultConfig())
 		if _, err := sc.Install(sys); err != nil {
 			t.Fatalf("%s: install: %v", sc.Kind, err)

@@ -245,11 +245,9 @@ func (sc Scenario) Install(sys *System) (int64, error) {
 			return
 		}
 		// The element variant runs as a registered stream: the same loop,
-		// reified so the fast-forward controller can inspect its progress
-		// (see dmaStream).
+		// reified as an event-driven state machine (see dmaStream).
 		total += 2 * sc.Volume
 		sys.installStream(&dmaStream{
-			sys:    sys,
 			idx:    idx,
 			chunk:  sc.Chunk,
 			slots:  pairSlots(sc.Chunk),

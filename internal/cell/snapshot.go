@@ -16,15 +16,13 @@ import (
 // fires. That is the only instant provably shared by every grid point of
 // a sweep: the canonical scenarios randomize the SPE layout per seed, so
 // two points' event histories diverge from the very first DMA command and
-// no later prefix is common (measured directly: the fast-forward
-// controller's digest matching finds zero recurring microstates across
-// any pair of anchors; see DESIGN.md). At cycle 0 the shared warm state
-// is exactly the boot image: all-zero local stores, empty timelines, the
-// immutable route/path tables. Cloning therefore shares the *allocations*
-// rather than mid-run state — a retired carcass keeps its grown timing
-// wheel, EIB interval timelines, MFC queues and local stores, and a clone
-// pointer-resets them (zeroing stores only over their recorded dirty
-// spans) instead of cold-booting. Teardown of a grid point becomes
+// no later prefix is common (see DESIGN.md). At cycle 0 the shared warm
+// state is exactly the boot image: all-zero local stores, empty timelines,
+// the immutable route/path tables. Cloning therefore shares the
+// *allocations* rather than mid-run state — a retired carcass keeps its
+// grown timing wheel, EIB interval timelines, MFC queues and local stores,
+// and a clone pointer-resets them (zeroing stores only over their recorded
+// dirty spans) instead of cold-booting. Teardown of a grid point becomes
 // Retire: a handful of slice-length resets instead of a garbage
 // collection of megabytes.
 //
@@ -46,26 +44,37 @@ type Snapshot struct {
 // boots) from real failures.
 var ErrNotSnapshottable = errors.New("scenario not snapshot-capable")
 
+// Snapshottable reports whether the scenario can take the warm path: true
+// exactly for the element-DMA pair, couples and cycle kinds, whose kernels
+// install as reified dmaStream state machines. Every other kind (DMA
+// lists, mem, wedge, the workload library) runs coroutine kernels that
+// hold live goroutine state a clone cannot re-materialize. Callers decide
+// with it before booting a template, so a cold-path job never spawns
+// kernels it will not run.
+func (sc Scenario) Snapshottable() bool {
+	switch sc.Kind {
+	case "pair", "couples", "cycle":
+		return !sc.List
+	}
+	return false
+}
+
 // Snapshot captures a warm-system factory from s. It must be called after
-// Scenario.Install and before the system runs. Only reified stream
-// scenarios (the pair-family element kernels) are snapshot-capable:
-// coroutine kernels (DMA lists, mem streams, wedge) hold live goroutine
-// state that a clone cannot re-materialize, and remote-chip scenarios pin
-// buffers outside the recycled carcass.
+// Scenario.Install and before the system runs, and only succeeds for a
+// Snapshottable scenario; remote-chip state, which pins buffers outside
+// the recycled carcass, is refused too.
 func (s *System) Snapshot() (*Snapshot, error) {
 	if s.scen.Kind == "" {
 		return nil, fmt.Errorf("cell: %w: no scenario installed", ErrNotSnapshottable)
 	}
-	if s.scen.patternFamily() {
-		// The workload library (gups/qcd/md/stream/pattern) is declared
-		// cold-path: its phase programs run as coroutine interpreter
-		// kernels whose goroutine state a clone cannot re-materialize.
-		// Sweeps fall back to cold boots per point (see Job.snapshot).
-		return nil, fmt.Errorf("cell: %w: %q is a phase-program workload (coroutine interpreter, cold path only)", ErrNotSnapshottable, s.scen.Kind)
+	if !s.scen.Snapshottable() {
+		return nil, fmt.Errorf("cell: %w: %q runs coroutine kernels (cold path only)", ErrNotSnapshottable, s.scen.Kind)
 	}
 	if s.Eng.Now() != 0 || s.Eng.Fired() != 0 {
 		return nil, fmt.Errorf("cell: %w: snapshot must be taken at the install boundary, before the system runs", ErrNotSnapshottable)
 	}
+	// Snapshottable is the decision; the census of the installed kernels
+	// asserts that it held.
 	procs := 0
 	s.Eng.VisitLiveProcesses(func(*sim.Process) bool { procs++; return true })
 	if procs > 0 || len(s.streams) == 0 {

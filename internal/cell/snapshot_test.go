@@ -128,22 +128,42 @@ func TestSnapshotCloneMatchesCold(t *testing.T) {
 }
 
 // TestSnapshotGates pins the refusals: snapshots are only valid at the
-// install boundary of a reified-stream scenario.
+// install boundary of a Snapshottable scenario. For every stream scenario
+// kind the predicate must agree with whether Snapshot succeeds after
+// Install, since the scheduler trusts it to skip booting a template (the
+// workload kinds are covered by TestWorkloadsNotSnapshottable).
 func TestSnapshotGates(t *testing.T) {
 	// No scenario installed.
 	if _, err := New(DefaultConfig()).Snapshot(); !errors.Is(err, ErrNotSnapshottable) {
 		t.Errorf("bare system: got %v, want ErrNotSnapshottable", err)
 	}
-	// Coroutine kernels (DMA-list variant).
-	sys := New(DefaultConfig())
-	if _, err := (Scenario{Kind: "pair", Chunk: 4096, Volume: 64 << 10, List: true}).Install(sys); err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	if _, err := sys.Snapshot(); !errors.Is(err, ErrNotSnapshottable) {
-		t.Errorf("list scenario: got %v, want ErrNotSnapshottable", err)
+	for _, sc := range []Scenario{
+		{Kind: "pair", Chunk: 4096, Volume: 64 << 10},
+		{Kind: "couples", SPEs: 4, Chunk: 4096, Volume: 64 << 10},
+		{Kind: "cycle", SPEs: 4, Chunk: 4096, Volume: 64 << 10},
+		{Kind: "pair", Chunk: 4096, Volume: 64 << 10, List: true},
+		{Kind: "couples", SPEs: 4, Chunk: 4096, Volume: 64 << 10, List: true},
+		{Kind: "cycle", SPEs: 4, Chunk: 4096, Volume: 64 << 10, List: true},
+		{Kind: "mem", SPEs: 2, Chunk: 4096, Volume: 64 << 10, Op: "get"},
+		{Kind: "mem", SPEs: 2, Chunk: 4096, Volume: 64 << 10, Op: "put", List: true},
+		{Kind: "wedge", SPEs: 2},
+	} {
+		label := fmt.Sprintf("%s-list=%v", sc.Kind, sc.List)
+		sys := New(DefaultConfig())
+		if _, err := sc.Install(sys); err != nil {
+			t.Fatalf("%s: install: %v", label, err)
+		}
+		_, err := sys.Snapshot()
+		if err != nil && !errors.Is(err, ErrNotSnapshottable) {
+			t.Errorf("%s: snapshot err = %v, want nil or ErrNotSnapshottable", label, err)
+		}
+		if want := sc.Snapshottable(); (err == nil) != want {
+			t.Errorf("%s: Snapshottable() = %v but Snapshot err = %v", label, want, err)
+		}
+		sys.Release()
 	}
 	// Already run.
-	sys = New(DefaultConfig())
+	sys := New(DefaultConfig())
 	if _, err := (Scenario{Kind: "pair", Chunk: 4096, Volume: 64 << 10}).Install(sys); err != nil {
 		t.Fatalf("install: %v", err)
 	}

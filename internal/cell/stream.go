@@ -17,15 +17,9 @@ import (
 // timestamp is unchanged. What changes is the host-side cost: advancing
 // the kernel is a method call on a pooled record, not four unbuffered
 // channel operations and a goroutine context switch per park/activate.
-//
-// The reified progress (iteration count, position within the iteration
-// body, park-site note) is what lets the steady-state fast-forward
-// controller prove that two instants of the run are equivalent and jump
-// between them; stream iteration state is one of the "linear counters"
-// the controller advances analytically on a committed jump.
+// Being a plain record rather than a parked goroutine is also what lets a
+// finished run's System be reset and reused (see Snapshot).
 type dmaStream struct {
-	sys    *System
-	ord    int // registration ordinal (install order across the scenario)
 	idx    int // logical SPE the kernel runs on
 	chunk  int
 	slots  int
@@ -42,7 +36,7 @@ type dmaStream struct {
 	spe  *spe.SPE
 	dma  *mfc.MFC
 	pc   int    // continuation point step resumes from
-	note string // current park-site label (the coroutine's SetNote)
+	note string // current park-site label, printed by the liveness reporter
 
 	// cont is the kernel's timer/continuation event target and wake its
 	// one-shot subscription record — the state-machine counterparts of a
@@ -65,14 +59,14 @@ const (
 
 // Continuation points (dmaStream.pc).
 const (
-	pcStart   = iota // first activation: begin iteration 0
-	pcEnqGet         // issue cost paid: offer the Get to the queue
-	pcEnqPut         // issue cost paid: offer the Put to the queue
-	pcTagCheck       // status-read cost paid: poll the tag groups
-	pcTagWake        // tag-group wake delivered: finish
+	pcStart    = iota // first activation: begin iteration 0
+	pcEnqGet          // issue cost paid: offer the Get to the queue
+	pcEnqPut          // issue cost paid: offer the Put to the queue
+	pcTagCheck        // status-read cost paid: poll the tag groups
+	pcTagWake         // tag-group wake delivered: finish
 )
 
-// Park-site labels, matching the notes the coroutine kernel set.
+// Park-site labels, reported for stalled kernels by the watchdog.
 const (
 	noteDMAIssue   = "dma-issue"
 	noteDMAQfull   = "dma-qfull"
@@ -160,13 +154,9 @@ func (d *dmaStream) step() {
 // startIter begins iteration d.i — or, past the loop bound, the final tag
 // wait — charging the channel cycles the next queue attempt costs. It
 // reports whether the continuation was scheduled (false: continue inline,
-// the Wait(0) case). The fast-forward anchor fires before the body
-// mutates op or note, exactly where the coroutine loop placed it.
+// the Wait(0) case).
 func (d *dmaStream) startIter() bool {
 	if d.i < d.iters {
-		if d.ord == 0 && d.i%int64(d.slots) == 0 {
-			d.sys.ffAnchor()
-		}
 		d.op = streamOpGet
 		d.note = noteDMAIssue
 		return d.delay(d.spe.DMAIssueCycles(), pcEnqGet)
@@ -221,7 +211,6 @@ func (d *dmaStream) offer(put bool) bool {
 // installed stream also registers the watchdog liveness reporter, since
 // state-machine kernels are invisible to the process registry.
 func (sys *System) installStream(d *dmaStream) {
-	d.ord = len(sys.streams)
 	d.eng = sys.Eng
 	d.spe = sys.SPEs[d.idx]
 	d.dma = d.spe.MFC()

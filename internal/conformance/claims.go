@@ -167,7 +167,7 @@ var sections = []Section{
 		},
 	},
 	{
-		Title: "## Figure 8 — SPE ↔ main memory, DMA-elem (weak scaling)",
+		Title:  "## Figure 8 — SPE ↔ main memory, DMA-elem (weak scaling)",
 		Header: []string{"", "Paper", "Measured (16 KB elems)", "Match"},
 		Claims: []Claim{
 			{

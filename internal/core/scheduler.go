@@ -523,8 +523,8 @@ type Job struct {
 	// snap is the job's warm ancestor: one installed-but-never-run System
 	// captured as a cell.Snapshot, from which every grid point is forked
 	// (CloneFor) instead of cold-booted. Built lazily by the first worker
-	// to simulate a point; nil when the workload is not snapshot-capable
-	// (coroutine kernels, mem scenarios) or the job is instrumented.
+	// to simulate a point; nil when the scenario is not Snapshottable or
+	// the job is instrumented.
 	snapOnce sync.Once
 	snap     *cell.Snapshot
 
@@ -587,12 +587,16 @@ func (j *Job) Status() JobStatus {
 // template System is booted once, the scenario installed, and the
 // install-boundary state captured. Grid points then fork from it with
 // per-point configs (layout, fault seed) and chunk sizes. Jobs whose
-// scenario is not snapshot-capable — and instrumented jobs, whose hook
-// must see the System before the scenario installs — return nil and run
-// every point through the cold path.
+// scenario is not Snapshottable — and instrumented jobs, whose hook must
+// see the System before the scenario installs — return nil without
+// booting a template and run every point through the cold path.
 func (j *Job) snapshot() *cell.Snapshot {
 	j.snapOnce.Do(func() {
 		if j.spec.Instrument != nil || len(j.spec.Chunks) == 0 || len(j.spec.Seeds) == 0 {
+			return
+		}
+		sc := j.spec.scenario(j.spec.Chunks[0])
+		if !sc.Snapshottable() {
 			return
 		}
 		// A hostile Base config makes cell.New panic; leave snap nil and
@@ -600,14 +604,12 @@ func (j *Job) snapshot() *cell.Snapshot {
 		// it did before the warm path existed.
 		defer func() { _ = recover() }()
 		sys := cell.New(pointConfig(&j.spec, j.spec.Seeds[0]))
-		if _, err := j.spec.scenario(j.spec.Chunks[0]).Install(sys); err != nil {
+		if _, err := sc.Install(sys); err != nil {
 			sys.Release()
 			return
 		}
 		snap, err := sys.Snapshot()
 		if err != nil {
-			// Not snapshot-capable (coroutine kernels): every point
-			// cold-boots, exactly as before the warm path existed.
 			sys.Release()
 			return
 		}

@@ -11,7 +11,9 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"cellbe/internal/cell"
 	"cellbe/internal/perfctr"
@@ -89,6 +91,33 @@ func TestWorkloadSweepColdFallback(t *testing.T) {
 				t.Fatalf("sweep returned %d points, grid has %d", len(results), i)
 			}
 		})
+	}
+}
+
+// TestColdSweepLeaksNoGoroutines: a cold-path job must not boot a warm
+// template. A template System of a coroutine-kernel scenario spawns its
+// kernels at Install, parked on their first activation; if the job then
+// discards it unrun, those goroutines (and the System they reference)
+// live forever. Ten gups sweeps after a warm-up must leave the goroutine
+// count where it was.
+func TestColdSweepLeaksNoGoroutines(t *testing.T) {
+	spec := SweepSpec{Scenario: "gups", SPEs: 4, Op: "both", Chunks: []int{8, 64}, Seeds: []int64{0, 3}, Volume: 16 << 10}
+	if _, err := RunSweep(spec); err != nil {
+		t.Fatalf("warm-up sweep: %v", err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := RunSweep(spec); err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+	}
+	// Finished workers may still be on their way out; give them a moment.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after > before {
+		t.Fatalf("goroutines grew %d -> %d over ten cold-path sweeps", before, after)
 	}
 }
 

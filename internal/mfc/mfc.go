@@ -194,11 +194,6 @@ type cmdState struct {
 	// line-sized packets, and allocating a fresh closure for each was a
 	// top allocation site before the record became the target).
 	m *MFC
-	// ffMark/ffLabel are the fast-forward digest's wavefront labeling
-	// scratch (see ff.go FFNoteEvent); valid only while ffMark equals the
-	// owning MFC's current epoch.
-	ffMark  int64
-	ffLabel int32
 	// retire is the prebound delayed-retirement target for the injected
 	// late-completion fault path (see cmdState.Call).
 	retire retireHandle
@@ -291,11 +286,6 @@ type MFC struct {
 	// feeds back into timing — and costs one add per enqueue/complete.
 	occHist []sim.Time
 	occLast sim.Time
-
-	// Fast-forward wavefront-labeling state (see ff.go): the current
-	// labeling epoch and the commands labeled this epoch, in label order.
-	ffEpoch int64
-	ffOrd   []*cmdState
 }
 
 // tagWaiter and spaceSub carry either a plain callback or a prebound
@@ -406,9 +396,6 @@ func (m *MFC) Reset(fabric Fabric, ls []byte, cfg Config) {
 	m.spaceSubs = m.spaceSubs[:0]
 	m.stats = Stats{}
 	m.occLast = 0
-	m.ffEpoch = 0
-	clear(m.ffOrd)
-	m.ffOrd = m.ffOrd[:0]
 }
 
 // Stats returns a snapshot of the activity counters.

@@ -126,11 +126,6 @@ type Engine struct {
 	procsDone int
 	diags     []func() []string
 	liveness  []func() []string
-
-	// ffScratch is the reusable event buffer VisitPending and FFJump
-	// collect the queue into (see ff.go); retained so steady-state
-	// fast-forward anchors allocate nothing once warm.
-	ffScratch []event
 }
 
 // NewEngine returns an engine with time set to zero and no pending events.
@@ -140,11 +135,10 @@ func NewEngine() *Engine {
 
 // Reset returns the engine to its NewEngine state while keeping every
 // allocation it has grown — the wheel's per-bucket event slices, the
-// staged batch, the fast-forward scratch buffer and the hook slices. It
-// exists for warm-system recycling (cell.Snapshot): a reset engine must be
-// observationally identical to a fresh one, including the sequence
-// counter, so a rerun schedules the same events with the same (at, seq)
-// keys and replays cycle-for-cycle.
+// staged batch and the hook slices. It exists for warm-system recycling
+// (cell.Snapshot): a reset engine must be observationally identical to a
+// fresh one, including the sequence counter, so a rerun schedules the same
+// events with the same (at, seq) keys and replays cycle-for-cycle.
 func (e *Engine) Reset() {
 	e.now, e.seq, e.nfired = 0, 0, 0
 	e.npend, e.ndaemon = 0, 0
@@ -166,8 +160,6 @@ func (e *Engine) Reset() {
 	e.procsDone = 0
 	e.diags = e.diags[:0]
 	e.liveness = e.liveness[:0]
-	clear(e.ffScratch)
-	e.ffScratch = e.ffScratch[:0]
 }
 
 // Now returns the current simulated time.
@@ -177,6 +169,10 @@ func (e *Engine) Now() Time { return e.now }
 // and for asserting that a model stays within an event budget).
 func (e *Engine) Fired() int64 { return e.nfired }
 
+// Scheduled returns the number of events scheduled so far (the engine's
+// sequence counter).
+func (e *Engine) Scheduled() int64 { return e.seq }
+
 // Pending returns the number of scheduled events not yet fired.
 func (e *Engine) Pending() int { return e.npend }
 
@@ -184,6 +180,21 @@ func (e *Engine) Pending() int { return e.npend }
 // that keep the simulation running. Daemon observers (the trace metrics
 // sampler) use it to decide whether to reschedule themselves.
 func (e *Engine) PendingWork() int { return e.npend - e.ndaemon }
+
+// VisitLiveProcesses calls visit for every spawned process whose body has
+// not returned, in spawn order, stopping early when visit returns false.
+// It reports whether the walk ran to completion.
+func (e *Engine) VisitLiveProcesses(visit func(*Process) bool) bool {
+	for _, p := range e.procs {
+		if p.done {
+			continue
+		}
+		if !visit(p) {
+			return false
+		}
+	}
+	return true
+}
 
 // staged reports whether cur holds an undrained batch.
 func (e *Engine) staged() bool { return e.curHead < len(e.cur) }

@@ -18,7 +18,6 @@ type Process struct {
 	done   bool
 	err    interface{} // panic value from the body, if any
 	wake   *WakeRecord // lazily built reusable wake target (see WaitCallee)
-	note   string      // current park-site label (see SetNote)
 }
 
 // Spawn starts fn as a process at the current simulated time. fn receives
@@ -123,16 +122,11 @@ func (p *Process) WaitFunc(arm func(wake func())) {
 // WakeRecord is a process's reusable one-shot wake target: the Callee
 // counterpart of the closure WaitFunc hands out. Each process owns at most
 // one record, re-armed on every WaitCallee, so blocking on a Callee-based
-// subscription never allocates — and, unlike a closure, the record
-// identifies its process, which lets state inspection (the fast-forward
-// digest) classify a pending wake event instead of treating it as opaque.
+// subscription never allocates.
 type WakeRecord struct {
 	p     *Process
 	armed bool
 }
-
-// Process returns the process this record wakes.
-func (w *WakeRecord) Process() *Process { return w.p }
 
 // Call wakes the parked process. Firing an unarmed record panics, the
 // WaitFunc double-wake discipline.
@@ -159,15 +153,6 @@ func (p *Process) WaitCallee(arm func(cb Callee)) {
 	arm(p.wake)
 	p.park()
 }
-
-// SetNote labels the process's current program position. Model code sets
-// it before blocking so that inspection (watchdog diagnostics, the
-// fast-forward digest) can tell park sites apart; the label persists until
-// the next SetNote.
-func (p *Process) SetNote(n string) { p.note = n }
-
-// Note returns the label set by SetNote.
-func (p *Process) Note() string { return p.note }
 
 // waiter is one Signal subscriber: either a plain callback or a pre-bound
 // process activation (which avoids materializing a method-value closure

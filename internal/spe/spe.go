@@ -270,7 +270,6 @@ func (e *CommandError) Unwrap() error { return e.Err }
 // stalls while the command queue is full), then returns; completion is
 // tracked by the command's tag group.
 func (c *Context) enqueue(cmd mfc.Cmd) {
-	c.SetNote("dma-issue")
 	c.issueCost()
 	for {
 		err := c.spe.dma.Enqueue(cmd, nil)
@@ -280,7 +279,6 @@ func (c *Context) enqueue(cmd mfc.Cmd) {
 		if err != mfc.ErrQueueFull {
 			panic(&CommandError{SPE: c.spe.index, Err: err})
 		}
-		c.SetNote("dma-qfull")
 		c.WaitCallee(c.spe.dma.OnSpaceCB)
 	}
 }
@@ -332,12 +330,10 @@ func (c *Context) WaitTag(t int) { c.WaitTagMask(1 << uint(t)) }
 // WaitTagMask blocks until all tag groups in mask are idle (the
 // MFC_WriteTagMask + MFC_WriteTagUpdateRequest + read-status sequence).
 func (c *Context) WaitTagMask(mask uint32) {
-	c.SetNote("tag-channel")
 	c.Wait(c.spe.TagStatusCycles())
 	if c.spe.dma.TagsComplete(mask) {
 		return
 	}
-	c.SetNote("tag-wait")
 	c.WaitCallee(func(cb sim.Callee) { c.spe.dma.WaitTagsCB(mask, cb) })
 }
 
