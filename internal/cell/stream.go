@@ -15,10 +15,10 @@ import (
 // same engine events scheduled at the same execution points, so the
 // engine's sequence counter advances identically and every simulated
 // timestamp is unchanged. What changes is the host-side cost: advancing
-// the kernel is a method call on a pooled record, not four unbuffered
-// channel operations and a goroutine context switch per park/activate.
-// Being a plain record rather than a parked goroutine is also what lets a
-// finished run's System be reset and reused (see Snapshot).
+// the kernel is a method call on a pooled record, not a pair of coroutine
+// switches per park/activate. Being a plain record rather than a parked
+// coroutine is also what lets a finished run's System be reset and reused
+// (see Snapshot).
 type dmaStream struct {
 	idx    int // logical SPE the kernel runs on
 	chunk  int

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"testing"
@@ -12,6 +10,7 @@ import (
 	"cellbe/internal/cell"
 	"cellbe/internal/fault"
 	"cellbe/internal/sim"
+	"cellbe/internal/spe"
 )
 
 // drainJob collects a job's streamed results and sorts them into the
@@ -202,13 +201,11 @@ func TestSubmitSnapshotsBaseConfig(t *testing.T) {
 
 // TestInstrumentedSweepReleasesLSBuffers is the leak regression test for
 // the Instrument retention contract: a sweep whose hook retains nothing
-// must recycle its pooled 256 KB local-store buffers exactly like an
-// uninstrumented sweep, instead of leaking 8 fresh buffers per grid
-// point.
+// must give back every local-store buffer its points acquired, exactly
+// like an uninstrumented sweep, instead of leaking 8 buffers per grid
+// point. It counts outstanding buffers at the spe acquire and Release
+// sites, so the verdict does not depend on what sync.Pool retains.
 func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
-	// Pooling only shows up without GC clearing the pool mid-measure.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	spec := SweepSpec{
 		Scenario: "cycle",
 		SPEs:     8,
@@ -217,31 +214,45 @@ func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
 		Volume:   64 << 10,
 		Workers:  1,
 	}
-	measure := func(spec SweepSpec) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+	// outstanding runs one sweep and returns how many LS buffers it left
+	// held by SPEs.
+	outstanding := func(spec SweepSpec) int64 {
+		before := spe.LiveLocalStores()
 		if _, err := RunSweep(spec); err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return spe.LiveLocalStores() - before
 	}
 
-	if _, err := RunSweep(spec); err != nil { // warm the LS pool
-		t.Fatal(err)
+	for _, workers := range []int{1, 3} {
+		instrumented := spec
+		instrumented.Workers = workers
+		instrumented.Instrument = func(int, int64, *cell.System) bool { return false }
+		for i := 0; i < 3; i++ {
+			if n := outstanding(instrumented); n != 0 {
+				t.Fatalf("instrumented sweep (%d workers, run %d) left %d LS buffers outstanding, want 0: LS buffers are leaking again",
+					workers, i, n)
+			}
+		}
 	}
-	baseline := measure(spec)
 
-	instrumented := spec
-	instrumented.Instrument = func(int, int64, *cell.System) bool { return false }
-	got := measure(instrumented)
-
-	// Leaking the pool costs 8 points x 8 SPEs x 256 KB = 16 MB over
-	// baseline; half that margin is an unambiguous verdict either way.
-	const slack = 8 << 20
-	if got > baseline+slack {
-		t.Fatalf("instrumented sweep allocated %d bytes vs %d uninstrumented: LS buffers are leaking again",
-			got, baseline)
+	// The counter sees a real leak: a hook that retains every system keeps
+	// all 8 points x 8 SPEs' stores, until the retained systems die.
+	var kept []*cell.System
+	retaining := spec
+	retaining.Instrument = func(_ int, _ int64, sys *cell.System) bool {
+		kept = append(kept, sys)
+		return true
+	}
+	if n, want := outstanding(retaining), int64(len(spec.Seeds)*cell.NumSPEs); n != want {
+		t.Fatalf("retaining sweep left %d LS buffers outstanding, want %d", n, want)
+	}
+	before := spe.LiveLocalStores()
+	for _, sys := range kept {
+		sys.Release()
+	}
+	if n := before - spe.LiveLocalStores(); n != int64(len(kept)*cell.NumSPEs) {
+		t.Fatalf("releasing the %d retained systems returned %d LS buffers, want %d", len(kept), n, len(kept)*cell.NumSPEs)
 	}
 }
 

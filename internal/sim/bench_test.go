@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -28,17 +29,46 @@ func BenchmarkEngine(b *testing.B) {
 		b.ReportMetric(float64(fired)/elapsed, "events/s")
 	}
 	allocs := testing.AllocsPerRun(1, func() { EventChurn(e, ChurnRounds) })
-	recordEngineBaseline(b, map[string]float64{
+	recordBaseline(b, "Engine", map[string]float64{
 		"events/op": perRun,
 		"events/s":  float64(fired) / elapsed,
 		"allocs/op": allocs,
 	})
 }
 
-// recordEngineBaseline merges the Engine entry into the repository-root
+// BenchmarkProcessHandoff measures the engine/process hand-off: one op is
+// one Wait(1) round trip, engine to body and back, on a single long-lived
+// process. It records ns/handoff, the allocations of one spawn-and-finish
+// cycle (allocs/spawn) and GOMAXPROCS as the "ProcessHandoff" entry of
+// BENCH_eib.json.
+func BenchmarkProcessHandoff(b *testing.B) {
+	e := NewEngine()
+	Spawn(e, "handoff", func(p *Process) {
+		for i := 0; i < b.N; i++ {
+			p.Wait(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	nsPerHandoff := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(nsPerHandoff, "ns/handoff")
+	allocs := testing.AllocsPerRun(100, func() {
+		Spawn(e, "spawn", func(p *Process) { p.Wait(1) })
+		e.Run()
+	})
+	recordBaseline(b, "ProcessHandoff", map[string]float64{
+		"ns/handoff":   nsPerHandoff,
+		"allocs/spawn": allocs,
+		"gomaxprocs":   float64(runtime.GOMAXPROCS(0)),
+	})
+}
+
+// recordBaseline merges one named entry into the repository-root
 // BENCH_eib.json (the same file the root-package benchmarks maintain; this
 // package can't share their helper, so the merge is reimplemented).
-func recordEngineBaseline(b *testing.B, metrics map[string]float64) {
+func recordBaseline(b *testing.B, name string, metrics map[string]float64) {
 	b.Helper()
 	const path = "../../BENCH_eib.json"
 	all := map[string]map[string]float64{}
@@ -48,7 +78,7 @@ func recordEngineBaseline(b *testing.B, metrics map[string]float64) {
 			all = map[string]map[string]float64{}
 		}
 	}
-	all["Engine"] = metrics
+	all[name] = metrics
 	data, err := json.MarshalIndent(all, "", "  ")
 	if err != nil {
 		b.Fatal(err)

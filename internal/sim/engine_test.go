@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -236,6 +239,183 @@ func TestProcessPanicPropagates(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// idleCarriers reports the length of the shared carrier idle list.
+func idleCarriers() int {
+	carriers.mu.Lock()
+	defer carriers.mu.Unlock()
+	return len(carriers.idle)
+}
+
+// TestProcessCarrierReusedAfterPanic: a panicking body still surfaces as
+// *ProcessPanic, and the carrier it ran on goes back to the idle list in
+// working order — the next Spawn takes that very carrier and runs a normal
+// body on it.
+func TestProcessCarrierReusedAfterPanic(t *testing.T) {
+	var boomCarrier *carrier
+	func() {
+		e := NewEngine()
+		Spawn(e, "boom", func(p *Process) {
+			boomCarrier = p.c
+			p.Wait(1)
+			panic("kaboom")
+		})
+		defer func() {
+			if pp, ok := recover().(*ProcessPanic); !ok || pp.Name != "boom" {
+				t.Fatalf("want *ProcessPanic from boom, got %v", pp)
+			}
+		}()
+		e.Run()
+	}()
+
+	e := NewEngine()
+	var reused *carrier
+	var at Time
+	p := Spawn(e, "after", func(p *Process) {
+		reused = p.c
+		p.Wait(3)
+		at = p.Now()
+	})
+	e.Run()
+	if reused != boomCarrier {
+		t.Fatal("next Spawn did not reuse the carrier of the panicked process")
+	}
+	if !p.Done() || at != 3 {
+		t.Fatalf("body on the reused carrier: done=%v at=%d, want done at 3", p.Done(), at)
+	}
+}
+
+// TestProcessSpawnsProcess: a body may spawn another process, which runs on
+// its own carrier and interleaves with its parent by simulated time.
+func TestProcessSpawnsProcess(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	Spawn(e, "parent", func(p *Process) {
+		childDone := NewSignal(e)
+		Spawn(e, "child", func(c *Process) {
+			order = append(order, "child start")
+			c.Wait(4)
+			order = append(order, "child end")
+			childDone.Fire()
+		})
+		p.Wait(2)
+		order = append(order, "parent mid")
+		p.WaitSignal(childDone)
+		order = append(order, "parent end")
+		if p.Now() != 4 {
+			t.Errorf("parent resumed at %d, want 4", p.Now())
+		}
+	})
+	e.Run()
+	want := []string{"child start", "parent mid", "child end", "parent end"}
+	if len(order) != len(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// TestProcessCarrierIdleCap: finished processes return their carriers to
+// the idle list, which never exceeds its cap, and carriers beyond the cap
+// are stopped — the goroutine count, less idle carriers, returns to its
+// baseline after both sequential reuse and a burst of 200 live processes.
+func TestProcessCarrierIdleCap(t *testing.T) {
+	overhead := func() int { return runtime.NumGoroutine() - idleCarriers() }
+	base := overhead()
+
+	e := NewEngine()
+	for i := 0; i < 200; i++ {
+		Spawn(e, "seq", func(p *Process) { p.Wait(1) })
+		e.Run()
+	}
+	burst := NewEngine()
+	for i := 0; i < 200; i++ {
+		Spawn(burst, "burst", func(p *Process) { p.Wait(Time(1 + i%7)) })
+	}
+	burst.Run()
+	if n := idleCarriers(); n > maxIdleCarriers {
+		t.Fatalf("%d idle carriers, cap %d", n, maxIdleCarriers)
+	}
+	got := overhead()
+	for deadline := time.Now().Add(2 * time.Second); got > base && time.Now().Before(deadline); got = overhead() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got > base {
+		t.Fatalf("goroutines beside idle carriers grew %d -> %d: stopped carriers leaked", base, got)
+	}
+}
+
+// TestProcessCarriersSharedAcrossEngines: engines on different goroutines
+// draw from the one idle list. Handing a token back and forth, each side
+// must take the carrier the other side just released; then both sides
+// churn at once (the race detector checks the hand-over).
+func TestProcessCarriersSharedAcrossEngines(t *testing.T) {
+	const rounds = 50
+	run := func(e *Engine) (*carrier, Time) {
+		var c *carrier
+		var at Time
+		Spawn(e, "shared", func(p *Process) {
+			c = p.c
+			p.Wait(2)
+			p.Wait(3)
+			at = p.Now()
+		})
+		e.Run()
+		return c, at
+	}
+
+	used := make([]*carrier, 2*rounds)
+	tokens := [2]chan int{make(chan int), make(chan int)}
+	var wg sync.WaitGroup
+	for side := 0; side < 2; side++ {
+		side := side
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := NewEngine()
+			for i := range tokens[side] {
+				start := e.Now()
+				c, at := run(e)
+				if at != start+5 {
+					t.Errorf("side %d round %d finished at %d, want %d", side, i, at, start+5)
+				}
+				used[i] = c
+				if i+1 == 2*rounds {
+					close(tokens[0])
+					close(tokens[1])
+					return
+				}
+				tokens[1-side] <- i + 1
+			}
+		}()
+	}
+	tokens[0] <- 0
+	wg.Wait()
+	for i := 1; i < len(used); i++ {
+		if used[i] != used[i-1] {
+			t.Fatalf("round %d ran on a fresh carrier instead of the one round %d released", i, i-1)
+		}
+	}
+
+	for side := 0; side < 2; side++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			e := NewEngine()
+			for i := 0; i < 200; i++ {
+				start := e.Now()
+				if _, at := run(e); at != start+5 {
+					t.Errorf("concurrent round %d finished at %d, want %d", i, at, start+5)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestServerFIFO(t *testing.T) {

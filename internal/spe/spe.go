@@ -13,6 +13,7 @@ package spe
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"cellbe/internal/eib"
 	"cellbe/internal/mfc"
@@ -113,7 +114,19 @@ type lsSlab struct {
 // recycling trades that for a memclr of the reused buffer's dirty span.
 var lsPool sync.Pool
 
+// liveLS counts local-store buffers handed out by newLS and not yet given
+// back by Release.
+var liveLS atomic.Int64
+
+// LiveLocalStores reports how many local-store buffers are outstanding:
+// every buffer an SPE acquired, less those its Release returned (an SPE
+// dropped without Release stays counted). A batch driver that releases
+// every system it builds leaves it where it found it, whatever the pool
+// did with the buffers meanwhile.
+func LiveLocalStores() int64 { return liveLS.Load() }
+
 func newLS() []byte {
+	liveLS.Add(1)
 	if v := lsPool.Get(); v != nil {
 		slab := v.(*lsSlab)
 		if slab.lo < slab.hi {
@@ -131,6 +144,7 @@ func (s *SPE) Release() {
 	if s.ls != nil {
 		lsPool.Put(&lsSlab{b: s.ls, lo: s.dirtyLo, hi: s.dirtyHi})
 		s.ls = nil
+		liveLS.Add(-1)
 	}
 }
 
