@@ -210,8 +210,7 @@ func (s *System) init(cfg Config) {
 	s.Bus.SetFaults(s.faults)
 	s.Mem.SetFaults(s.faults)
 	s.tracer, s.perf = nil, nil
-	clear(s.streams)
-	s.streams = s.streams[:0]
+	s.streams = s.streams[:0] // records stay in the backing array for reuse
 	s.scen = Scenario{}
 
 	for logical := 0; logical < NumSPEs; logical++ {

@@ -5,11 +5,11 @@ package cell
 // A Pattern is a small phase program — per-SPE DMA address streams
 // (sequential, strided, seeded-random), SPE<->SPE neighbour exchange over
 // a configurable ring, and compute/communicate alternation with per-phase
-// byte volumes — interpreted by a single generic kernel. The named
-// workload kinds (gups, qcd, md, stream) are presets that build a Pattern
-// from the Scenario knobs; they add no kernel code of their own. The
-// interpreter's Access switch in patternKernel is the only place phase
-// semantics live.
+// byte volumes — run by the SPU DMA interpreter (dmaStream, stream.go)
+// that runs every scenario kernel. The named workload kinds (gups, qcd,
+// md, stream) are presets that build a Pattern from the Scenario knobs;
+// they add no kernel code of their own. The interpreter's element and
+// next methods are the only place phase semantics live.
 //
 // Workload lineage:
 //   - gups:   random-access (RandomAccess/GUPS) gathers and scatters over
@@ -26,11 +26,8 @@ package cell
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cellbe/internal/mfc"
-	"cellbe/internal/sim"
-	"cellbe/internal/spe"
 )
 
 // Phase is one step of a Pattern's per-rep program.
@@ -463,113 +460,34 @@ func patternSeed(sc Scenario, lane int) int64 {
 }
 
 // installPattern wires the resolved phase program onto sys: one region
-// allocation (shared or per lane) and one interpreter coroutine per
-// active SPE, accounted through the same spawn helper as the canonical
-// kinds.
-func (sc Scenario) installPattern(sys *System, spawn func(idx int, bytes int64, kernel func(ctx *spe.Context))) error {
+// allocation (shared or per lane) and one interpreter lane per active
+// SPE. It returns the bytes the lanes account for.
+func (sc Scenario) installPattern(sys *System) (int64, error) {
 	pat := sc.pattern()
 	var shared int64
 	var err error
 	if pat.hasMem() && pat.Shared {
 		if shared, err = sys.TryAlloc(pat.Region, 1<<16); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	per := pat.LaneBytes()
-	for lane := 0; lane < sc.SPEs; lane++ {
-		base := shared
+	for i := 0; i < sc.SPEs; i++ {
+		l := lane{idx: i, chunk: sc.Chunk, phases: pat.Phases, reps: pat.reps(),
+			base: shared, nslots: pat.Region / int64(sc.Chunk), seed: patternSeed(sc, i)}
 		if pat.hasMem() && !pat.Shared {
-			if base, err = sys.TryAlloc(pat.Region, 1<<16); err != nil {
-				return err
+			if l.base, err = sys.TryAlloc(pat.Region, 1<<16); err != nil {
+				return 0, err
 			}
 		}
-		spawn(lane, per, patternKernel(sys, sc, pat, lane, base))
-	}
-	return nil
-}
-
-// patternKernel returns the generic interpreter coroutine for one lane.
-// The Access switch below is the pattern interpreter — the one place
-// phase semantics are executed; workloads above it are pure data.
-func patternKernel(sys *System, sc Scenario, pat Pattern, lane int, base int64) func(ctx *spe.Context) {
-	chunk := sc.Chunk
-	slots := pairSlots(chunk)
-	var leftEA, rightEA int64
-	if pat.hasRing() {
-		step := pat.ringStep()
-		left := ((lane-step)%sc.SPEs + sc.SPEs) % sc.SPEs
-		right := (lane + step) % sc.SPEs
-		// Pull the halo from the left neighbour's receive aperture; push
-		// ours into the right neighbour's send aperture. Slots cycle, so
-		// every address stays inside the 256 KB local store.
-		leftEA = sys.LSEA(left, pairGetBase)
-		rightEA = sys.LSEA(right, pairPutBase)
-	}
-	var nSlots int64
-	if pat.Region > 0 {
-		nSlots = pat.Region / int64(chunk)
-	}
-	seed := patternSeed(sc, lane)
-	reps := pat.reps()
-	return func(ctx *spe.Context) {
-		var rng *rand.Rand
-		cursors := make([]int64, len(pat.Phases))
-		gslot, pslot := 0, 0
-		var pending uint32
-		for rep := 0; rep < reps; rep++ {
-			for i, ph := range pat.Phases {
-				switch ph.Access {
-				case "compute":
-					ctx.Wait(sim.Time(ph.Cycles))
-				case "ring":
-					for n := int64(0); n < ph.Bytes; n += int64(chunk) {
-						gs := gslot % slots
-						gslot++
-						ps := pslot % slots
-						pslot++
-						ctx.Get(pairGetBase+gs*chunk, leftEA+int64(gs*chunk), chunk, 0)
-						ctx.Put(pairPutBase+ps*chunk, rightEA+int64(ps*chunk), chunk, 1)
-					}
-					pending |= 1<<0 | 1<<1
-				default: // seq, stride, rand over [base, base+Region)
-					for n := int64(0); n < ph.Bytes; n += int64(chunk) {
-						var slot int64
-						switch ph.Access {
-						case "rand":
-							if rng == nil {
-								rng = rand.New(rand.NewSource(seed))
-							}
-							slot = rng.Int63n(nSlots)
-						case "stride":
-							slot = cursors[i] % nSlots
-							cursors[i] += ph.Stride / int64(chunk)
-						default: // seq
-							slot = cursors[i] % nSlots
-							cursors[i]++
-						}
-						ea := base + slot*int64(chunk)
-						if ph.Op != "put" {
-							gs := gslot % slots
-							gslot++
-							ctx.Get(pairGetBase+gs*chunk, ea, chunk, 0)
-							pending |= 1 << 0
-						}
-						if ph.Op != "get" {
-							ps := pslot % slots
-							pslot++
-							ctx.Put(pairPutBase+ps*chunk, ea, chunk, 1)
-							pending |= 1 << 1
-						}
-					}
-				}
-				if !ph.Async && pending != 0 {
-					ctx.WaitTagMask(pending)
-					pending = 0
-				}
-			}
+		if pat.hasRing() {
+			// Pull the halo from the left neighbour's receive aperture;
+			// push ours into the right neighbour's send aperture. Slots
+			// cycle, so every address stays inside the 256 KB local store.
+			step := pat.ringStep()
+			l.getEA = sys.LSEA(((i-step)%sc.SPEs+sc.SPEs)%sc.SPEs, pairGetBase)
+			l.putEA = sys.LSEA((i+step)%sc.SPEs, pairPutBase)
 		}
-		if pending != 0 {
-			ctx.WaitTagMask(pending)
-		}
+		sys.installStream(l)
 	}
+	return pat.LaneBytes() * int64(sc.SPEs), nil
 }

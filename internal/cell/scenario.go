@@ -38,7 +38,9 @@ type Scenario struct {
 	Chunk int
 	// Volume is the bytes moved per active SPE.
 	Volume int64
-	// Op is the mem-scenario operation: "get", "put" or "copy".
+	// Op is the mem-scenario operation: "get", "put" or "copy" (Figure
+	// 8(c): each buffer slot chains a fenced GET and PUT on its own tag,
+	// from the SPE's region into a second one; both directions count).
 	Op string
 	// List switches the kernels from DMA-elem to DMA-list commands
 	// (GETL/PUTL): the same volume grouped into lists of up to 16 KB, with
@@ -56,6 +58,31 @@ type Scenario struct {
 	// Pattern is the explicit phase program of kind "pattern"; the named
 	// workload presets build theirs internally. See pattern.go.
 	Pattern *Pattern `json:",omitempty"`
+
+	// figure holds the pair knobs only the paper's figure drivers vary
+	// (see WithPairFigure); the zero value is the plain pair kernel.
+	figure PairFigure
+}
+
+// PairFigure holds the pair-kernel knobs only the paper's figure drivers
+// vary. They are deliberately not Scenario fields: sweeps, the CLIs and
+// the server cannot reach them.
+type PairFigure struct {
+	// SyncEvery fences the tag groups after every SyncEvery issued
+	// commands (Figure 10); 0 fences only once, at the end.
+	SyncEvery int
+	// Partner is the passive SPE the active SPE0 exchanges with (§4.2.3);
+	// 0 means SPE1.
+	Partner int
+	// Remote places the partner on the blade's second chip, behind the
+	// IOIF (the cross-chip extension).
+	Remote bool
+}
+
+// WithPairFigure returns the pair scenario sc with the figure knobs f.
+func (sc Scenario) WithPairFigure(f PairFigure) Scenario {
+	sc.figure = f
+	return sc
 }
 
 // pairGetBase/pairPutBase split an SPE's local store into a receive and a
@@ -70,14 +97,7 @@ const (
 // pairSlots returns the number of in-flight buffer slots the pair kernel
 // cycles through for a given element size.
 func pairSlots(chunk int) int {
-	slots := (128 << 10) / chunk
-	if slots > 8 {
-		slots = 8
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	return slots
+	return min(8, max(1, (128<<10)/chunk))
 }
 
 // Validate checks the scenario parameters against the architectural
@@ -134,6 +154,18 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("cell: %w: chunk %d overflows local store (put aperture ends at %#x)", ErrBadScenario, sc.Chunk, end)
 		}
 	}
+	if f := sc.figure; f != (PairFigure{}) {
+		switch {
+		case sc.Kind != "pair":
+			return fmt.Errorf("cell: %w: figure knobs apply to the pair kind, not %q", ErrBadScenario, sc.Kind)
+		case f.SyncEvery < 0:
+			return fmt.Errorf("cell: %w: sync interval %d is negative", ErrBadScenario, f.SyncEvery)
+		case f.Partner < 0 || f.Partner >= NumSPEs:
+			return fmt.Errorf("cell: %w: partner SPE %d out of range 1..%d", ErrBadScenario, f.Partner, NumSPEs-1)
+		case f.Remote && f.Partner != 0:
+			return fmt.Errorf("cell: %w: a remote partner takes no local partner index", ErrBadScenario)
+		}
+	}
 	if sc.Kind == "mem" {
 		switch sc.Op {
 		case "get", "put", "copy":
@@ -166,146 +198,75 @@ func (sc Scenario) rejectPatternKnobs() error {
 // listLength returns how many Chunk-sized elements one DMA list groups:
 // up to one MaxTransfer per list, capped at the architectural list length.
 func listLength(chunk int) int {
-	n := mfc.MaxTransfer / chunk
-	if n < 1 {
-		n = 1
-	}
-	if n > mfc.MaxListElements {
-		n = mfc.MaxListElements
-	}
-	return n
-}
-
-// pairListLoop is the DMA-list variant of the pair kernel: the same
-// bidirectional volume, grouped into GETL/PUTL commands whose elements
-// cycle through the peer's receive window, double-buffered inside the
-// get/put apertures.
-func pairListLoop(ctx *spe.Context, sc Scenario, peerEA int64) {
-	perList := listLength(sc.Chunk)
-	listBytes := int64(perList * sc.Chunk)
-	peerSlots := pairSlots(sc.Chunk)
-	i := 0
-	for off := int64(0); off < sc.Volume; off += listBytes {
-		list := make([]mfc.ListElem, 0, perList)
-		for k := 0; k < perList && off+int64(k*sc.Chunk) < sc.Volume; k++ {
-			slot := i % peerSlots
-			list = append(list, mfc.ListElem{EA: peerEA + int64(slot*sc.Chunk), Size: sc.Chunk})
-			i++
-		}
-		lsOff := int(off % (64 << 10))
-		if lsOff+perList*sc.Chunk > 64<<10 {
-			lsOff = 0
-		}
-		ctx.GetList(pairGetBase+lsOff, list, 0)
-		ctx.PutList(pairPutBase+lsOff, list, 1)
-	}
-	ctx.WaitTagMask(1<<0 | 1<<1)
-}
-
-// memListLoop is the DMA-list variant of the mem kernel: GETL or PUTL
-// lists of Chunk-sized elements streaming over the region at base.
-func memListLoop(ctx *spe.Context, sc Scenario, base int64) {
-	perList := listLength(sc.Chunk)
-	listBytes := int64(perList * sc.Chunk)
-	for off := int64(0); off < sc.Volume; off += listBytes {
-		list := make([]mfc.ListElem, 0, perList)
-		for k := 0; k < perList && off+int64(k*sc.Chunk) < sc.Volume; k++ {
-			list = append(list, mfc.ListElem{EA: base + off + int64(k*sc.Chunk), Size: sc.Chunk})
-		}
-		lsOff := int(off % (64 << 10))
-		if lsOff+perList*sc.Chunk > 64<<10 {
-			lsOff = 0
-		}
-		if sc.Op == "get" {
-			ctx.GetList(lsOff, list, 0)
-		} else {
-			ctx.PutList(lsOff, list, 0)
-		}
-	}
-	ctx.WaitTagMask(1 << 0)
+	return min(mfc.MaxListElements, max(1, mfc.MaxTransfer/chunk))
 }
 
 // Install validates sc and installs its kernels on sys. It returns the
 // total payload bytes the scenario accounts for (the figure bandwidth is
 // computed from). Run the system afterwards to execute the kernels.
+//
+// Every kind that moves data installs its kernels as lanes of the DMA
+// interpreter (see dmaStream): the pair family as one ring phase against
+// its partner's local store, mem as one memory phase over a private
+// region, the workload library as its phase program. Only wedge spawns
+// coroutines, because it must block on a mailbox.
 func (sc Scenario) Install(sys *System) (int64, error) {
 	if err := sc.Validate(); err != nil {
 		return 0, err
 	}
 	var total int64
-	spawn := func(idx int, bytes int64, kernel func(ctx *spe.Context)) {
-		total += bytes
-		sys.SPEs[idx].Run(fmt.Sprintf("spe%d", idx), kernel)
-	}
-	pairKernel := func(idx, peer int) {
-		if sc.List {
-			spawn(idx, 2*sc.Volume, func(ctx *spe.Context) {
-				pairListLoop(ctx, sc, sys.LSEA(peer, 0))
-			})
-			return
-		}
-		// The element variant runs as a registered stream: the same loop,
-		// reified as an event-driven state machine (see dmaStream).
-		total += 2 * sc.Volume
-		sys.installStream(&dmaStream{
-			idx:    idx,
-			chunk:  sc.Chunk,
-			slots:  pairSlots(sc.Chunk),
-			iters:  (sc.Volume + int64(sc.Chunk) - 1) / int64(sc.Chunk),
-			peerEA: sys.LSEA(peer, 0),
-		})
-	}
 	switch sc.Kind {
-	case "gups", "qcd", "md", "stream", "pattern":
-		// The whole workload library shares this one arm: the phase
-		// program (preset or explicit) runs on the generic interpreter.
-		if err := sc.installPattern(sys, spawn); err != nil {
-			return 0, err
-		}
-	case "pair":
-		pairKernel(0, 1)
-	case "couples":
-		for c := 0; c < sc.SPEs/2; c++ {
-			pairKernel(2*c, 2*c+1)
-		}
-	case "cycle":
-		for i := 0; i < sc.SPEs; i++ {
-			pairKernel(i, (i+1)%sc.SPEs)
-		}
 	case "wedge":
 		for i := 0; i < sc.SPEs; i++ {
-			spawn(i, 0, func(ctx *spe.Context) {
+			sys.SPEs[i].Run(fmt.Sprintf("spe%d", i), func(ctx *spe.Context) {
 				ctx.ReadMailbox() // nobody ever writes: deadlocks on purpose
 			})
 		}
+	case "pair", "couples", "cycle":
+		ring := []Phase{{Access: "ring", Bytes: sc.Volume}}
+		pair := func(idx int, peerEA int64) {
+			total += 2 * sc.Volume
+			sys.installStream(lane{idx: idx, chunk: sc.Chunk, list: sc.List, phases: ring, reps: 1,
+				getEA: peerEA, putEA: peerEA, syncEvery: sc.figure.SyncEvery})
+		}
+		switch {
+		case sc.Kind == "couples":
+			for c := 0; c < sc.SPEs/2; c++ {
+				pair(2*c, sys.LSEA(2*c+1, 0))
+			}
+		case sc.Kind == "cycle":
+			for i := 0; i < sc.SPEs; i++ {
+				pair(i, sys.LSEA((i+1)%sc.SPEs, 0))
+			}
+		case sc.figure.Remote:
+			pair(0, sys.RemoteLSEA(0, 0))
+		default:
+			pair(0, sys.LSEA(max(1, sc.figure.Partner), 0))
+		}
 	case "mem":
+		phases := []Phase{{Access: "seq", Op: sc.Op, Bytes: sc.Volume}}
+		nslots := (sc.Volume + int64(sc.Chunk) - 1) / int64(sc.Chunk)
 		for i := 0; i < sc.SPEs; i++ {
-			base, err := sys.TryAlloc(sc.Volume, 1<<16)
-			if err != nil {
+			l := lane{idx: i, chunk: sc.Chunk, list: sc.List, phases: phases, reps: 1, nslots: nslots}
+			var err error
+			if l.base, err = sys.TryAlloc(sc.Volume, 1<<16); err != nil {
 				return 0, err
 			}
-			spawn(i, sc.Volume, func(ctx *spe.Context) {
-				if sc.List {
-					memListLoop(ctx, sc, base)
-					return
+			total += sc.Volume
+			if sc.Op == "copy" {
+				// Copy reads one region and writes another; both
+				// directions count.
+				if l.dst, err = sys.TryAlloc(sc.Volume, 1<<16); err != nil {
+					return 0, err
 				}
-				for off := int64(0); off < sc.Volume; off += int64(sc.Chunk) {
-					ls := int(off) % (128 << 10)
-					if ls+sc.Chunk > 128<<10 {
-						ls = 0
-					}
-					switch sc.Op {
-					case "get":
-						ctx.Get(ls, base+off, sc.Chunk, 0)
-					case "put":
-						ctx.Put(ls, base+off, sc.Chunk, 0)
-					case "copy":
-						ctx.GetF(ls, base+off, sc.Chunk, 0)
-						ctx.PutF(ls, base+off, sc.Chunk, 0)
-					}
-				}
-				ctx.WaitTagMask(^uint32(0))
-			})
+				total += sc.Volume
+			}
+			sys.installStream(l)
+		}
+	default: // the workload library: gups, qcd, md, stream, pattern
+		var err error
+		if total, err = sc.installPattern(sys); err != nil {
+			return 0, err
 		}
 	}
 	sys.scen = sc

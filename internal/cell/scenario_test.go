@@ -33,6 +33,9 @@ func TestScenarioValidate(t *testing.T) {
 		{Scenario{Kind: "couples", SPEs: 5, Chunk: 4096, Volume: 1 << 20}, "even"},
 		{Scenario{Kind: "cycle", SPEs: 9, Chunk: 4096, Volume: 1 << 20}, "out of range"},
 		{Scenario{Kind: "mem", SPEs: 4, Chunk: 4096, Volume: 1 << 20, Op: "swizzle"}, "unknown mem op"},
+		{Scenario{Kind: "cycle", SPEs: 4, Chunk: 4096, Volume: 1 << 20}.WithPairFigure(PairFigure{SyncEvery: 2}), "pair kind"},
+		{Scenario{Kind: "pair", Chunk: 4096, Volume: 1 << 20}.WithPairFigure(PairFigure{Partner: NumSPEs}), "partner SPE"},
+		{Scenario{Kind: "pair", Chunk: 4096, Volume: 1 << 20}.WithPairFigure(PairFigure{Partner: 2, Remote: true}), "remote partner"},
 	}
 	for _, tc := range bad {
 		err := tc.sc.Validate()

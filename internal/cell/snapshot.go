@@ -45,12 +45,13 @@ type Snapshot struct {
 var ErrNotSnapshottable = errors.New("scenario not snapshot-capable")
 
 // Snapshottable reports whether the scenario can take the warm path: true
-// exactly for the element-DMA pair, couples and cycle kinds, whose kernels
-// install as reified dmaStream state machines. Every other kind (DMA
-// lists, mem, wedge, the workload library) runs coroutine kernels that
-// hold live goroutine state a clone cannot re-materialize. Callers decide
-// with it before booting a template, so a cold-path job never spawns
-// kernels it will not run.
+// exactly for the element-DMA pair, couples and cycle kinds. Every
+// data-moving kind runs on the same DMA interpreter, but clone-vs-cold
+// identity is proven (by the differential tests in snapshot_test.go) only
+// for these; DMA lists, mem, wedge and the workload library stay cold
+// path until a change brings their differentials. Callers decide with it
+// before booting a template, so a cold-path job never spawns kernels it
+// will not run.
 func (sc Scenario) Snapshottable() bool {
 	switch sc.Kind {
 	case "pair", "couples", "cycle":
@@ -68,7 +69,7 @@ func (s *System) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("cell: %w: no scenario installed", ErrNotSnapshottable)
 	}
 	if !s.scen.Snapshottable() {
-		return nil, fmt.Errorf("cell: %w: %q runs coroutine kernels (cold path only)", ErrNotSnapshottable, s.scen.Kind)
+		return nil, fmt.Errorf("cell: %w: %q is cold path only", ErrNotSnapshottable, s.scen.Kind)
 	}
 	if s.Eng.Now() != 0 || s.Eng.Fired() != 0 {
 		return nil, fmt.Errorf("cell: %w: snapshot must be taken at the install boundary, before the system runs", ErrNotSnapshottable)

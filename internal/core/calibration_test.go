@@ -9,20 +9,14 @@ import (
 	"testing"
 
 	"cellbe/internal/cell"
-	"cellbe/internal/spe"
 )
 
 // pairBandwidth measures one active SPE doing GET+PUT with a passive
 // partner, as in §4.2.3.
 func pairBandwidth(t *testing.T, chunk int, syncEvery int) float64 {
 	t.Helper()
-	sys := cell.New(cell.DefaultConfig())
-	const volume = 2 << 20
-	a := newAggregate(sys)
-	a.spawn(0, "active", 2*volume, func(ctx *spe.Context) {
-		pairStreamKernel(ctx, sys.LSEA(1, 0), volume, chunk, syncEvery)
-	})
-	return a.run()
+	sc := cell.Scenario{Kind: "pair", Chunk: chunk, Volume: 2 << 20}
+	return runScenario(cell.New(cell.DefaultConfig()), sc.WithPairFigure(cell.PairFigure{SyncEvery: syncEvery}))
 }
 
 func TestCalibrationPairPeak(t *testing.T) {
@@ -58,23 +52,8 @@ func TestCalibrationSyncEveryRequestHurts(t *testing.T) {
 // memBandwidth measures n SPEs streaming against main memory (Figure 8).
 func memBandwidth(t *testing.T, n int, chunk int, op DMAOp) float64 {
 	t.Helper()
-	sys := cell.New(cell.DefaultConfig())
-	const volume = 2 << 20
-	a := newAggregate(sys)
-	for i := 0; i < n; i++ {
-		i := i
-		base := sys.Alloc(volume, 1<<16)
-		dst := base
-		counted := int64(volume)
-		if op == DMACopy {
-			dst = sys.Alloc(volume, 1<<16)
-			counted = 2 * volume
-		}
-		a.spawn(i, "mem", counted, func(ctx *spe.Context) {
-			memStreamKernel(ctx, op, base, dst, volume, chunk)
-		})
-	}
-	return a.run()
+	return runScenario(cell.New(cell.DefaultConfig()),
+		cell.Scenario{Kind: "mem", SPEs: n, Chunk: chunk, Volume: 2 << 20, Op: op.scenarioOp()})
 }
 
 func TestCalibrationSingleSPEMemory(t *testing.T) {

@@ -8,7 +8,8 @@
 //
 // Each experiment builds fresh systems (one per run, with a different
 // logical-to-physical SPE layout, as the paper does with its 10 repeated
-// runs), drives SPU/PPU kernel coroutines, and reports bandwidth curves
+// runs), installs the SPE figures as cell scenarios (PPE figures and the
+// application kernels drive coroutines), and reports bandwidth curves
 // with min/max/median/average summaries.
 package core
 
@@ -164,6 +165,23 @@ func (p Params) newSystem(run int) *cell.System {
 		cfg.FaultSeed = p.FirstSeed + int64(run)
 	}
 	return cell.New(cfg)
+}
+
+// runScenario installs sc on sys, runs it under the watchdog and returns
+// the aggregate bandwidth in GB/s: the bytes the scenario accounts for
+// over the cycles until its last kernel finished. A deadlocked or
+// conservation-violating run panics with the structured diagnostic
+// (*sim.DeadlockError or a conservation error); RunSweep and the
+// experiment drivers recover it into a per-run error.
+func runScenario(sys *cell.System, sc cell.Scenario) float64 {
+	total, err := sc.Install(sys)
+	if err != nil {
+		panic(err)
+	}
+	if err := sys.RunChecked(0); err != nil {
+		panic(err)
+	}
+	return sys.GBps(total, sys.Eng.Now())
 }
 
 // Point is one x position of a curve with its cross-run summary. Samples

@@ -8,9 +8,7 @@ package core
 // chip behind the IOIF.
 
 import (
-	"fmt"
-
-	"cellbe/internal/spe"
+	"cellbe/internal/cell"
 	"cellbe/internal/stats"
 )
 
@@ -45,15 +43,6 @@ func CrossChip(p Params) (*Result, error) {
 }
 
 func runCrossChip(p Params, run, chunk int, remote bool) float64 {
-	sys := p.newSystem(run)
-	peer := sys.LSEA(1, 0)
-	if remote {
-		peer = sys.RemoteLSEA(0, 0)
-	}
-	volume := p.BytesPerSPE
-	a := newAggregate(sys)
-	a.spawn(0, fmt.Sprintf("pair-remote=%v", remote), 2*volume, func(ctx *spe.Context) {
-		pairStreamKernel(ctx, peer, volume, chunk, 0)
-	})
-	return a.run()
+	sc := cell.Scenario{Kind: "pair", Chunk: chunk, Volume: p.BytesPerSPE}
+	return runScenario(p.newSystem(run), sc.WithPairFigure(cell.PairFigure{Remote: remote}))
 }

@@ -188,7 +188,7 @@ func (s *Scheduler) Submit(ctx context.Context, spec SweepSpec) (*Job, error) {
 
 // SubmitWith is Submit with explicit SubmitOptions (the resume path).
 func (s *Scheduler) SubmitWith(ctx context.Context, spec SweepSpec, opts SubmitOptions) (*Job, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if spec.Base != nil {

@@ -3,9 +3,37 @@ package core
 import (
 	"fmt"
 
+	"cellbe/internal/cell"
 	"cellbe/internal/spe"
 	"cellbe/internal/stats"
 )
+
+// DMAOp selects the transfer direction of a memory-streaming kernel.
+type DMAOp int
+
+// Memory streaming operations of Figure 8.
+const (
+	DMAGet DMAOp = iota
+	DMAPut
+	DMACopy
+)
+
+func (o DMAOp) String() string {
+	switch o {
+	case DMAGet:
+		return "GET"
+	case DMAPut:
+		return "PUT"
+	case DMACopy:
+		return "GET+PUT"
+	}
+	return "?"
+}
+
+// scenarioOp is the mem-scenario operation running o.
+func (o DMAOp) scenarioOp() string {
+	return [...]string{DMAGet: "get", DMAPut: "put", DMACopy: "copy"}[o]
+}
 
 // SPEMemory reproduces Figure 8: DMA-elem GET, PUT and GET+PUT between
 // SPEs and main memory, for 1 to 8 active SPEs (weak scaling: an
@@ -42,29 +70,8 @@ func SPEMemory(p Params, op DMAOp, list bool) (*Result, error) {
 }
 
 func runSPEMemory(p Params, run, n, chunk int, op DMAOp, list bool) float64 {
-	if list && op == DMACopy {
-		panic("core: list copy kernel not defined by the paper")
-	}
-	sys := p.newSystem(run)
-	a := newAggregate(sys)
-	volume := p.BytesPerSPE
-	for i := 0; i < n; i++ {
-		base := sys.Alloc(volume, 1<<16)
-		dst := base
-		counted := volume
-		if op == DMACopy {
-			dst = sys.Alloc(volume, 1<<16)
-			counted = 2 * volume
-		}
-		a.spawn(i, fmt.Sprintf("mem-spe%d", i), counted, func(ctx *spe.Context) {
-			if list {
-				memListKernel(ctx, op, base, volume, chunk)
-			} else {
-				memStreamKernel(ctx, op, base, dst, volume, chunk)
-			}
-		})
-	}
-	return a.run()
+	return runScenario(p.newSystem(run), cell.Scenario{Kind: "mem", SPEs: n, Chunk: chunk,
+		Volume: p.BytesPerSPE, Op: op.scenarioOp(), List: list})
 }
 
 // SPELocalStore reproduces §4.2.2: SPU load/store/copy bandwidth against

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"cellbe/internal/spe"
+	"cellbe/internal/cell"
 	"cellbe/internal/stats"
 )
 
@@ -36,7 +36,7 @@ func SPEPairSync(p Params) (*Result, error) {
 		for _, chunk := range p.chunkSizes() {
 			chunk, every := chunk, every
 			addRuns(p, series, chunk, func(run int) float64 {
-				return runPair(p, run, 0, 1, chunk, every)
+				return runPair(p, run, chunk, cell.PairFigure{SyncEvery: every})
 			})
 		}
 		res.Curves = append(res.Curves, CurveFromSeries(series))
@@ -44,15 +44,11 @@ func SPEPairSync(p Params) (*Result, error) {
 	return res, nil
 }
 
-// runPair measures one active/passive SPE pair (logical indices a and b).
-func runPair(p Params, run, a, b, chunk, syncEvery int) float64 {
-	sys := p.newSystem(run)
-	volume := p.BytesPerSPE
-	agg := newAggregate(sys)
-	agg.spawn(a, fmt.Sprintf("pair-active%d", a), 2*volume, func(ctx *spe.Context) {
-		pairStreamKernel(ctx, sys.LSEA(b, 0), volume, chunk, syncEvery)
-	})
-	return agg.run()
+// runPair measures one active/passive SPE pair: SPE0 against the partner
+// and sync interval f selects.
+func runPair(p Params, run, chunk int, f cell.PairFigure) float64 {
+	sc := cell.Scenario{Kind: "pair", Chunk: chunk, Volume: p.BytesPerSPE}
+	return runScenario(p.newSystem(run), sc.WithPairFigure(f))
 }
 
 // SPEPairDistance measures the bandwidth between logical SPE 0 and every
@@ -73,7 +69,7 @@ func SPEPairDistance(p Params) (*Result, error) {
 	for _, b := range partners {
 		b := b
 		addRuns(p, series, b, func(run int) float64 {
-			return runPair(p, run, 0, b, 16384, 0)
+			return runPair(p, run, 16384, cell.PairFigure{Partner: b})
 		})
 	}
 	res.Curves = append(res.Curves, CurveFromSeries(series))
@@ -113,21 +109,8 @@ func SPECouples(p Params, list bool) (*Result, error) {
 }
 
 func runCouples(p Params, run, nSPEs, chunk int, list bool) float64 {
-	sys := p.newSystem(run)
-	volume := p.BytesPerSPE
-	agg := newAggregate(sys)
-	for c := 0; c < nSPEs/2; c++ {
-		active, passive := 2*c, 2*c+1
-		peer := sys.LSEA(passive, 0)
-		agg.spawn(active, fmt.Sprintf("couple%d", c), 2*volume, func(ctx *spe.Context) {
-			if list {
-				pairListKernel(ctx, peer, volume, chunk)
-			} else {
-				pairStreamKernel(ctx, peer, volume, chunk, 0)
-			}
-		})
-	}
-	return agg.run()
+	return runScenario(p.newSystem(run), cell.Scenario{Kind: "couples", SPEs: nSPEs, Chunk: chunk,
+		Volume: p.BytesPerSPE, List: list})
 }
 
 // SPECycle reproduces Figures 15 and 16: a ring of 2, 4 or 8 SPEs in which
@@ -162,19 +145,6 @@ func SPECycle(p Params, list bool) (*Result, error) {
 }
 
 func runCycle(p Params, run, nSPEs, chunk int, list bool) float64 {
-	sys := p.newSystem(run)
-	volume := p.BytesPerSPE
-	agg := newAggregate(sys)
-	for i := 0; i < nSPEs; i++ {
-		neighbor := (i + 1) % nSPEs
-		peer := sys.LSEA(neighbor, 0)
-		agg.spawn(i, fmt.Sprintf("cycle%d", i), 2*volume, func(ctx *spe.Context) {
-			if list {
-				pairListKernel(ctx, peer, volume, chunk)
-			} else {
-				pairStreamKernel(ctx, peer, volume, chunk, 0)
-			}
-		})
-	}
-	return agg.run()
+	return runScenario(p.newSystem(run), cell.Scenario{Kind: "cycle", SPEs: nSPEs, Chunk: chunk,
+		Volume: p.BytesPerSPE, List: list})
 }

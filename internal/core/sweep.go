@@ -155,8 +155,9 @@ func DeriveFaultSeed(layoutSeed int64) int64 {
 	return identityFaultSeed
 }
 
-// validate rejects impossible grids before any goroutine spawns.
-func (s SweepSpec) validate() error {
+// Validate rejects impossible grids before any goroutine spawns; Submit
+// runs it first.
+func (s SweepSpec) Validate() error {
 	if len(s.Chunks) == 0 {
 		return fmt.Errorf("core: sweep needs at least one chunk size")
 	}

@@ -356,6 +356,25 @@ func (s *Server) spec(req *SweepRequest) (core.SweepSpec, error) {
 	}, nil
 }
 
+// parse turns a submission body into a sweep the scheduler accepts —
+// decode, the server's caps, then SweepSpec.Validate — answering 400
+// itself on any rejection.
+func (s *Server) parse(w http.ResponseWriter, r *http.Request) (core.SweepSpec, bool) {
+	var req SweepRequest
+	if !s.decode(w, r, &req) {
+		return core.SweepSpec{}, false
+	}
+	spec, err := s.spec(&req)
+	if err == nil {
+		err = spec.Validate()
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return core.SweepSpec{}, false
+	}
+	return spec, true
+}
+
 // submit runs admission + decoding + scheduling for the submission
 // endpoints, answering the error responses itself. A nil job means the
 // response is already written.
@@ -363,13 +382,8 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) *core.Job {
 	if !s.admit(w, r) {
 		return nil
 	}
-	var req SweepRequest
-	if !s.decode(w, r, &req) {
-		return nil
-	}
-	spec, err := s.spec(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+	spec, ok := s.parse(w, r)
+	if !ok {
 		return nil
 	}
 	// The request context drives the job: a client that disconnects
