@@ -14,6 +14,7 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/perfctr"
+	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
 )
 
@@ -134,5 +135,72 @@ func TestEngineAllocGuard(t *testing.T) {
 	if perOp > limit {
 		t.Fatalf("engine churn allocates %.1f allocs/op, baseline %.0f (limit %.0f): a scheduler hot path started allocating",
 			perOp, baseline, limit)
+	}
+}
+
+// memPathCase is one memory-path workload for TestMemPathAllocGuard and
+// BenchmarkMemPath: run builds and runs a fresh system to completion.
+type memPathCase struct {
+	name  string
+	limit float64 // allocations per XDR bank access
+	run   func(tb testing.TB) *cell.System
+}
+
+// memPathCases are the memory-path workloads: SPE GETs from main memory
+// (Figure 8's kernel) and a two-thread PPE copy over buffers sized like
+// the L2 experiment (Figure 4), whose fills and writebacks reach XDR.
+func memPathCases() []memPathCase {
+	return []memPathCase{
+		{name: "spe-get", limit: 0.25, run: func(tb testing.TB) *cell.System {
+			sys := cell.New(cell.DefaultConfig())
+			sc := cell.Scenario{Kind: "mem", SPEs: 4, Chunk: 4096, Volume: 256 << 10, Op: "get"}
+			if _, err := sc.Install(sys); err != nil {
+				tb.Fatal(err)
+			}
+			if err := sys.RunChecked(0); err != nil {
+				tb.Fatal(err)
+			}
+			return sys
+		}},
+		{name: "ppe-copy-2t", limit: 1.5, run: func(tb testing.TB) *cell.System {
+			sys := cell.New(cell.DefaultConfig())
+			buf := int64(sys.PPE.Config().L2Bytes) / 2
+			for th := 0; th < 2; th++ {
+				src, dst := sys.Alloc(buf, 128), sys.Alloc(buf, 128)
+				sys.PPE.Spawn(th, "copy", func(t *ppe.Thread) { t.StreamCopy(src, dst, buf, 8) })
+			}
+			if err := sys.RunChecked(0); err != nil {
+				tb.Fatal(err)
+			}
+			return sys
+		}},
+	}
+}
+
+// bankAccesses returns the line accesses both XDR banks served.
+func bankAccesses(sys *cell.System) int64 {
+	return sys.Mem.BankStats(0).Requests + sys.Mem.BankStats(1).Requests
+}
+
+// TestMemPathAllocGuard pins the memory path's allocation budget: XDR line
+// accesses, the bank server, the fabric's write completion and the PPE's
+// fills run on pooled records, so a whole run divided by its bank
+// accesses must stay far below one allocation per access. Before the
+// records, an SPE GET cost about 6.3 allocations per access and a PPE
+// copy about 8.2; a single closure restored on the path trips this.
+func TestMemPathAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full memory-path runs: skipped in -short mode")
+	}
+	for _, c := range memPathCases() {
+		t.Run(c.name, func(t *testing.T) {
+			var accesses int64
+			allocs := testing.AllocsPerRun(1, func() { accesses = bankAccesses(c.run(t)) })
+			perAccess := allocs / float64(accesses)
+			t.Logf("%.0f allocs over %d bank accesses: %.3f per access", allocs, accesses, perAccess)
+			if perAccess > c.limit {
+				t.Fatalf("%.3f allocs per bank access, limit %.2f: the memory path allocates per access", perAccess, c.limit)
+			}
+		})
 	}
 }

@@ -10,6 +10,7 @@ package cellbe
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -364,6 +365,32 @@ func BenchmarkSweepWarm(b *testing.B) {
 		"point/s":      total / elapsed,
 		"allocs/point": perPoint,
 	})
+}
+
+// BenchmarkMemPath measures the memory path end to end on the
+// TestMemPathAllocGuard workloads — SPE GETs from XDR and a two-thread PPE
+// copy at L2 sizing — per XDR bank access: wall time and allocations, the
+// figures the pooled line-access, fill and write-completion records moved.
+func BenchmarkMemPath(b *testing.B) {
+	metrics := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
+	for _, c := range memPathCases() {
+		b.Run(c.name, func(b *testing.B) {
+			var accesses int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				accesses = bankAccesses(c.run(b))
+			}
+			b.StopTimer()
+			perAccess := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(accesses)
+			allocs := testing.AllocsPerRun(1, func() { c.run(b) }) / float64(accesses)
+			b.ReportMetric(perAccess, "ns/access")
+			b.ReportMetric(allocs, "allocs/access")
+			metrics[c.name+" ns/access"] = perAccess
+			metrics[c.name+" allocs/access"] = allocs
+			metrics[c.name+" accesses"] = float64(accesses)
+		})
+	}
+	recordBenchBaseline(b, "MemPath", metrics)
 }
 
 // --- Ablations: the design rules §5 derives, each with the rule on/off ---

@@ -50,11 +50,11 @@ func (f *fabric) ReadLocked(owner int, ea int64, earliest sim.Time, dst []byte, 
 	if _, _, isLS := sys.resolveLS(ea); isLS {
 		panic(fmt.Sprintf("cell: atomics require a main-memory EA, got LS address %#x", ea))
 	}
-	sys.Mem.Read(f.ramp, ea, xdr.LineBytes, earliest, dst, func(end sim.Time) {
+	sys.Mem.Read(f.ramp, ea, xdr.LineBytes, earliest, dst, sim.CalleeFunc(func(end sim.Time) {
 		sys.resv.place(owner, lineOf(ea))
 		fin := end + atomicLatency
 		sys.Eng.AtCall(fin, done, fin)
-	})
+	}))
 }
 
 // CondWrite implements mfc.AtomicFabric: a conditional line store that
@@ -73,7 +73,7 @@ func (f *fabric) CondWrite(owner int, ea int64, earliest sim.Time, src []byte, d
 	}
 	// The reservation is checked again at the coherence point when the
 	// write lands (another write may race in between).
-	sys.Mem.Write(f.ramp, ea, xdr.LineBytes, earliest, nil, func(end sim.Time) {
+	sys.Mem.Write(f.ramp, ea, xdr.LineBytes, earliest, nil, sim.CalleeFunc(func(end sim.Time) {
 		ok := sys.resv.holds(owner, line)
 		if ok {
 			sys.Mem.RAM().Write(ea, src[:xdr.LineBytes])
@@ -81,5 +81,5 @@ func (f *fabric) CondWrite(owner int, ea int64, earliest sim.Time, src []byte, d
 		sys.resv.kill(line) // success or failure, this attempt clears it
 		fin := end + atomicLatency
 		sys.Eng.At(fin, func() { done(fin, ok) })
-	})
+	}))
 }

@@ -121,7 +121,8 @@ type System struct {
 	faults    *fault.Injector
 	tracer    *trace.Tracer
 	perf      *perfctr.Counters
-	pktFree   *pktDone // free list of packet completion records (engine is single-threaded)
+	pktFree   *pktDone   // free list of packet completion records (engine is single-threaded)
+	killFree  *killWrite // free list of main-memory write completion records
 	streams   []*dmaStream
 
 	// fabs holds each logical SPE's routing fabric so a recycled system
@@ -593,7 +594,7 @@ func (f *fabric) ReadEA(ea int64, n int, earliest sim.Time, dst []byte, done sim
 		sys.Bus.TransferCB(target.Ramp(), f.ramp, n, ready, p)
 		return
 	}
-	sys.Mem.Read(f.ramp, ea, n, earliest, dst, done.Call)
+	sys.Mem.Read(f.ramp, ea, n, earliest, dst, done)
 }
 
 func (f *fabric) WriteEA(ea int64, n int, earliest sim.Time, src []byte, done sim.Callee) {
@@ -610,23 +611,48 @@ func (f *fabric) WriteEA(ea int64, n int, earliest sim.Time, src []byte, done si
 		sys.Bus.TransferCB(f.ramp, target.Ramp(), n, ready, p)
 		return
 	}
-	// Any store to a line kills reservations on it (coherence point).
-	sys.Mem.Write(f.ramp, ea, n, earliest, src, func(end sim.Time) {
-		sys.resv.kill(lineOf(ea))
-		done.Call(end)
-	})
+	sys.writeMem(f.ramp, ea, n, earliest, src, done)
+}
+
+// killWrite is the pooled completion record of a main-memory write: any
+// store to a line kills reservations on it (the coherence point), then
+// the writer's completion fires. Records recycle through a free list on
+// System and are released before done runs, like pktDone.
+type killWrite struct {
+	sys  *System
+	line int64
+	done sim.Callee
+	next *killWrite // free-list link
+}
+
+func (k *killWrite) Call(end sim.Time) {
+	sys, done := k.sys, k.done
+	sys.resv.kill(k.line)
+	*k = killWrite{sys: sys, next: sys.killFree}
+	sys.killFree = k
+	done.Call(end)
+}
+
+// writeMem issues a main-memory line write from ramp whose completion
+// kills reservations on the line before done fires.
+func (s *System) writeMem(ramp eib.RampID, ea int64, n int, earliest sim.Time, src []byte, done sim.Callee) {
+	k := s.killFree
+	if k == nil {
+		k = &killWrite{sys: s}
+	} else {
+		s.killFree = k.next
+	}
+	k.line, k.done = lineOf(ea), done
+	s.Mem.Write(ramp, ea, n, earliest, src, k)
 }
 
 // ppePort is the PPE's line-fill path over the EIB to main memory.
 type ppePort struct{ sys *System }
 
-func (p *ppePort) ReadLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
+func (p *ppePort) ReadLine(addr int64, earliest sim.Time, done sim.Callee) {
 	p.sys.Mem.Read(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, done)
 }
 
-func (p *ppePort) WriteLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
-	p.sys.Mem.Write(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, func(end sim.Time) {
-		p.sys.resv.kill(lineOf(addr))
-		done(end)
-	})
+func (p *ppePort) WriteLine(addr int64, earliest sim.Time, done sim.Callee) {
+	p.sys.writeMem(eib.RampPPE, addr, xdr.LineBytes, earliest, nil, done)
 }

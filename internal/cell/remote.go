@@ -98,7 +98,7 @@ func (f *fabric) readRemote(remote, off int, n int, earliest sim.Time, dst []byt
 	ready := sys.Bus.Command(earliest)
 	dur := rc.service * sim.Time((n+xdr.LineBytes-1)/xdr.LineBytes)
 	sys.Eng.At(ready, func() {
-		rc.linkFrom.Request(dur, func(sim.Time) {
+		rc.linkFrom.Request(dur, sim.CalleeFunc(func(sim.Time) {
 			start := sys.Eng.Now() + rc.latency
 			sys.Bus.Transfer(eib.RampIOIF0, f.ramp, n, start, func(end sim.Time) {
 				if dst != nil {
@@ -106,7 +106,7 @@ func (f *fabric) readRemote(remote, off int, n int, earliest sim.Time, dst []byt
 				}
 				done.Call(end)
 			})
-		})
+		}))
 	})
 }
 
@@ -118,7 +118,7 @@ func (f *fabric) writeRemote(remote, off int, n int, earliest sim.Time, src []by
 	ready := sys.Bus.Command(earliest)
 	dur := rc.service * sim.Time((n+xdr.LineBytes-1)/xdr.LineBytes)
 	sys.Bus.Transfer(f.ramp, eib.RampIOIF0, n, ready, func(xferEnd sim.Time) {
-		rc.linkTo.Request(dur, func(sim.Time) {
+		rc.linkTo.Request(dur, sim.CalleeFunc(func(sim.Time) {
 			end := sys.Eng.Now() + rc.latency
 			sys.Eng.At(end, func() {
 				if src != nil {
@@ -126,6 +126,6 @@ func (f *fabric) writeRemote(remote, off int, n int, earliest sim.Time, src []by
 				}
 				done.Call(end)
 			})
-		})
+		}))
 	})
 }

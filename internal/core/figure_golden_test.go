@@ -7,14 +7,16 @@ import (
 	"testing"
 )
 
-// TestFigureGoldens pins every per-run sample of the SPE-DMA figure
-// experiments, byte for byte: the SHA-256 of the JSON-encoded samples of
-// each experiment at a small fixed grid (two layouts, 256 KiB per SPE,
-// five element sizes). Any change to the kernels' event order, command
-// stream or byte accounting moves a hash; a change that keeps the model
-// exact keeps all of them.
+// TestFigureGoldens pins every per-run sample of the figure experiments,
+// byte for byte: the SHA-256 of the JSON-encoded samples of each
+// experiment at a small fixed grid. The SPE-DMA figures run two layouts at
+// 256 KiB per SPE and five DMA element sizes; the PPE and workload figures
+// run two layouts at 256 KiB per SPE, 64 KiB of PPE memory traffic and two
+// access widths. Any change to the kernels' event order, command stream,
+// memory path or byte accounting moves a hash; a change that keeps the
+// model exact keeps all of them.
 func TestFigureGoldens(t *testing.T) {
-	goldens := map[string]string{
+	speGoldens := map[string]string{
 		"spe-mem-get":       "f5655862211290559f297e5344b4dd954808b1fc24c7b379900527f2d469107d",
 		"spe-mem-put":       "8b9f8ce9b3be47a70b27ee190fd5cb7f6059bf8cc80667f33ff8dba0b692a308",
 		"spe-mem-copy":      "214b1968f20c5231375754f5d5812bc0dc5f5e2ad5c6c9e11164c78172e3ed91",
@@ -27,10 +29,29 @@ func TestFigureGoldens(t *testing.T) {
 		"spe-cycle-list":    "a5a68a97f4a14793f64083ec5219d3a4d12526f62b4340d8c3195a5d03f1e8ac",
 		"cross-chip":        "5aad22d0011b1aa84c1bc9befa7bcb6fa0b8ad0c895d528dad4feac29d957dd0",
 	}
-	p := DefaultParams()
-	p.Runs = 2
-	p.BytesPerSPE = 256 << 10
-	p.Chunks = []int{128, 256, 1024, 2048, 16384}
+	speParams := DefaultParams()
+	speParams.Runs = 2
+	speParams.BytesPerSPE = 256 << 10
+	speParams.Chunks = []int{128, 256, 1024, 2048, 16384}
+	checkFigureGoldens(t, speParams, speGoldens)
+
+	memGoldens := map[string]string{
+		"ppe-l1":    "d6463e2b270c19671667ae347e1b37ba9f1d493ba76eac022a2883cec5e227e5",
+		"ppe-l2":    "df580d8e96fd0917b671052ecdb0dbcb1f5c5adc1f6e2f92559ae429336df6d6",
+		"ppe-mem":   "824d5b00ac1e3790780e5059904052d40e91a5632c8ed1554e1fb1f6c9b2bcc9",
+		"workloads": "bc1995072a2c1f3b327438b72e77d9c8e9407bf55337635b02ca428f7cae99d6",
+	}
+	memParams := DefaultParams()
+	memParams.Runs = 2
+	memParams.BytesPerSPE = 256 << 10
+	memParams.PPEBytes = 64 << 10
+	memParams.Elems = []int{4, 16}
+	checkFigureGoldens(t, memParams, memGoldens)
+}
+
+// checkFigureGoldens runs each named experiment at p as a parallel subtest
+// and compares the hash of its per-run samples with the golden.
+func checkFigureGoldens(t *testing.T, p Params, goldens map[string]string) {
 	for name, want := range goldens {
 		name, want := name, want
 		t.Run(name, func(t *testing.T) {

@@ -5,21 +5,22 @@ import (
 	"sync"
 )
 
-// forEachRun evaluates measure once per layout run, in parallel when the
-// host has spare cores. Each run builds its own System (its own event
-// engine), so runs are fully independent and results stay deterministic —
-// only wall-clock time changes. The returned slice is indexed by run.
-func forEachRun(p Params, measure func(run int) float64) []float64 {
-	out := make([]float64, p.Runs)
+// fanOut calls fn(i) for every i in [0, n), on up to GOMAXPROCS worker
+// goroutines that take indices in increasing order, and returns when all
+// calls have. With one worker (GOMAXPROCS 1 or n <= 1) it runs inline.
+// Callers make each call independent (its own System, its own event
+// engine) and write only their own result slot, so results stay
+// deterministic: only wall-clock time changes.
+func fanOut(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
-	if workers > p.Runs {
-		workers = p.Runs
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for r := 0; r < p.Runs; r++ {
-			out[r] = measure(r)
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
-		return out
+		return
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -27,16 +28,24 @@ func forEachRun(p Params, measure func(run int) float64) []float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := range next {
-				out[r] = measure(r)
+			for i := range next {
+				fn(i)
 			}
 		}()
 	}
-	for r := 0; r < p.Runs; r++ {
-		next <- r
+	for i := 0; i < n; i++ {
+		next <- i
 	}
 	close(next)
 	wg.Wait()
+}
+
+// forEachRun evaluates measure once per layout run, in parallel when the
+// host has spare cores. Each run builds its own System, so runs are fully
+// independent. The returned slice is indexed by run.
+func forEachRun(p Params, measure func(run int) float64) []float64 {
+	out := make([]float64, p.Runs)
+	fanOut(p.Runs, func(r int) { out[r] = measure(r) })
 	return out
 }
 

@@ -64,16 +64,26 @@ func PPEBandwidth(p Params, level CacheLevel) (*Result, error) {
 	}
 	// PPE results do not depend on the SPE layout, but we keep the same
 	// multi-run structure (results are deterministic, so Runs collapses
-	// to 1 here to avoid wasted work).
-	for _, op := range []ppe.Op{ppe.Load, ppe.Store, ppe.Copy} {
-		for _, threads := range []int{1, 2} {
-			series := stats.NewSeries(fmt.Sprintf("%s %dT", op, threads), p.elemSizes())
-			for _, elem := range p.elemSizes() {
-				bw := runPPEKernel(p, op, threads, elem, buf)
-				series.Add(elem, bw)
-			}
-			res.Curves = append(res.Curves, CurveFromSeries(series))
+	// to 1 here to avoid wasted work). Each kernel boots its own System,
+	// so they fan out across cores, dispatched in reverse declaration
+	// order: the two-thread copies, the longest kernels, start first.
+	// Kernel k runs op ops[curve/2] on 1+curve%2 threads at element size
+	// elems[k%len(elems)], where curve = k/len(elems) indexes the curves
+	// in result order.
+	ops := []ppe.Op{ppe.Load, ppe.Store, ppe.Copy}
+	elems := p.elemSizes()
+	bw := make([]float64, len(ops)*2*len(elems))
+	fanOut(len(bw), func(i int) {
+		k := len(bw) - 1 - i
+		curve := k / len(elems)
+		bw[k] = runPPEKernel(p, ops[curve/2], 1+curve%2, elems[k%len(elems)], buf)
+	})
+	for curve := 0; curve < 2*len(ops); curve++ {
+		series := stats.NewSeries(fmt.Sprintf("%s %dT", ops[curve/2], 1+curve%2), elems)
+		for j, elem := range elems {
+			series.Add(elem, bw[curve*len(elems)+j])
 		}
+		res.Curves = append(res.Curves, CurveFromSeries(series))
 	}
 	return res, nil
 }

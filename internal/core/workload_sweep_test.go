@@ -123,11 +123,14 @@ func TestColdSweepLeaksNoGoroutines(t *testing.T) {
 
 // TestWorkloadColdAllocParity is the alloc-accounting guard for the
 // pattern family's cold path (the only path these kinds have — see the
-// warm-path guard in sweep_smoke_test.go for the canonical kinds). Cold
-// points pay a per-command allocation cost in the shared event machinery
-// (that is exactly what the warm arena removes), so a flat-allocation
-// invariant cannot hold here. The invariant that can: the pattern
-// interpreter adds nothing on top. A GUPS "both" point and a mem "copy"
+// warm-path guard in sweep_smoke_test.go for the canonical kinds). The
+// memory path runs on pooled records, so a cold point's marginal
+// allocations per command are near zero; what remains is a few hundred
+// allocations of one-time growth over thousands of commands, and it
+// differs between shapes, so a flat-allocation invariant still cannot
+// hold here. The
+// invariant that can: the pattern interpreter adds nothing on top of the
+// canonical kernel. A GUPS "both" point and a mem "copy"
 // point at the same chunk and volume issue the same number of DMA
 // commands, so their *marginal* allocations per command — measured by
 // differencing two volumes, which cancels all setup cost — must be at

@@ -35,10 +35,10 @@ const LineBytes = 128
 
 // MemoryPort is the PPE's path to main memory for line fills and
 // writebacks: the cell package routes it over the simulated EIB to the
-// MIC.
+// MIC. done.Call(end) fires when the access completes.
 type MemoryPort interface {
-	ReadLine(addr int64, earliest sim.Time, done func(end sim.Time))
-	WriteLine(addr int64, earliest sim.Time, done func(end sim.Time))
+	ReadLine(addr int64, earliest sim.Time, done sim.Callee)
+	WriteLine(addr int64, earliest sim.Time, done sim.Callee)
 }
 
 // AccessCosts maps element sizes 1,2,4,8,16 to per-access issue cycles.
@@ -146,6 +146,7 @@ type PPE struct {
 	l2 *cacheArray
 
 	inflight  map[int64]*sim.Signal // line address -> fill completion
+	fillFree  *fill                 // free list of fill records (the engine is single-threaded)
 	storePort *sim.TokenBucket
 
 	tracer        *trace.Tracer
@@ -239,23 +240,54 @@ func (p *PPE) fetch(lineAddr int64, dirty bool) *sim.Signal {
 	p.stats.L2Misses++
 	p.perf.Fill()
 	p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
-	issuedAt := p.eng.Now()
-	rfo := int64(0)
-	if dirty {
-		rfo = 1
+	f := p.fillFree
+	if f == nil {
+		f = &fill{p: p}
+	} else {
+		p.fillFree = f.next
 	}
-	p.mem.ReadLine(lineAddr, p.eng.Now(), func(end sim.Time) {
-		if ev, evDirty, has := p.l2.Insert(lineAddr, dirty); has && evDirty {
-			p.stats.Writebacks++
-			p.mem.WriteLine(ev, end, func(sim.Time) {})
-		}
-		delete(p.inflight, lineAddr)
-		p.tracer.Emit(trace.TrackPPE, trace.KindFill, issuedAt, p.eng.Now(), lineAddr, rfo, 0, 0)
-		p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
-		sig.Fire()
-	})
+	f.line, f.dirty, f.issuedAt, f.sig = lineAddr, dirty, p.eng.Now(), sig
+	p.mem.ReadLine(lineAddr, p.eng.Now(), f)
 	return sig
 }
+
+// fill is the pooled completion record of one L2 line fill: it installs
+// the line (writing back a dirty victim), retires the miss-queue entry and
+// fires the fill's signal. Records recycle through a free list on the PPE
+// and are released before the signal fires.
+type fill struct {
+	p        *PPE
+	line     int64
+	dirty    bool
+	issuedAt sim.Time
+	sig      *sim.Signal
+	next     *fill // free-list link
+}
+
+func (f *fill) Call(end sim.Time) {
+	p := f.p
+	if ev, evDirty, has := p.l2.Insert(f.line, f.dirty); has && evDirty {
+		p.stats.Writebacks++
+		p.mem.WriteLine(ev, end, discard{})
+	}
+	delete(p.inflight, f.line)
+	rfo := int64(0)
+	if f.dirty {
+		rfo = 1
+	}
+	p.tracer.Emit(trace.TrackPPE, trace.KindFill, f.issuedAt, p.eng.Now(), f.line, rfo, 0, 0)
+	p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
+	sig := f.sig
+	*f = fill{p: p, next: p.fillFree}
+	p.fillFree = f
+	sig.Fire()
+}
+
+// discard is the completion of a writeback nobody waits for. It has no
+// fields, so passing it as a sim.Callee allocates nothing.
+type discard struct{}
+
+func (discard) Call(sim.Time) {}
 
 // Thread is one SMT hardware thread running a kernel coroutine.
 type Thread struct {
@@ -264,11 +296,11 @@ type Thread struct {
 	id  int
 
 	// Gathering store queue: completion times of in-flight chunks.
-	drain     []sim.Time
+	drain     sim.FIFO[sim.Time]
 	lastDrain sim.Time
 
 	// Outstanding RFO fills.
-	rfos []*sim.Signal
+	rfos sim.FIFO[*sim.Signal]
 
 	// Sequential prefetch stream state.
 	streamNext int64
@@ -295,10 +327,9 @@ func (t *Thread) drainStoreQueue() {
 	if t.lastDrain > t.Now() {
 		t.Wait(t.lastDrain - t.Now())
 	}
-	t.drain = nil
-	for len(t.rfos) > 0 {
-		t.WaitSignal(t.rfos[0])
-		t.rfos = t.rfos[1:]
+	t.drain.Reset()
+	for t.rfos.Len() > 0 {
+		t.WaitSignal(t.rfos.Pop())
 	}
 }
 
@@ -363,9 +394,8 @@ func (t *Thread) prefetchAfter(lineAddr int64) {
 // queue, stalling the thread when the queue is full.
 func (t *Thread) pushStoreChunk() {
 	p := t.ppe
-	if len(t.drain) >= p.cfg.StoreQueueChunks {
-		head := t.drain[0]
-		t.drain = t.drain[1:]
+	if t.drain.Len() >= p.cfg.StoreQueueChunks {
+		head := t.drain.Pop()
 		if head > t.Now() {
 			t.Wait(head - t.Now())
 		}
@@ -377,7 +407,7 @@ func (t *Thread) pushStoreChunk() {
 	start = p.storePort.Take(start)
 	done := start + p.cfg.StoreDrainCycles
 	t.lastDrain = done
-	t.drain = append(t.drain, done)
+	t.drain.Push(done)
 	p.stats.StoreChunks++
 }
 
@@ -391,10 +421,9 @@ func (t *Thread) ensureLineForStore(lineAddr int64) {
 	}
 	p.stats.RFOs++
 	sig := p.fetch(lineAddr, true)
-	t.rfos = append(t.rfos, sig)
-	for len(t.rfos) > p.cfg.RFOWindow {
-		t.WaitSignal(t.rfos[0])
-		t.rfos = t.rfos[1:]
+	t.rfos.Push(sig)
+	for t.rfos.Len() > p.cfg.RFOWindow {
+		t.WaitSignal(t.rfos.Pop())
 	}
 }
 

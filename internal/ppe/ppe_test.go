@@ -20,17 +20,17 @@ func newFakeMem(eng *sim.Engine, latency sim.Time) *fakeMem {
 	return &fakeMem{eng: eng, latency: latency, srv: sim.NewServer(eng)}
 }
 
-func (f *fakeMem) ReadLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
+func (f *fakeMem) ReadLine(addr int64, earliest sim.Time, done sim.Callee) {
 	f.reads++
-	f.srv.Request(16, func(sim.Time) {
+	f.srv.Request(16, sim.CalleeFunc(func(sim.Time) {
 		end := f.eng.Now() + f.latency
-		f.eng.At(end, func() { done(end) })
-	})
+		f.eng.AtCallee(end, done, end)
+	}))
 }
 
-func (f *fakeMem) WriteLine(addr int64, earliest sim.Time, done func(end sim.Time)) {
+func (f *fakeMem) WriteLine(addr int64, earliest sim.Time, done sim.Callee) {
 	f.writes++
-	f.srv.Request(16, func(sim.Time) { done(f.eng.Now()) })
+	f.srv.Request(16, sim.CalleeFunc(func(sim.Time) { done.Call(f.eng.Now()) }))
 }
 
 func newPPE(latency sim.Time) (*sim.Engine, *fakeMem, *PPE) {

@@ -50,6 +50,14 @@ type Callee interface {
 	Call(at Time)
 }
 
+// CalleeFunc adapts an ordinary function to Callee, for the callers of a
+// Callee-based API that are off the hot paths (tests, rare protocol
+// paths) and can afford the closure.
+type CalleeFunc func(at Time)
+
+// Call invokes f(at).
+func (f CalleeFunc) Call(at Time) { f(at) }
+
 // Timing-wheel geometry: wheelLevels levels of wheelSize buckets each.
 // Level L buckets are 64^L cycles wide, so 11 levels of 64 cover the full
 // 63-bit span of Time (6 bits * 11 = 66 >= 63), Forever included. Each

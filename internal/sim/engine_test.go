@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -423,7 +424,7 @@ func TestServerFIFO(t *testing.T) {
 	s := NewServer(e)
 	var ends []Time
 	for i := 0; i < 3; i++ {
-		s.Request(10, func(start Time) { ends = append(ends, e.Now()) })
+		s.Request(10, CalleeFunc(func(start Time) { ends = append(ends, e.Now()) }))
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
@@ -438,9 +439,9 @@ func TestServerLateArrival(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
 	var ends []Time
-	s.Request(10, func(Time) { ends = append(ends, e.Now()) })
+	s.Request(10, CalleeFunc(func(Time) { ends = append(ends, e.Now()) }))
 	e.Schedule(25, func() {
-		s.Request(5, func(Time) { ends = append(ends, e.Now()) })
+		s.Request(5, CalleeFunc(func(Time) { ends = append(ends, e.Now()) }))
 	})
 	e.Run()
 	if ends[0] != 10 || ends[1] != 30 {
@@ -490,7 +491,7 @@ func TestServerThroughputProperty(t *testing.T) {
 		s := NewServer(e)
 		var last Time
 		for i := 0; i < int(n); i++ {
-			s.Request(Time(d), func(Time) { last = e.Now() })
+			s.Request(Time(d), CalleeFunc(func(Time) { last = e.Now() }))
 		}
 		e.Run()
 		return last == Time(n)*Time(d)
@@ -545,8 +546,8 @@ func TestSignalOnFireAndFired(t *testing.T) {
 func TestServerAccessors(t *testing.T) {
 	e := NewEngine()
 	s := NewServer(e)
-	s.Request(10, func(Time) {})
-	s.Request(10, func(Time) {})
+	s.Request(10, CalleeFunc(func(Time) {}))
+	s.Request(10, CalleeFunc(func(Time) {}))
 	if s.QueueLen() != 1 {
 		t.Fatalf("queue len %d, want 1 (one in service, one queued)", s.QueueLen())
 	}
@@ -556,6 +557,45 @@ func TestServerAccessors(t *testing.T) {
 	e.Run()
 	if s.QueueLen() != 0 {
 		t.Fatal("queue must drain")
+	}
+}
+
+// TestFIFOMatchesSlice drives a FIFO and a plain slice queue with the same
+// random pushes and pops: they must agree on every popped value, and a
+// steady backlog must run in a bounded backing array without allocating.
+func TestFIFOMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q FIFO[int]
+	var ref []int
+	for i := 0; i < 10000; i++ {
+		if len(ref) == 0 || rng.Intn(3) > 0 {
+			q.Push(i)
+			ref = append(ref, i)
+		} else if got, want := q.Pop(), ref[0]; got != want {
+			t.Fatalf("step %d: popped %d, want %d", i, got, want)
+		} else {
+			ref = ref[1:]
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", i, q.Len(), len(ref))
+		}
+	}
+	q.Reset()
+	if q.Len() != 0 {
+		t.Fatalf("reset queue holds %d entries", q.Len())
+	}
+	q = FIFO[int]{}
+	for i := 0; i < 16; i++ {
+		q.Push(i)
+	}
+	for i := 0; i < 1000; i++ { // settle the backing array
+		q.Push(q.Pop())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { q.Push(q.Pop()) }); allocs != 0 {
+		t.Fatalf("steady FIFO allocates %.1f per push/pop", allocs)
+	}
+	if c := cap(q.buf); c > 64 {
+		t.Fatalf("backing array grew to %d for a 16-entry backlog", c)
 	}
 }
 

@@ -275,9 +275,16 @@ func (s *Signal) Fire() {
 	}
 	s.fired = true
 	if len(s.subs) > 0 {
-		s.eng.Post(s.drain)
+		s.eng.PostCallee((*signalDrain)(s), 0)
 	}
 }
+
+// signalDrain is a Signal viewed as its drain event's target: posting the
+// converted pointer allocates nothing, where the method value s.drain
+// would allocate a closure per Fire.
+type signalDrain Signal
+
+func (d *signalDrain) Call(Time) { (*Signal)(d).drain() }
 
 // drain releases every subscriber registered before Fire, in order.
 func (s *Signal) drain() {

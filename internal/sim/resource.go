@@ -7,26 +7,48 @@ package sim
 type Server struct {
 	eng       *Engine
 	busyUntil Time
-	queue     []serverReq
+	queue     FIFO[serverReq]
 	inService bool
+	// done is the completion record of the request in service: a server
+	// serves one request at a time, so it is its own completion record
+	// and scheduling a service end allocates nothing.
+	done serverDone
 }
 
 type serverReq struct {
-	dur  Time
-	done func(start Time)
+	dur Time
+	cb  Callee
+}
+
+// serverDone fires the in-service request's callee, then starts the next
+// queued request.
+type serverDone struct {
+	s  *Server
+	cb Callee
+}
+
+func (d *serverDone) Call(start Time) {
+	cb := d.cb
+	d.cb = nil
+	cb.Call(start)
+	d.s.startNext()
 }
 
 // NewServer returns an idle server bound to eng.
-func NewServer(eng *Engine) *Server { return &Server{eng: eng} }
+func NewServer(eng *Engine) *Server {
+	s := &Server{eng: eng}
+	s.done.s = s
+	return s
+}
 
-// Reset returns the server to its idle NewServer state, keeping the queue
-// slice's capacity. Part of the warm-system recycling path; the caller
+// Reset returns the server to its idle NewServer state, keeping the queue's
+// backing array. Part of the warm-system recycling path; the caller
 // guarantees no service-completion event is still pending on the engine.
 func (s *Server) Reset() {
 	s.busyUntil = 0
-	clear(s.queue)
-	s.queue = s.queue[:0]
+	s.queue.Reset()
 	s.inService = false
+	s.done.cb = nil
 }
 
 // BusyUntil returns the time the server becomes free given current
@@ -34,35 +56,34 @@ func (s *Server) Reset() {
 func (s *Server) BusyUntil() Time { return s.busyUntil }
 
 // QueueLen returns the number of requests waiting (not yet started).
-func (s *Server) QueueLen() int { return len(s.queue) }
+func (s *Server) QueueLen() int { return s.queue.Len() }
 
-// Request enqueues a request occupying the server for dur cycles. done is
+// Request enqueues a request occupying the server for dur cycles. cb is
 // called when the occupation *ends*, with the time service started.
-func (s *Server) Request(dur Time, done func(start Time)) {
-	s.queue = append(s.queue, serverReq{dur: dur, done: done})
+// Callers on hot paths pass a pooled record; others wrap a closure in
+// CalleeFunc.
+func (s *Server) Request(dur Time, cb Callee) {
+	s.queue.Push(serverReq{dur: dur, cb: cb})
 	if !s.inService {
 		s.startNext()
 	}
 }
 
 func (s *Server) startNext() {
-	if len(s.queue) == 0 {
+	if s.queue.Len() == 0 {
 		s.inService = false
 		return
 	}
 	s.inService = true
-	req := s.queue[0]
-	s.queue = s.queue[1:]
+	req := s.queue.Pop()
 	start := s.eng.Now()
 	if start < s.busyUntil {
 		start = s.busyUntil
 	}
 	end := start + req.dur
 	s.busyUntil = end
-	s.eng.At(end, func() {
-		req.done(start)
-		s.startNext()
-	})
+	s.done.cb = req.cb
+	s.eng.AtCallee(end, &s.done, start)
 }
 
 // Reserve occupies the server for dur cycles starting no earlier than
@@ -108,4 +129,50 @@ func (b *TokenBucket) Take(earliest Time) Time {
 	}
 	b.nextFree = t + b.interval
 	return t
+}
+
+// FIFO is a first-in, first-out queue over a reused backing array. Pop
+// advances a head index instead of reslicing past the front, which would
+// crawl through the array and force append to regrow it; Push slides the
+// live entries back to the front once at least half the array is popped
+// slots, so steady-state traffic neither allocates nor copies more than
+// amortized O(1) per entry. The zero value is an empty queue.
+type FIFO[T any] struct {
+	buf  []T
+	head int
+}
+
+// Len returns the number of queued entries.
+func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
+
+// Push appends v at the back.
+func (q *FIFO[T]) Push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf = q.buf[:n]
+		q.head = 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// Pop removes and returns the entry at the front. The queue must not be
+// empty.
+func (q *FIFO[T]) Pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return v
+}
+
+// Reset empties the queue, keeping its backing array.
+func (q *FIFO[T]) Reset() {
+	clear(q.buf)
+	q.buf = q.buf[:0]
+	q.head = 0
 }

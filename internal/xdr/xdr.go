@@ -135,11 +135,12 @@ type BankStats struct {
 
 // Memory is the two-bank memory system attached to the EIB.
 type Memory struct {
-	eng   *sim.Engine
-	bus   *eib.EIB
-	cfg   Config
-	banks [2]*bank
-	ram   *RAM
+	eng    *sim.Engine
+	bus    *eib.EIB
+	cfg    Config
+	banks  [2]*bank
+	ram    *RAM
+	opFree *memOp // free list of line-access records (the engine is single-threaded)
 }
 
 // SetFaults attaches a fault injector to both banks (nil disables
@@ -321,78 +322,138 @@ func (m *Memory) checkSpan(addr int64, n int) {
 	}
 }
 
-func (b *bank) occupy(kind opKind, eng *sim.Engine, turn sim.Time, n int, done func(end sim.Time)) {
-	b.applyRefresh(eng.Now())
-	b.applyNoise(eng.Now())
+// occupy queues one line access on the bank; cb.Call(start) fires when
+// the bank occupation ends.
+func (b *bank) occupy(kind opKind, now sim.Time, cb sim.Callee) {
+	b.applyRefresh(now)
+	b.applyNoise(now)
 	// Injected bank-busy stall: like a refresh collision, the bank is
 	// stolen with priority over the queued accesses.
 	if d := b.faults.XDRStall(); d > 0 {
 		b.stats.FaultStalls++
-		b.srv.Reserve(eng.Now(), d)
+		b.srv.Reserve(now, d)
 	}
 	dur := b.service
 	if b.lastOp != kind {
-		dur += turn
+		dur += b.cfg.TurnaroundCycles
 		b.lastOp = kind
 	}
 	b.stats.Requests++
-	b.srv.Request(dur, func(start sim.Time) {
-		b.tracer.Emit(b.track, trace.KindBank, start, eng.Now(), int64(n), int64(kind), 0, 0)
-		done(eng.Now())
-	})
+	b.srv.Request(dur, cb)
+}
+
+// memOp is the pooled record of one line access. It walks the access's
+// three steps — EIB command, bank occupancy and data transfer (read), or
+// command, data transfer and bank occupancy (write) — as successive Calls,
+// each scheduled where the per-step closure it replaces was, so an access
+// allocates nothing and the event order is unchanged. Records recycle
+// through Memory's free list and are released before done fires.
+type memOp struct {
+	m         *Memory
+	bk        *bank
+	kind      opKind
+	requestor eib.RampID
+	ramp      eib.RampID
+	addr      int64
+	n         int
+	lat       sim.Time
+	buf       []byte // dst for reads, src for writes; nil for timing-only
+	done      sim.Callee
+	phase     int
+	next      *memOp // free-list link
+}
+
+// Phases of a memOp: the step its next Call performs.
+const (
+	phaseCommand = iota // command granted: start the first resource step
+	phaseSecond         // read: bank done, start data; write: data landed, occupy bank
+	phaseLast           // read: data arrived; write: bank done
+)
+
+// start takes a record for one line access and schedules its command
+// phase.
+func (m *Memory) start(kind opKind, requestor eib.RampID, addr int64, n int, earliest sim.Time, buf []byte, done sim.Callee) {
+	m.checkSpan(addr, n)
+	op := m.opFree
+	if op == nil {
+		op = &memOp{m: m}
+	} else {
+		m.opFree = op.next
+	}
+	b := m.Bank(addr)
+	op.bk, op.kind, op.requestor, op.ramp = m.banks[b], kind, requestor, m.Ramp(addr)
+	op.addr, op.n, op.buf, op.done, op.phase = addr, n, buf, done, phaseCommand
+	if kind == opRead {
+		op.lat = m.cfg.LocalReadLatency
+	} else {
+		op.lat = m.cfg.LocalWriteLatency
+	}
+	if b == 1 {
+		op.lat += m.cfg.RemoteExtraLatency
+	}
+	op.bk.perf.Access(addr, n, kind == opWrite)
+	ready := m.bus.Command(earliest)
+	m.eng.AtCallee(ready, op, ready)
+}
+
+// release returns op to the free list and hands back its completion.
+func (op *memOp) release() sim.Callee {
+	m, done := op.m, op.done
+	*op = memOp{m: m, next: m.opFree}
+	m.opFree = op
+	return done
+}
+
+// bankDone emits the bank's trace span for the occupation that started at
+// start and ends now.
+func (op *memOp) bankDone(start sim.Time) {
+	op.bk.tracer.Emit(op.bk.track, trace.KindBank, start, op.m.eng.Now(), int64(op.n), int64(op.kind), 0, 0)
+}
+
+func (op *memOp) Call(at sim.Time) {
+	m, bk := op.m, op.bk
+	now := m.eng.Now()
+	phase := op.phase
+	op.phase++
+	switch {
+	case phase == phaseCommand && op.kind == opRead:
+		bk.occupy(opRead, now, op)
+	case phase == phaseCommand:
+		m.bus.TransferCB(op.requestor, op.ramp, op.n, now, op)
+	case phase == phaseSecond && op.kind == opRead:
+		op.bankDone(at)
+		bk.stats.ReadBytes += int64(op.n)
+		m.bus.TransferCB(op.ramp, op.requestor, op.n, now+op.lat, op)
+	case phase == phaseSecond:
+		bk.occupy(opWrite, now, op)
+	case op.kind == opRead:
+		if op.buf != nil {
+			m.ram.Read(op.addr, op.buf[:op.n])
+		}
+		op.release().Call(at)
+	default:
+		op.bankDone(at)
+		if op.buf != nil {
+			m.ram.Write(op.addr, op.buf[:op.n])
+		}
+		bk.stats.WriteBytes += int64(op.n)
+		ack := now + op.lat
+		m.eng.AtCallee(ack, op.release(), ack)
+	}
 }
 
 // Read performs a line read: command phase on the EIB, bank occupancy,
 // then a data transfer from the bank's ramp to the requestor. dst receives
-// the bytes when the transfer completes, at which point done fires. dst
-// may be nil to model a timing-only access.
-func (m *Memory) Read(requestor eib.RampID, addr int64, n int, earliest sim.Time, dst []byte, done func(end sim.Time)) {
-	m.checkSpan(addr, n)
-	bk := m.banks[m.Bank(addr)]
-	bk.perf.Access(addr, n, false)
-	ramp := m.Ramp(addr)
-	lat := m.cfg.LocalReadLatency
-	if m.Bank(addr) == 1 {
-		lat += m.cfg.RemoteExtraLatency
-	}
-	ready := m.bus.Command(earliest)
-	m.eng.At(ready, func() {
-		bk.occupy(opRead, m.eng, m.cfg.TurnaroundCycles, n, func(svcEnd sim.Time) {
-			bk.stats.ReadBytes += int64(n)
-			m.bus.Transfer(ramp, requestor, n, svcEnd+lat, func(end sim.Time) {
-				if dst != nil {
-					m.ram.Read(addr, dst[:n])
-				}
-				done(end)
-			})
-		})
-	})
+// the bytes when the transfer completes, at which point done fires with
+// the completion time. dst may be nil to model a timing-only access.
+func (m *Memory) Read(requestor eib.RampID, addr int64, n int, earliest sim.Time, dst []byte, done sim.Callee) {
+	m.start(opRead, requestor, addr, n, earliest, dst, done)
 }
 
 // Write performs a line write: command phase, data transfer from the
 // requestor to the bank's ramp, then bank occupancy. done fires when the
 // bank has absorbed the write (the point at which the MFC retires the
 // transfer for flow-control purposes). src may be nil for timing-only.
-func (m *Memory) Write(requestor eib.RampID, addr int64, n int, earliest sim.Time, src []byte, done func(end sim.Time)) {
-	m.checkSpan(addr, n)
-	bk := m.banks[m.Bank(addr)]
-	bk.perf.Access(addr, n, true)
-	ramp := m.Ramp(addr)
-	lat := m.cfg.LocalWriteLatency
-	if m.Bank(addr) == 1 {
-		lat += m.cfg.RemoteExtraLatency
-	}
-	ready := m.bus.Command(earliest)
-	m.eng.At(ready, func() {
-		m.bus.Transfer(requestor, ramp, n, m.eng.Now(), func(xferEnd sim.Time) {
-			bk.occupy(opWrite, m.eng, m.cfg.TurnaroundCycles, n, func(svcEnd sim.Time) {
-				if src != nil {
-					m.ram.Write(addr, src[:n])
-				}
-				bk.stats.WriteBytes += int64(n)
-				ack := svcEnd + lat
-				m.eng.AtCall(ack, done, ack)
-			})
-		})
-	})
+func (m *Memory) Write(requestor eib.RampID, addr int64, n int, earliest sim.Time, src []byte, done sim.Callee) {
+	m.start(opWrite, requestor, addr, n, earliest, src, done)
 }
