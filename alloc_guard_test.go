@@ -1,19 +1,18 @@
 package cellbe
 
-// The tracing subsystem is specified as zero-cost when off: attaching no
-// tracer must leave the EIB/MFC hot path's allocation count exactly where
-// the BENCH_eib.json baseline pinned it. This test enforces that in plain
-// `go test` runs (and CI), so a regression cannot hide until the next
-// manual benchmark pass.
+// The tracing subsystem is specified as zero-cost when off, and the
+// always-on perf counters as allocation-free: a saturated run with no
+// tracer (and its counters counting, as always) must leave the EIB/MFC
+// hot path's allocation count where the BENCH_eib.json baseline pinned
+// it. This test enforces that in plain `go test` runs (and CI), so a
+// regression cannot hide until the next manual benchmark pass.
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"testing"
 
 	"cellbe/internal/cell"
-	"cellbe/internal/perfctr"
 	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
 )
@@ -50,53 +49,8 @@ func TestEIBSaturatedAllocGuard(t *testing.T) {
 	// per run: even +0.1 allocs/transfer would blow through this).
 	limit := baseline*1.02 + 16
 	if perOp > limit {
-		t.Fatalf("untraced saturated run allocates %.0f allocs/op, baseline %.0f (limit %.0f): tracing hooks are no longer free when off",
+		t.Fatalf("untraced saturated run allocates %.0f allocs/op, baseline %.0f (limit %.0f): tracing or counter hooks allocate",
 			perOp, baseline, limit)
-	}
-}
-
-// TestEIBSaturatedCounterGuard extends the zero-cost-when-off contract
-// to the perf-counter subsystem: running the saturated benchmark
-// scenario with a counter block attached must finish at the identical
-// cycle with identical EIB statistics (counters observe arbitration,
-// never participate in it), and the counters themselves must stay
-// allocation-free — the counted run may allocate at most the one
-// Counters block more than the bare run. The BENCH_eib.json baseline
-// needs no update: with cycles and allocations unchanged, the recorded
-// figures still describe the counters-off path exactly.
-func TestEIBSaturatedCounterGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full saturated run: skipped in -short mode")
-	}
-	sc := saturatedScenario()
-	signature := func(counted bool) (string, float64) {
-		var sig string
-		perOp := testing.AllocsPerRun(1, func() {
-			cfg := cell.DefaultConfig()
-			cfg.Layout = cell.RandomLayout(3)
-			sys := cell.New(cfg)
-			if counted {
-				sys.SetPerf(&perfctr.Counters{})
-			}
-			if _, err := sc.Install(sys); err != nil {
-				t.Fatal(err)
-			}
-			sys.Run()
-			st := sys.Bus.Stats()
-			sig = fmt.Sprintf("now=%d transfers=%d local=%d bytes=%d cmds=%d busy=%v wait=%d",
-				sys.Eng.Now(), st.Transfers, st.LocalTransfers, st.Bytes, st.Commands, st.BusyCycles, st.WaitCycles)
-		})
-		return sig, perOp
-	}
-	bare, bareAllocs := signature(false)
-	counted, countedAllocs := signature(true)
-	if bare != counted {
-		t.Errorf("counters perturbed the simulation\n bare:    %s\n counted: %s", bare, counted)
-	}
-	// One Counters block plus generous runtime noise; any per-transfer
-	// counter allocation would add tens of thousands (32768 transfers).
-	if countedAllocs > bareAllocs+16 {
-		t.Errorf("counted run allocates %.0f vs bare %.0f: counter hooks allocate on the hot path", countedAllocs, bareAllocs)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
-	"cellbe/internal/perfctr"
 	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
 	"cellbe/internal/spe"
@@ -336,7 +335,6 @@ func BenchmarkSweepWarm(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sys.SetPerf(&perfctr.Counters{})
 				if err := sys.RunChecked(0); err != nil {
 					b.Fatal(err)
 				}

@@ -303,9 +303,8 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 				sampler = sys.StartMetrics(sim.Time(obs.metricsEvery))
 			}
 			if obs.perf {
-				// The sweep runner attaches a fresh counter block to
-				// every point before this hook runs; retaining the
-				// System is enough to read it back afterwards.
+				// Every system counts into its own block; retaining
+				// the System is enough to read it back afterwards.
 				perfSys = sys
 			}
 			return true
@@ -387,7 +386,7 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 				break
 			}
 		}
-		if point == nil || perfSys.Perf() == nil {
+		if point == nil {
 			return fmt.Errorf("-perf: instrumented point chunk=%d seed=%d not found in results", chunkSizes[0], seedList[0])
 		}
 		cfg := cell.DefaultConfig()

@@ -113,15 +113,8 @@ func main() {
 		if *metricsOut != "" {
 			sampler = sys.StartMetrics(sim.Time(*metricsEvery))
 		}
-		if *perfOn {
-			// The sweep scheduler attaches counters to every point; the
-			// timeline path drives the System directly and needs its own.
-			if sys.Perf() == nil {
-				sys.SetPerf(&perfctr.Counters{})
-			}
-			if *perfEvery > 0 {
-				perfWindows = sys.StartPerfWindows(sim.Time(*perfEvery))
-			}
+		if *perfOn && *perfEvery > 0 {
+			perfWindows = sys.StartPerfWindows(sim.Time(*perfEvery))
 		}
 	}
 	// flushObservability writes the trace and metrics files; it runs on

@@ -120,10 +120,14 @@ type System struct {
 	rem       *remoteChip
 	faults    *fault.Injector
 	tracer    *trace.Tracer
-	perf      *perfctr.Counters
-	pktFree   *pktDone   // free list of packet completion records (engine is single-threaded)
-	killFree  *killWrite // free list of main-memory write completion records
-	streams   []*dmaStream
+	// counters is the block the system owns, zeroed on every init; perf
+	// is the block the components count into — counters unless SetPerf
+	// re-pointed them.
+	counters perfctr.Counters
+	perf     *perfctr.Counters
+	pktFree  *pktDone   // free list of packet completion records (engine is single-threaded)
+	killFree *killWrite // free list of main-memory write completion records
+	streams  []*dmaStream
 
 	// fabs holds each logical SPE's routing fabric so a recycled system
 	// can rebind ramps for a new layout without rebuilding the SPEs.
@@ -210,7 +214,7 @@ func (s *System) init(cfg Config) {
 	s.faults = fault.New(cfg.Faults, cfg.FaultSeed)
 	s.Bus.SetFaults(s.faults)
 	s.Mem.SetFaults(s.faults)
-	s.tracer, s.perf = nil, nil
+	s.tracer = nil
 	s.streams = s.streams[:0] // records stay in the backing array for reuse
 	s.scen = Scenario{}
 
@@ -235,6 +239,8 @@ func (s *System) init(cfg Config) {
 	} else {
 		s.PPE.Reset(&ppePort{sys: s}, cfg.PPE)
 	}
+	s.counters = perfctr.Counters{}
+	s.SetPerf(&s.counters)
 	eng.OnDiagnostic(s.diagnose)
 }
 
@@ -290,26 +296,18 @@ func (s *System) SetTracer(tr *trace.Tracer) {
 	tr.SetTrackName(trace.BankTrack(1), "XDR remote (IOIF0)")
 }
 
-// Perf returns the attached perf-counter block (nil when counting is off).
+// Perf returns the counter block every component counts into. Counting
+// is always on: the components' Stats() are views over this block.
 func (s *System) Perf() *perfctr.Counters { return s.perf }
 
-// SetPerf wires a perf-counter block through every component — the EIB,
-// both XDR banks, all eight MFCs and the PPE — following the SetFaults
-// discipline: nil (the default) leaves every hot path on its counter-off
-// fast path, so an uncounted run is bit- and allocation-identical to one
-// without the subsystem. Counters are plain uint64 increments, so unlike
-// tracing they are cheap enough to leave on for every sweep point.
+// SetPerf re-points every component — the EIB, both XDR banks, all eight
+// MFCs and the PPE — at pc instead of the system's own block, which init
+// zeroes and attaches. Call it before the first event: counts already
+// made stay behind in the old block, and component Stats() read the new
+// one.
 func (s *System) SetPerf(pc *perfctr.Counters) {
 	s.perf = pc
 	s.Mem.SetPerf(pc)
-	if pc == nil {
-		s.Bus.SetPerf(nil)
-		s.PPE.SetPerf(nil)
-		for _, sp := range s.SPEs {
-			sp.MFC().SetPerf(nil)
-		}
-		return
-	}
 	s.Bus.SetPerf(&pc.EIB)
 	s.PPE.SetPerf(&pc.PPE)
 	for i, sp := range s.SPEs {
@@ -320,11 +318,8 @@ func (s *System) SetPerf(pc *perfctr.Counters) {
 // StartPerfWindows arms periodic snapshots of the attached counter block,
 // every interval cycles, for windowed bandwidth derivation. Like
 // StartMetrics it rides daemon events and never extends a run; the final
-// partial interval goes unsampled. Panics if SetPerf has not been called.
+// partial interval goes unsampled.
 func (s *System) StartPerfWindows(interval sim.Time) *perfctr.Windows {
-	if s.perf == nil {
-		panic("cell: StartPerfWindows requires SetPerf")
-	}
 	return s.perf.StartWindows(s.Eng, interval)
 }
 
@@ -339,27 +334,20 @@ func (s *System) StartMetrics(interval sim.Time) *trace.Sampler {
 	sa := trace.NewSampler(s.Eng, interval)
 	clk := s.cfg.ClockGHz
 	perCyc := 1.0 / float64(interval)
-	sa.Rate("eib_GBps", clk*perCyc, func() float64 { return float64(s.Bus.Stats().Bytes) })
-	sa.Rate("eib_cmds_per_kcyc", 1000*perCyc, func() float64 { return float64(s.Bus.Stats().Commands) })
-	sa.Rate("eib_transfers", 1, func() float64 { return float64(s.Bus.Stats().Transfers) })
-	sa.Rate("eib_wait_cyc", 1, func() float64 { return float64(s.Bus.Stats().WaitCycles) })
-	nrings := 2 * s.cfg.EIB.RingsPerDirection
-	if nrings > len(s.Bus.Stats().BusyCycles) {
-		nrings = len(s.Bus.Stats().BusyCycles)
-	}
-	for r := 0; r < nrings; r++ {
+	sa.Rate("eib_GBps", clk*perCyc, func() float64 { return float64(s.Perf().EIB.Bytes) })
+	sa.Rate("eib_cmds_per_kcyc", 1000*perCyc, func() float64 { return float64(s.Perf().EIB.Commands) })
+	sa.Rate("eib_transfers", 1, func() float64 {
+		e := &s.Perf().EIB
+		return float64(e.GrantTotal() + e.LocalGrants)
+	})
+	sa.Rate("eib_wait_cyc", 1, func() float64 { return float64(s.Perf().EIB.WaitCycles) })
+	for r := range min(2*s.cfg.EIB.RingsPerDirection, perfctr.NumRings) {
 		sa.Rate(fmt.Sprintf("ring%d_util", r), perCyc, func() float64 {
-			return float64(s.Bus.Stats().BusyCycles[r])
+			return float64(s.Perf().EIB.RingBusy[r])
 		})
 	}
-	sa.Rate("xdr_local_GBps", clk*perCyc, func() float64 {
-		b := s.Mem.BankStats(0)
-		return float64(b.ReadBytes + b.WriteBytes)
-	})
-	sa.Rate("xdr_remote_GBps", clk*perCyc, func() float64 {
-		b := s.Mem.BankStats(1)
-		return float64(b.ReadBytes + b.WriteBytes)
-	})
+	sa.Rate("xdr_local_GBps", clk*perCyc, func() float64 { return float64(s.Perf().XDR[0].Bytes()) })
+	sa.Rate("xdr_remote_GBps", clk*perCyc, func() float64 { return float64(s.Perf().XDR[1].Bytes()) })
 	for i, sp := range s.SPEs {
 		m := sp.MFC()
 		sa.Gauge(fmt.Sprintf("spe%d_q", i), func() float64 { return float64(m.QueueOccupancy()) })

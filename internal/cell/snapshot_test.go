@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"cellbe/internal/perfctr"
 )
 
 // coldRun boots, installs and runs one grid point from scratch, the
@@ -15,7 +13,6 @@ import (
 func coldRun(t *testing.T, cfg Config, sc Scenario) *System {
 	t.Helper()
 	sys := New(cfg)
-	sys.SetPerf(&perfctr.Counters{})
 	if _, err := sc.Install(sys); err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -27,7 +24,9 @@ func coldRun(t *testing.T, cfg Config, sc Scenario) *System {
 
 // assertIdentical pins every observable of a finished system against the
 // cold reference: cycle count, event totals, EIB/MFC statistics, the
-// occupancy histograms and the full perf-counter block.
+// occupancy histograms and the full perf-counter block. Both systems count
+// into their own blocks, so a recycled carcass that carried counts from
+// its previous point into this one fails here.
 func assertIdentical(t *testing.T, label string, cold, warm *System) {
 	t.Helper()
 	if c, w := cold.Eng.Now(), warm.Eng.Now(); c != w {
@@ -55,10 +54,9 @@ func assertIdentical(t *testing.T, label string, cold, warm *System) {
 	}
 }
 
-// runClone runs one cloned system to completion with counters on.
+// runClone runs one cloned system to completion.
 func runClone(t *testing.T, sys *System) {
 	t.Helper()
-	sys.SetPerf(&perfctr.Counters{})
 	if err := sys.RunChecked(0); err != nil {
 		t.Fatalf("clone run: %v", err)
 	}
@@ -203,7 +201,6 @@ func TestSnapshotCloneConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				sys.SetPerf(&perfctr.Counters{})
 				if err := sys.RunChecked(0); err != nil {
 					errs <- err
 					return

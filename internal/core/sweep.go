@@ -247,17 +247,11 @@ func runPoint(spec *SweepSpec, snap *cell.Snapshot, chunk int, seed int64, attem
 		}
 		// Teardown is a pointer-reset, not a garbage collection: the
 		// carcass goes back to the arena for the next point to stamp.
-		// init fully re-stamps it, so retiring after a deadlock or panic
-		// is safe. Counters on by default, as on the cold path.
+		// init fully re-stamps it (counter block included), so retiring
+		// after a deadlock or panic is safe.
 		defer snap.Retire(sys)
-		sys.SetPerf(&perfctr.Counters{})
 	} else {
 		sys = cell.New(cfg)
-		// Counters on by default for every point: the always-on
-		// observability tier. The Instrument hook runs after, so it may
-		// replace or extend the block — the harvest below reads whatever
-		// the system ended up with via sys.Perf().
-		sys.SetPerf(&perfctr.Counters{})
 		retained := false
 		if spec.Instrument != nil {
 			retained = spec.Instrument(chunk, seed, sys)
@@ -288,16 +282,14 @@ func runPoint(spec *SweepSpec, snap *cell.Snapshot, chunk int, seed int64, attem
 	res.Transfers = st.Transfers
 	res.WaitCycles = st.WaitCycles
 	res.Commands = st.Commands
-	if pc := sys.Perf(); pc != nil {
-		ru := pc.Rollup()
-		// The time-weighted queue-occupancy view lives on each MFC (it is
-		// accumulated at occupancy transitions, not enqueue samples); fold
-		// it in here so it rides the rollup to /metrics with the rest.
-		for i := range sys.SPEs {
-			ru.AddOccupancy(i, sys.SPEs[i].MFC().OccupancyHist())
-		}
-		res.Perf = &ru
+	ru := sys.Perf().Rollup()
+	// The time-weighted queue-occupancy view lives on each MFC (it is
+	// accumulated at occupancy transitions, not enqueue samples); fold it
+	// in here so it rides the rollup to /metrics with the rest.
+	for i := range sys.SPEs {
+		ru.AddOccupancy(i, sys.SPEs[i].MFC().OccupancyHist())
 	}
+	res.Perf = &ru
 	return res
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cellbe/internal/cell"
-	"cellbe/internal/perfctr"
 )
 
 // workloadSweepSpecs is one small grid per workload kind, sized so the
@@ -69,7 +68,6 @@ func TestWorkloadSweepColdFallback(t *testing.T) {
 					cfg := cell.DefaultConfig()
 					cfg.Layout = cell.RandomLayout(seed)
 					sys := cell.New(cfg)
-					sys.SetPerf(&perfctr.Counters{})
 					total, err := spec.scenario(chunk).Install(sys)
 					if err != nil {
 						t.Fatalf("cold install chunk=%d: %v", chunk, err)

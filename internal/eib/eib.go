@@ -156,7 +156,7 @@ type flowPlan struct {
 	cand []ringCand
 }
 
-// Stats aggregates EIB activity counters for tests and reporting.
+// Stats is a view of the EIB's counter block for tests and reporting.
 type Stats struct {
 	// Transfers counts every data transfer, including ramp-local
 	// (src==dst) ones that never touch the rings.
@@ -219,7 +219,6 @@ type EIB struct {
 	faults    *fault.Injector
 	tracer    *trace.Tracer
 	perf      *perfctr.EIBCounters
-	stats     Stats
 	trace     []TransferRecord
 	traceNext int
 }
@@ -232,8 +231,9 @@ func (e *EIB) SetFaults(inj *fault.Injector) { e.faults = inj }
 // Wired by the cell package at system assembly, like SetFaults.
 func (e *EIB) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
-// SetPerf attaches a perf-counter block (nil disables counting, the
-// default). Wired by the cell package at system assembly, like SetFaults.
+// SetPerf points the EIB at the counter block it counts into (New
+// starts it on a private one). Wired by the cell package at system
+// assembly, before the first event.
 func (e *EIB) SetPerf(pc *perfctr.EIBCounters) { e.perf = pc }
 
 // CommandBacklog returns how many cycles the command bus pacing cursor sits
@@ -280,7 +280,7 @@ func New(eng *sim.Engine, cfg Config) *EIB {
 	if cfg.BusPeriod <= 0 || cfg.BeatBytes <= 0 || cfg.RingsPerDirection <= 0 {
 		panic("eib: invalid config")
 	}
-	e := &EIB{eng: eng, cfg: cfg}
+	e := &EIB{eng: eng, cfg: cfg, perf: new(perfctr.EIBCounters)}
 	for i := 0; i < cfg.RingsPerDirection; i++ {
 		e.rings = append(e.rings, ring{dir: Clockwise})
 	}
@@ -324,8 +324,8 @@ func New(eng *sim.Engine, cfg Config) *EIB {
 // every timeline's grown backing array. It reports false — leaving the
 // EIB untouched — when cfg changes the ring count, since then the plan
 // table no longer matches and the caller must build a fresh instance.
-// Attachments (faults, tracer, perf) are cleared exactly as on a fresh
-// EIB; the assembling layer rewires them.
+// Attachments (faults, tracer) are cleared exactly as on a fresh EIB;
+// the counter block is left for the assembling layer to re-point.
 func (e *EIB) Reset(cfg Config) bool {
 	if cfg.BusPeriod <= 0 || cfg.BeatBytes <= 0 || cfg.RingsPerDirection <= 0 {
 		panic("eib: invalid config")
@@ -345,8 +345,7 @@ func (e *EIB) Reset(cfg Config) bool {
 	}
 	e.cmdNextTenths = 0
 	e.pruneTick = 0
-	e.faults, e.tracer, e.perf = nil, nil, nil
-	e.stats = Stats{}
+	e.faults, e.tracer = nil, nil
 	e.trace, e.traceNext = nil, 0
 	return true
 }
@@ -354,8 +353,32 @@ func (e *EIB) Reset(cfg Config) bool {
 // Config returns the configuration the EIB was built with.
 func (e *EIB) Config() Config { return e.cfg }
 
-// Stats returns a snapshot of the activity counters.
-func (e *EIB) Stats() Stats { return e.stats }
+// Stats returns a snapshot of the activity counters, computed from the
+// counter block.
+func (e *EIB) Stats() Stats {
+	c := e.perf
+	st := Stats{
+		Transfers:      int64(c.GrantTotal() + c.LocalGrants),
+		LocalTransfers: int64(c.LocalGrants),
+		Bytes:          int64(c.Bytes),
+		Commands:       int64(c.Commands),
+		WaitCycles:     sim.Time(c.WaitCycles),
+	}
+	for i := range c.Grants {
+		st.PerRampBytes[i] = int64(c.RampBytes[i])
+		st.PerRampRecvBytes[i] = int64(c.RampRecvBytes[i])
+		st.PerRampTransfers[i] = int64(c.Grants[i])
+	}
+	for r := range min(len(e.rings), perfctr.NumRings) {
+		st.BusyCycles[r] = sim.Time(c.RingBusy[r])
+		st.PerRingTransfers[r] = int64(c.RingGrants[r])
+		st.PerRingBytes[r] = int64(c.RingBytes[r])
+		d := e.rings[r].dir
+		st.PerDirCount[d] += st.PerRingTransfers[r]
+		st.PerDirBytes[d] += st.PerRingBytes[r]
+	}
+	return st
+}
 
 // Hops returns the number of ring segments from src to dst in direction d.
 func Hops(src, dst RampID, d Direction) int {
@@ -444,8 +467,7 @@ func (e *EIB) Command(earliest sim.Time) sim.Time {
 		tenths = e.cmdNextTenths
 	}
 	e.cmdNextTenths = tenths + e.cfg.CmdIntervalTenths
-	e.stats.Commands++
-	e.perf.Command()
+	e.perf.Commands++
 	grant := sim.Time((tenths + 9) / 10)
 	return grant + e.cfg.CmdLatency
 }
@@ -515,11 +537,7 @@ func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
 
 	if src == dst {
 		end := earliest + dur
-		e.stats.Transfers++
-		e.stats.LocalTransfers++
-		e.stats.WaitCycles += 0 // local transfers wait on nothing, by definition
-		e.stats.Bytes += int64(bytes)
-		e.perf.Local(bytes)
+		e.perf.Local(bytes) // local transfers wait on nothing, by definition
 		e.record(TransferRecord{Issued: e.eng.Now(), Start: earliest, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: -1})
 		e.tracer.Emit(trace.RampTrack(int(src)), trace.KindTransfer,
 			earliest, end, int64(bytes), -1, int64(dst), 0)
@@ -584,7 +602,7 @@ rings:
 		c := &cands[ci]
 		ri := int(c.ri)
 		if ri == outage {
-			e.perf.Abandon(int(src))
+			e.perf.Abandons[src]++
 			continue
 		}
 		r := &e.rings[ri]
@@ -617,7 +635,7 @@ rings:
 			// the best ring so far this ring is out of the running (ties
 			// go to the earliest ring index, which the best ring holds).
 			if best != -1 && next >= bestStart {
-				e.perf.Deny(int(src))
+				e.perf.Denies[src]++
 				continue rings
 			}
 			// A segment pushed the grant: re-converge the ports at the
@@ -626,7 +644,7 @@ rings:
 			// happens with every constraint checked at start.
 			start, oIdx, iIdx = e.portsFit(src, dst, next, dur, oIdx, iIdx)
 			if best != -1 && start >= bestStart {
-				e.perf.Deny(int(src))
+				e.perf.Denies[src]++
 				continue rings
 			}
 		}
@@ -671,18 +689,7 @@ rings:
 	// The last beat arrives after the pipeline drains through the hops.
 	end := bestStart + dur + sim.Time(cands[best].hops)*e.cfg.BusPeriod
 
-	e.stats.Transfers++
-	e.stats.Bytes += int64(bytes)
-	e.stats.BusyCycles[bestRing] += dur
-	e.stats.WaitCycles += bestStart - earliest
-	e.stats.PerRampBytes[src] += int64(bytes)
-	e.stats.PerDirCount[r.dir]++
-	e.stats.PerRampRecvBytes[dst] += int64(bytes)
-	e.stats.PerRampTransfers[src]++
-	e.stats.PerRingTransfers[bestRing]++
-	e.stats.PerRingBytes[bestRing] += int64(bytes)
-	e.stats.PerDirBytes[r.dir] += int64(bytes)
-	e.perf.Grant(int(src), bestRing, uint64(dur), uint64(bestStart-earliest), bytes)
+	e.perf.Grant(int(src), int(dst), bestRing, uint64(dur), uint64(bestStart-earliest), bytes)
 	e.record(TransferRecord{Issued: e.eng.Now(), Start: bestStart, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: bestRing})
 
 	e.tracer.Emit(trace.RampTrack(int(src)), trace.KindTransfer,

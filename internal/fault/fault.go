@@ -131,7 +131,7 @@ func ParseSpec(spec string) (Config, error) {
 
 // Stats counts injected faults by class.
 type Stats struct {
-	MFCRetries int64 // command-bus token denials (retries forced)
+	MFCRetries int64 // command-bus token denials (a packet may take several)
 	XDRStalls  int64 // bank busy/refresh stalls
 	EIBSlow    int64 // delayed ring grants
 	EIBOutages int64 // per-transfer ring exclusions

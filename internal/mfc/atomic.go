@@ -42,7 +42,7 @@ func (m *MFC) GetLLAR(owner int, lsAddr int, ea int64, done func()) {
 	if ea%LineBytes != 0 || lsAddr%LineBytes != 0 {
 		panic("mfc: getllar requires line alignment")
 	}
-	m.stats.Atomics++
+	m.perf.Atomics++
 	if m.taint != nil {
 		m.taint(lsAddr, lsAddr+LineBytes)
 	}
@@ -58,7 +58,7 @@ func (m *MFC) PutLLC(owner int, lsAddr int, ea int64, done func(ok bool)) {
 	if ea%LineBytes != 0 || lsAddr%LineBytes != 0 {
 		panic("mfc: putllc requires line alignment")
 	}
-	m.stats.Atomics++
+	m.perf.Atomics++
 	af.CondWrite(owner, ea, m.eng.Now(), m.ls[lsAddr:lsAddr+LineBytes], func(end sim.Time, ok bool) {
 		done(ok)
 	})

@@ -152,7 +152,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates MFC activity.
+// Stats is a view of the MFC's counter block.
 type Stats struct {
 	Commands     int64
 	Packets      int64
@@ -277,8 +277,6 @@ type MFC struct {
 	// simply dropped; only cleanly completed ones are pooled.
 	freeCmds []*cmdState
 
-	stats Stats
-
 	// SPU-queue occupancy histogram: occHist[n] accumulates the simulated
 	// cycles the queue spent holding exactly n commands (n = 0..QueueDepth),
 	// advanced lazily at each occupancy transition. occLast is the time of
@@ -310,7 +308,7 @@ func New(eng *sim.Engine, fabric Fabric, ls []byte, cfg Config) *MFC {
 	if cfg.QueueDepth <= 0 || cfg.Window <= 0 || cfg.ListWindow <= 0 {
 		panic("mfc: invalid config")
 	}
-	return &MFC{eng: eng, fabric: fabric, ls: ls, cfg: cfg}
+	return &MFC{eng: eng, fabric: fabric, ls: ls, cfg: cfg, perf: new(perfctr.MFCCounters)}
 }
 
 // SetFaults attaches a fault injector (nil disables injection). Wired by
@@ -330,8 +328,9 @@ func (m *MFC) SetTracer(tr *trace.Tracer, spe int) {
 	m.traceSPE = spe
 }
 
-// SetPerf attaches a perf-counter block (nil disables counting, the
-// default). Wired by the cell package at system assembly, like SetFaults.
+// SetPerf points the MFC at the counter block it counts into (New starts
+// it on a private one). Wired by the cell package at system assembly,
+// before the first event.
 func (m *MFC) SetPerf(pc *perfctr.MFCCounters) { m.perf = pc }
 
 // QueueOccupancy returns the number of occupied SPU command-queue slots
@@ -365,8 +364,9 @@ func (m *MFC) OccupancyHist() []sim.Time {
 
 // Reset returns the MFC to the state New(eng, fabric, ls, cfg) would
 // build, keeping grown slice capacities (active queue, waiter lists,
-// occupancy histogram). Attachments (faults, tracer, perf) are cleared as
-// on a fresh MFC; the assembling layer rewires them. Part of the
+// occupancy histogram). Attachments (faults, tracer) are cleared as on a
+// fresh MFC; the counter block is left for the assembling layer to
+// re-point. Part of the
 // warm-system recycling path.
 func (m *MFC) Reset(fabric Fabric, ls []byte, cfg Config) {
 	if cfg.QueueDepth <= 0 || cfg.Window <= 0 || cfg.ListWindow <= 0 {
@@ -378,7 +378,7 @@ func (m *MFC) Reset(fabric Fabric, ls []byte, cfg Config) {
 		clear(m.occHist)
 	}
 	m.fabric, m.ls, m.cfg = fabric, ls, cfg
-	m.faults, m.tracer, m.perf = nil, nil, nil
+	m.faults, m.tracer = nil, nil
 	m.traceSPE = 0
 	m.tagStart = [NumTags]sim.Time{}
 	m.seq = 0
@@ -394,12 +394,21 @@ func (m *MFC) Reset(fabric Fabric, ls []byte, cfg Config) {
 	m.tagWaiters = m.tagWaiters[:0]
 	clear(m.spaceSubs)
 	m.spaceSubs = m.spaceSubs[:0]
-	m.stats = Stats{}
 	m.occLast = 0
 }
 
-// Stats returns a snapshot of the activity counters.
-func (m *MFC) Stats() Stats { return m.stats }
+// Stats returns a snapshot of the activity counters, computed from the
+// counter block.
+func (m *MFC) Stats() Stats {
+	c := m.perf
+	return Stats{
+		Commands:     int64(c.Commands),
+		Packets:      int64(c.Packets),
+		Bytes:        int64(c.Bytes),
+		ListElements: int64(c.ListElements),
+		Atomics:      int64(c.Atomics),
+	}
+}
 
 // QueueFree returns the number of free SPU command-queue slots.
 func (m *MFC) QueueFree() int { return m.cfg.QueueDepth - m.spuQueue }
@@ -522,7 +531,7 @@ func (m *MFC) enqueue(c Cmd, done func(), proxy bool) error {
 	}
 	m.tagCount[c.Tag]++
 	m.tagRequested[c.Tag] += payloadBytes(&c)
-	m.stats.Commands++
+	m.perf.Commands++
 	m.pump()
 	return nil
 }
@@ -684,7 +693,7 @@ func (m *MFC) pump() {
 		// controller re-requests the token in order).
 		if d := m.faults.MFCRetry(); d > 0 {
 			t += d
-			m.perf.Retry()
+			m.perf.Retries++
 		}
 		if !st.started {
 			st.started = true
@@ -693,7 +702,7 @@ func (m *MFC) pump() {
 		}
 		if st.isList && newElem {
 			t += m.cfg.ListElemCycles
-			m.stats.ListElements++
+			m.perf.ListElements++
 		}
 		m.nextIssue = t + m.cfg.IssueInterval
 
@@ -701,8 +710,8 @@ func (m *MFC) pump() {
 		st.inflight++
 		st.totalIssued++
 		m.outstanding++
-		m.stats.Packets++
-		m.stats.Bytes += int64(n)
+		m.perf.Packets++
+		m.perf.Bytes += uint64(n)
 
 		if st.isGet {
 			m.fabric.ReadEA(ea, n, t, m.ls[lsOff:lsOff+n], st)

@@ -1,18 +1,17 @@
 // Package perfctr simulates the Cell blade's hardware performance
-// counters: plain monotonic uint64s incremented at the model's existing
-// decision points (EIB arbitration, XDR bank access, MFC queue pumps,
-// PPE cache fills). The package follows the repo's nil-safe
-// observability discipline — every hook method is a no-op on a nil
-// receiver, so components hold a possibly-nil counter pointer and a run
-// with counters disabled is bit- and allocation-identical to one
-// without the subsystem compiled in at all.
+// counters: plain monotonic uint64s incremented at the model's decision
+// points (EIB arbitration, XDR bank access, MFC queue pumps, PPE cache
+// fills). It is the model's only counter store: every component counts
+// into a block that is always attached, and each component's Stats()
+// is a view computed from it. A cell.System owns one Counters block and
+// points its components into it; a component built on its own points
+// at a private block.
 //
-// Counters are the cheap always-on tier: incrementing a uint64 costs a
-// few nanoseconds and never allocates, so the sweep scheduler attaches
-// a Counters block to every grid point and rolls the totals into
-// SweepResult. Full Perfetto traces (internal/trace) remain the opt-in
-// deep tier. Periodic window snapshots ride the engine's daemon events
-// (sim.Engine.EveryDaemon), so sampling never extends a run.
+// Counting is the cheap always-on tier: an increment costs a few
+// nanoseconds and never allocates, so every sweep point rolls its block
+// into SweepResult. Full Perfetto traces (internal/trace) remain the
+// opt-in deep tier. Periodic window snapshots ride the engine's daemon
+// events (sim.Engine.EveryDaemon), so sampling never extends a run.
 package perfctr
 
 import "cellbe/internal/sim"
@@ -40,13 +39,18 @@ const (
 	QueueBuckets = 17
 )
 
-// EIBCounters counts element-interconnect-bus arbitration outcomes.
-// Grants/Denies/Abandons are per source ramp; RingBusy is per data ring.
+// EIBCounters counts element-interconnect-bus activity. The per-ramp
+// and per-ring arrays cover ring transfers only; ramp-local transfers
+// are counted in LocalGrants and Bytes.
 type EIBCounters struct {
-	Grants   [NumRamps]uint64 // transfers granted a ring slot, by source ramp
-	Denies   [NumRamps]uint64 // candidate rings denied mid-search (another ring already grants earlier)
-	Abandons [NumRamps]uint64 // candidate rings abandoned to an injected ring outage
-	RingBusy [NumRings]uint64 // cycles each ring spent carrying data
+	Grants        [NumRamps]uint64 // transfers granted a ring slot, by source ramp
+	Denies        [NumRamps]uint64 // candidate rings denied mid-search (another ring already grants earlier)
+	Abandons      [NumRamps]uint64 // candidate rings abandoned to an injected ring outage
+	RampBytes     [NumRamps]uint64 // payload bytes sourced, by source ramp
+	RampRecvBytes [NumRamps]uint64 // payload bytes sunk, by destination ramp
+	RingBusy      [NumRings]uint64 // cycles each ring spent carrying data
+	RingGrants    [NumRings]uint64 // transfers each ring carried
+	RingBytes     [NumRings]uint64 // payload bytes each ring carried
 
 	LocalGrants uint64 // same-ramp transfers that never touched a ring
 	WaitCycles  uint64 // total cycles transfers waited for a ring slot
@@ -54,56 +58,28 @@ type EIBCounters struct {
 	Commands    uint64 // command-phase slots consumed on the address bus
 }
 
-// Command counts one command-phase slot.
-func (c *EIBCounters) Command() {
-	if c == nil {
-		return
-	}
-	c.Commands++
-}
-
 // Local counts a same-ramp transfer of n bytes (no ring involved).
 func (c *EIBCounters) Local(n int) {
-	if c == nil {
-		return
-	}
 	c.LocalGrants++
 	c.Bytes += uint64(n)
 }
 
-// Grant counts a ring grant from source ramp src on ring r: busy cycles
-// of ring occupancy, wait cycles of arbitration delay, n payload bytes.
-func (c *EIBCounters) Grant(src, r int, busy, wait uint64, n int) {
-	if c == nil {
-		return
-	}
+// Grant counts a ring grant from source ramp src to dst on ring r: busy
+// cycles of ring occupancy, wait cycles of arbitration delay, n payload
+// bytes.
+func (c *EIBCounters) Grant(src, dst, r int, busy, wait uint64, n int) {
 	c.Grants[src]++
+	c.RampBytes[src] += uint64(n)
+	c.RampRecvBytes[dst] += uint64(n)
 	c.RingBusy[r] += busy
+	c.RingGrants[r]++
+	c.RingBytes[r] += uint64(n)
 	c.WaitCycles += wait
 	c.Bytes += uint64(n)
 }
 
-// Deny counts an arbitration pass from ramp src that found no ring.
-func (c *EIBCounters) Deny(src int) {
-	if c == nil {
-		return
-	}
-	c.Denies[src]++
-}
-
-// Abandon counts a request from ramp src dropped by a ramp outage.
-func (c *EIBCounters) Abandon(src int) {
-	if c == nil {
-		return
-	}
-	c.Abandons[src]++
-}
-
 // GrantTotal returns ring grants summed over ramps (excludes LocalGrants).
 func (c *EIBCounters) GrantTotal() uint64 {
-	if c == nil {
-		return 0
-	}
 	var t uint64
 	for _, g := range c.Grants {
 		t += g
@@ -111,26 +87,24 @@ func (c *EIBCounters) GrantTotal() uint64 {
 	return t
 }
 
-// BankCounters counts one XDR bank's row behaviour and refresh stalls.
-// The row model is counter-local: the bank remembers the last row
-// touched, and an access to a different row is a miss that opens it.
+// BankCounters counts one XDR bank's row behaviour, refresh stalls and
+// traffic. The row model is counter-local: the bank remembers the last
+// row touched, and an access to a different row is a miss that opens
+// it. Every access is one row hit or one row miss.
 type BankCounters struct {
 	RowOpens      uint64 // rows activated (first access + every miss)
 	RowHits       uint64 // accesses landing in the open row
 	RowMisses     uint64 // accesses forcing a row change
 	RefreshStalls uint64 // refresh windows that closed the open row
-	ReadBytes     uint64
-	WriteBytes    uint64
+	ReadBytes     uint64 // bytes of completed reads
+	WriteBytes    uint64 // bytes of completed writes
 
 	lastRow int64
 	opened  bool
 }
 
-// Access counts an n-byte read or write at bank-relative address addr.
-func (c *BankCounters) Access(addr int64, n int, write bool) {
-	if c == nil {
-		return
-	}
+// Access runs the row model for an access at bank-relative address addr.
+func (c *BankCounters) Access(addr int64) {
 	row := addr / RowBytes
 	switch {
 	case !c.opened:
@@ -145,42 +119,34 @@ func (c *BankCounters) Access(addr int64, n int, write bool) {
 		c.RowOpens++
 		c.RowMisses++
 	}
-	if write {
-		c.WriteBytes += uint64(n)
-	} else {
-		c.ReadBytes += uint64(n)
-	}
 }
 
 // Refresh counts a refresh window, which closes the open row: the next
 // access misses regardless of its address, as on hardware.
 func (c *BankCounters) Refresh() {
-	if c == nil {
-		return
-	}
 	c.RefreshStalls++
 	c.opened = false
 }
 
 // Bytes returns the bank's total traffic.
-func (c *BankCounters) Bytes() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.ReadBytes + c.WriteBytes
-}
+func (c *BankCounters) Bytes() uint64 { return c.ReadBytes + c.WriteBytes }
 
-// MFCCounters counts one SPE's memory-flow-controller queue behaviour.
+// MFCCounters counts one SPE's memory-flow-controller activity.
 type MFCCounters struct {
 	Occupancy [QueueBuckets]uint64 // enqueue-time queue depth histogram
-	Retries   uint64               // command-bus retries (fault injection)
+	// Retries counts bus packets whose issue was delayed by command-bus
+	// token denials (fault injection). A packet denied several times
+	// counts once; fault.Stats.MFCRetries counts the denials themselves.
+	Retries      uint64
+	Commands     uint64 // commands accepted into the SPU or proxy queue
+	Packets      uint64 // bus packets issued
+	Bytes        uint64 // payload bytes issued
+	ListElements uint64 // DMA-list elements started
+	Atomics      uint64 // getllar/putllc commands
 }
 
 // SampleQueue records the queue depth observed at an enqueue.
 func (c *MFCCounters) SampleQueue(depth int) {
-	if c == nil {
-		return
-	}
 	if depth < 0 {
 		depth = 0
 	}
@@ -190,47 +156,21 @@ func (c *MFCCounters) SampleQueue(depth int) {
 	c.Occupancy[depth]++
 }
 
-// Retry counts one command-bus retry.
-func (c *MFCCounters) Retry() {
-	if c == nil {
-		return
-	}
-	c.Retries++
-}
-
-// PPECounters counts PPE-side cache events.
+// PPECounters counts PPE-side cache and store-path events.
 type PPECounters struct {
+	Loads         uint64 // elements loaded
+	Stores        uint64 // elements stored
+	L1Misses      uint64 // loads that missed L1
 	MissQStalls   uint64 // demand loads that stalled on the L2 miss queue
 	Fills         uint64 // L2 miss fills issued to memory (demand and prefetch)
 	PrefetchFills uint64 // the subset of fills issued by the prefetch engine
-}
-
-// MissQStall counts a demand load stalled behind the miss queue.
-func (c *PPECounters) MissQStall() {
-	if c == nil {
-		return
-	}
-	c.MissQStalls++
-}
-
-// Fill counts an L2 miss fill fetched from memory.
-func (c *PPECounters) Fill() {
-	if c == nil {
-		return
-	}
-	c.Fills++
-}
-
-// PrefetchFill counts a prefetch fill fetched from memory.
-func (c *PPECounters) PrefetchFill() {
-	if c == nil {
-		return
-	}
-	c.PrefetchFills++
+	RFOs          uint64 // read-for-ownership fetches for stores
+	Writebacks    uint64 // dirty L2 victims written back
+	StoreChunks   uint64 // gathered store chunks drained to L2
 }
 
 // Counters is one system's full counter block. The zero value is ready
-// to use; components receive pointers into it via cell.System.SetPerf.
+// to use; cell.System points its components into the block it owns.
 type Counters struct {
 	EIB EIBCounters
 	XDR [NumBanks]BankCounters
@@ -265,6 +205,8 @@ type Rollup struct {
 	XDRRowMisses [NumBanks]uint64 `json:"xdr_row_misses"`
 	XDRRefreshes [NumBanks]uint64 `json:"xdr_refreshes"`
 
+	// MFCRetries is the summed MFCCounters.Retries: bus packets delayed
+	// by command-bus denials, not the denials themselves.
 	MFCRetries uint64 `json:"mfc_retries,omitempty"`
 	// MFCOccSamples is each SPE's enqueue-time queue-depth histogram (the
 	// counter block's Occupancy). MFCOccCycles is the time-weighted

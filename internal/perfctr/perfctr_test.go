@@ -7,32 +7,9 @@ import (
 	"cellbe/internal/sim"
 )
 
-// TestNilSafety exercises every hook on a nil receiver: the nil-safe
-// observability discipline says a component holding a nil counter
-// pointer must be able to call through it freely.
+// TestNilSafety pins the one nil-safe reader: a nil Counters block
+// rolls up to the zero Rollup.
 func TestNilSafety(t *testing.T) {
-	var e *EIBCounters
-	e.Command()
-	e.Local(64)
-	e.Grant(0, 0, 1, 2, 64)
-	e.Deny(3)
-	e.Abandon(4)
-	if e.GrantTotal() != 0 {
-		t.Error("nil GrantTotal != 0")
-	}
-	var b *BankCounters
-	b.Access(0, 64, false)
-	b.Refresh()
-	if b.Bytes() != 0 {
-		t.Error("nil Bytes != 0")
-	}
-	var m *MFCCounters
-	m.SampleQueue(3)
-	m.Retry()
-	var p *PPECounters
-	p.MissQStall()
-	p.Fill()
-	p.PrefetchFill()
 	var c *Counters
 	if got := c.Rollup(); got != (Rollup{}) {
 		t.Errorf("nil Counters.Rollup() = %+v, want zero", got)
@@ -44,21 +21,15 @@ func TestNilSafety(t *testing.T) {
 // refresh closes the open row so the next access misses even in-row.
 func TestBankRowModel(t *testing.T) {
 	var b BankCounters
-	b.Access(0, 64, false)            // open row 0: miss
-	b.Access(RowBytes-64, 64, false)  // same row: hit
-	b.Access(RowBytes, 64, true)      // row 1: miss
-	b.Access(RowBytes+128, 64, true)  // still row 1: hit
-	b.Refresh()                       // closes row 1
-	b.Access(RowBytes+256, 64, false) // row 1 again, but closed: miss
+	b.Access(0)              // open row 0: miss
+	b.Access(RowBytes - 64)  // same row: hit
+	b.Access(RowBytes)       // row 1: miss
+	b.Access(RowBytes + 128) // still row 1: hit
+	b.Refresh()              // closes row 1
+	b.Access(RowBytes + 256) // row 1 again, but closed: miss
 	if b.RowOpens != 3 || b.RowMisses != 3 || b.RowHits != 2 || b.RefreshStalls != 1 {
 		t.Errorf("opens=%d misses=%d hits=%d refreshes=%d, want 3/3/2/1",
 			b.RowOpens, b.RowMisses, b.RowHits, b.RefreshStalls)
-	}
-	if b.ReadBytes != 192 || b.WriteBytes != 128 {
-		t.Errorf("read=%d write=%d, want 192/128", b.ReadBytes, b.WriteBytes)
-	}
-	if b.Bytes() != 320 {
-		t.Errorf("Bytes() = %d, want 320", b.Bytes())
 	}
 }
 
@@ -82,19 +53,21 @@ func TestQueueHistogramClamp(t *testing.T) {
 // silently drops a series from every aggregated /metrics view).
 func TestRollupAndAdd(t *testing.T) {
 	var c Counters
-	c.EIB.Command()
+	c.EIB.Commands++
 	c.EIB.Local(100)
-	c.EIB.Grant(2, 1, 10, 5, 400)
-	c.EIB.Deny(2)
-	c.EIB.Abandon(7)
-	c.XDR[0].Access(0, 64, false)
-	c.XDR[1].Access(0, 32, true)
+	c.EIB.Grant(2, 5, 1, 10, 5, 400)
+	c.EIB.Denies[2]++
+	c.EIB.Abandons[7]++
+	c.XDR[0].Access(0)
+	c.XDR[0].ReadBytes += 64
+	c.XDR[1].Access(0)
+	c.XDR[1].WriteBytes += 32
 	c.XDR[1].Refresh()
 	c.MFC[0].SampleQueue(1)
-	c.MFC[3].Retry()
-	c.PPE.MissQStall()
-	c.PPE.Fill()
-	c.PPE.PrefetchFill()
+	c.MFC[3].Retries++
+	c.PPE.MissQStalls++
+	c.PPE.Fills++
+	c.PPE.PrefetchFills++
 
 	r := c.Rollup()
 	want := Rollup{

@@ -124,7 +124,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates PPE activity.
+// Stats is a view of the PPE's counter block.
 type Stats struct {
 	Loads       int64
 	Stores      int64
@@ -152,15 +152,15 @@ type PPE struct {
 	tracer        *trace.Tracer
 	perf          *perfctr.PPECounters
 	activeThreads int
-	stats         Stats
 }
 
 // SetTracer attaches an event tracer (nil disables tracing, the default).
 // Wired by the cell package at system assembly, like SetFaults elsewhere.
 func (p *PPE) SetTracer(tr *trace.Tracer) { p.tracer = tr }
 
-// SetPerf attaches a perf-counter block (nil disables counting, the
-// default). Wired by the cell package at system assembly, like SetTracer.
+// SetPerf points the PPE at the counter block it counts into (New starts
+// it on a private one). Wired by the cell package at system assembly,
+// before the first event.
 func (p *PPE) SetPerf(pc *perfctr.PPECounters) { p.perf = pc }
 
 // InflightFills returns the current L2 miss-queue occupancy (demand misses
@@ -168,9 +168,9 @@ func (p *PPE) SetPerf(pc *perfctr.PPECounters) { p.perf = pc }
 func (p *PPE) InflightFills() int { return len(p.inflight) }
 
 // Reset returns the PPE to the state New(eng, mem, cfg) would build,
-// keeping both cache arrays (flushed) and the fill map. Attachments
-// (tracer, perf) are cleared as on a fresh PPE; the assembling layer
-// rewires them. Part of the warm-system recycling path.
+// keeping both cache arrays (flushed) and the fill map. The tracer is
+// cleared as on a fresh PPE; the counter block is left for the assembling
+// layer to re-point. Part of the warm-system recycling path.
 func (p *PPE) Reset(mem MemoryPort, cfg Config) {
 	if cfg.L1Bytes != p.cfg.L1Bytes || cfg.L1Assoc != p.cfg.L1Assoc {
 		p.l1 = newCacheArray(cfg.L1Bytes, LineBytes, cfg.L1Assoc)
@@ -186,9 +186,8 @@ func (p *PPE) Reset(mem MemoryPort, cfg Config) {
 	p.mem = mem
 	clear(p.inflight)
 	p.storePort.Reset(cfg.StorePortInterval)
-	p.tracer, p.perf = nil, nil
+	p.tracer = nil
 	p.activeThreads = 0
-	p.stats = Stats{}
 }
 
 // New returns a PPE attached to mem.
@@ -201,11 +200,25 @@ func New(eng *sim.Engine, mem MemoryPort, cfg Config) *PPE {
 		l2:        newCacheArray(cfg.L2Bytes, LineBytes, cfg.L2Assoc),
 		inflight:  make(map[int64]*sim.Signal),
 		storePort: sim.NewTokenBucket(eng, cfg.StorePortInterval),
+		perf:      new(perfctr.PPECounters),
 	}
 }
 
-// Stats returns a snapshot of the activity counters.
-func (p *PPE) Stats() Stats { return p.stats }
+// Stats returns a snapshot of the activity counters, computed from the
+// counter block.
+func (p *PPE) Stats() Stats {
+	c := p.perf
+	return Stats{
+		Loads:       int64(c.Loads),
+		Stores:      int64(c.Stores),
+		L1Misses:    int64(c.L1Misses),
+		L2Misses:    int64(c.Fills),
+		Prefetches:  int64(c.PrefetchFills),
+		RFOs:        int64(c.RFOs),
+		Writebacks:  int64(c.Writebacks),
+		StoreChunks: int64(c.StoreChunks),
+	}
+}
 
 // Config returns the configuration in use.
 func (p *PPE) Config() Config { return p.cfg }
@@ -237,8 +250,7 @@ func (p *PPE) fetch(lineAddr int64, dirty bool) *sim.Signal {
 	}
 	sig := sim.NewSignal(p.eng)
 	p.inflight[lineAddr] = sig
-	p.stats.L2Misses++
-	p.perf.Fill()
+	p.perf.Fills++
 	p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
 	f := p.fillFree
 	if f == nil {
@@ -267,7 +279,7 @@ type fill struct {
 func (f *fill) Call(end sim.Time) {
 	p := f.p
 	if ev, evDirty, has := p.l2.Insert(f.line, f.dirty); has && evDirty {
-		p.stats.Writebacks++
+		p.perf.Writebacks++
 		p.mem.WriteLine(ev, end, discard{})
 	}
 	delete(p.inflight, f.line)
@@ -338,7 +350,7 @@ func (t *Thread) drainStoreQueue() {
 // stream prefetcher and fills L1.
 func (t *Thread) demandLoad(lineAddr int64) {
 	p := t.ppe
-	p.stats.L1Misses++
+	p.perf.L1Misses++
 	switch {
 	case p.l2.Lookup(lineAddr):
 		t.Wait(p.cfg.L2HitLatency)
@@ -346,7 +358,7 @@ func (t *Thread) demandLoad(lineAddr int64) {
 		// land in L2; otherwise the prefetcher sawtooths between bursts.
 		t.prefetchAfter(lineAddr)
 	default:
-		p.perf.MissQStall()
+		p.perf.MissQStalls++
 		if sig, ok := p.inflight[lineAddr]; ok {
 			t.WaitSignal(sig)
 			t.Wait(p.cfg.L2HitLatency + p.cfg.L2RefillExtra)
@@ -383,8 +395,7 @@ func (t *Thread) prefetchAfter(lineAddr int64) {
 		if _, ok := p.inflight[next]; ok {
 			continue
 		}
-		p.stats.Prefetches++
-		p.perf.PrefetchFill()
+		p.perf.PrefetchFills++
 		p.fetch(next, false)
 	}
 	t.streamNext = next
@@ -408,7 +419,7 @@ func (t *Thread) pushStoreChunk() {
 	done := start + p.cfg.StoreDrainCycles
 	t.lastDrain = done
 	t.drain.Push(done)
-	p.stats.StoreChunks++
+	p.perf.StoreChunks++
 }
 
 // ensureLineForStore makes lineAddr writable in L2: on a miss it issues an
@@ -419,7 +430,7 @@ func (t *Thread) ensureLineForStore(lineAddr int64) {
 		p.l2.MarkDirty(lineAddr)
 		return
 	}
-	p.stats.RFOs++
+	p.perf.RFOs++
 	sig := p.fetch(lineAddr, true)
 	t.rfos.Push(sig)
 	for t.rfos.Len() > p.cfg.RFOWindow {
@@ -490,7 +501,7 @@ func (t *Thread) stream(op Op, src, dst, bytes int64, elemSize int) {
 		t.Wait(issue * p.smt())
 		if op == Load || op == Copy {
 			la := src + off
-			p.stats.Loads += perLine
+			p.perf.Loads += uint64(perLine)
 			if !p.l1.Lookup(la) {
 				t.demandLoad(la)
 			}
@@ -500,7 +511,7 @@ func (t *Thread) stream(op Op, src, dst, bytes int64, elemSize int) {
 			if op == Store {
 				sa = src + off
 			}
-			p.stats.Stores += perLine
+			p.perf.Stores += uint64(perLine)
 			// Write-through, no-allocate L1: stores update L1 data in
 			// place on a hit (no timing effect) and always drain to L2.
 			t.ensureLineForStore(sa)

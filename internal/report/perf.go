@@ -152,7 +152,7 @@ func (r *PerfReport) Write(w io.Writer) error {
 		)
 	}
 	rows = append(rows,
-		[]string{"mfc.retries", fmt.Sprintf("%d", ru.MFCRetries)},
+		[]string{"mfc.retries", fmt.Sprintf("%d", ru.MFCRetries)}, // packets delayed, not denials
 		[]string{"ppe.missq_stalls", fmt.Sprintf("%d", ru.PPEMissQStalls)},
 		[]string{"ppe.fills", fmt.Sprintf("%d", ru.PPEFills)},
 		[]string{"ppe.prefetch_fills", fmt.Sprintf("%d", ru.PPEPrefetchFills)},

@@ -122,6 +122,7 @@ func writePerf(b *strings.Builder, prefix, extra string, ru perfctr.Rollup) {
 		}
 		series("eib_ring_busy_cycles_total", fmt.Sprintf("ring=\"%d\"", i), ru.EIBRingBusy[i])
 	}
+	// Bus packets delayed by command-bus denials, not the denials.
 	emit("mfc_retries_total", ru.MFCRetries)
 	// Per-SPE MFC queue-occupancy histograms: enqueue-time depth samples
 	// and the time-weighted cycles-at-depth view. Only touched buckets are

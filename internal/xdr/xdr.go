@@ -119,18 +119,14 @@ type bank struct {
 	nextNoise   sim.Time
 	noisy       bool
 	perf        *perfctr.BankCounters
-	stats       BankStats
 }
 
-// BankStats counts per-bank activity.
+// BankStats is a view of one bank's counter block.
 type BankStats struct {
 	ReadBytes  int64
 	WriteBytes int64
 	Requests   int64
 	Refreshes  int64
-	// FaultStalls counts injected busy/refresh-collision stalls (see
-	// the fault package); zero unless fault injection is enabled.
-	FaultStalls int64
 }
 
 // Memory is the two-bank memory system attached to the EIB.
@@ -161,23 +157,20 @@ func (m *Memory) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// SetPerf attaches per-bank perf counters (nil disables counting, the
-// default). Wired by the cell package at system assembly, like SetFaults.
+// SetPerf points both banks at pc's per-bank counters (New starts them
+// on a private block). Wired by the cell package at system assembly,
+// before the first event.
 func (m *Memory) SetPerf(pc *perfctr.Counters) {
 	for i, b := range m.banks {
-		if pc == nil {
-			b.perf = nil
-		} else {
-			b.perf = &pc.XDR[i]
-		}
+		b.perf = &pc.XDR[i]
 	}
 }
 
 // Reset returns the memory system to the state New(eng, bus, cfg) would
 // build, keeping both banks' server records (with their queue capacity)
-// and the RAM's page map. Attachments (faults, tracer, perf) are cleared
-// as on a fresh Memory; the assembling layer rewires them. Part of the
-// warm-system recycling path.
+// and the RAM's page map. Attachments (faults, tracer) are cleared as on
+// a fresh Memory; the counter block is left for the assembling layer to
+// re-point. Part of the warm-system recycling path.
 func (m *Memory) Reset(cfg Config) {
 	if cfg.TotalBytes != m.cfg.TotalBytes || cfg.PageBytes != m.cfg.PageBytes {
 		m.ram = NewRAM(cfg.TotalBytes, cfg.PageBytes)
@@ -197,16 +190,15 @@ func (m *Memory) Reset(cfg Config) {
 			b.service = cfg.RemoteServiceCycles
 		}
 		b.nextRefresh, b.nextNoise = 0, 0
-		b.perf = nil
-		b.stats = BankStats{}
 	}
 }
 
 // New builds the memory system on the given bus.
 func New(eng *sim.Engine, bus *eib.EIB, cfg Config) *Memory {
 	m := &Memory{eng: eng, bus: bus, cfg: cfg, ram: NewRAM(cfg.TotalBytes, cfg.PageBytes)}
+	own := new([perfctr.NumBanks]perfctr.BankCounters)
 	for i := range m.banks {
-		b := &bank{srv: sim.NewServer(eng), cfg: &m.cfg}
+		b := &bank{srv: sim.NewServer(eng), cfg: &m.cfg, perf: &own[i]}
 		if i == 0 {
 			b.service = cfg.LocalServiceCycles
 		} else {
@@ -229,7 +221,6 @@ func (b *bank) applyRefresh(now sim.Time) {
 		return
 	}
 	if now >= b.nextRefresh {
-		b.stats.Refreshes++
 		b.perf.Refresh()
 		b.srv.Reserve(now, b.cfg.RefreshCycles)
 		b.nextRefresh = now + b.cfg.RefreshPeriod
@@ -254,7 +245,17 @@ func (m *Memory) RAM() *RAM { return m.ram }
 func (m *Memory) Config() Config { return m.cfg }
 
 // BankStats returns activity counters for bank 0 (local) or 1 (remote).
-func (m *Memory) BankStats(i int) BankStats { return m.banks[i].stats }
+// Requests counts bank accesses at issue; at the end of a run every one
+// has occupied the bank.
+func (m *Memory) BankStats(i int) BankStats {
+	c := m.banks[i].perf
+	return BankStats{
+		ReadBytes:  int64(c.ReadBytes),
+		WriteBytes: int64(c.WriteBytes),
+		Requests:   int64(c.RowHits + c.RowMisses),
+		Refreshes:  int64(c.RefreshStalls),
+	}
+}
 
 // Bank returns which bank (0 local, 1 remote) owns addr. Interleaved
 // placement scatters RemotePagesPer10 of every 10 pages onto the remote
@@ -330,7 +331,6 @@ func (b *bank) occupy(kind opKind, now sim.Time, cb sim.Callee) {
 	// Injected bank-busy stall: like a refresh collision, the bank is
 	// stolen with priority over the queued accesses.
 	if d := b.faults.XDRStall(); d > 0 {
-		b.stats.FaultStalls++
 		b.srv.Reserve(now, d)
 	}
 	dur := b.service
@@ -338,7 +338,6 @@ func (b *bank) occupy(kind opKind, now sim.Time, cb sim.Callee) {
 		dur += b.cfg.TurnaroundCycles
 		b.lastOp = kind
 	}
-	b.stats.Requests++
 	b.srv.Request(dur, cb)
 }
 
@@ -391,7 +390,7 @@ func (m *Memory) start(kind opKind, requestor eib.RampID, addr int64, n int, ear
 	if b == 1 {
 		op.lat += m.cfg.RemoteExtraLatency
 	}
-	op.bk.perf.Access(addr, n, kind == opWrite)
+	op.bk.perf.Access(addr)
 	ready := m.bus.Command(earliest)
 	m.eng.AtCallee(ready, op, ready)
 }
@@ -422,7 +421,7 @@ func (op *memOp) Call(at sim.Time) {
 		m.bus.TransferCB(op.requestor, op.ramp, op.n, now, op)
 	case phase == phaseSecond && op.kind == opRead:
 		op.bankDone(at)
-		bk.stats.ReadBytes += int64(op.n)
+		bk.perf.ReadBytes += uint64(op.n)
 		m.bus.TransferCB(op.ramp, op.requestor, op.n, now+op.lat, op)
 	case phase == phaseSecond:
 		bk.occupy(opWrite, now, op)
@@ -436,7 +435,7 @@ func (op *memOp) Call(at sim.Time) {
 		if op.buf != nil {
 			m.ram.Write(op.addr, op.buf[:op.n])
 		}
-		bk.stats.WriteBytes += int64(op.n)
+		bk.perf.WriteBytes += uint64(op.n)
 		ack := now + op.lat
 		m.eng.AtCallee(ack, op.release(), ack)
 	}

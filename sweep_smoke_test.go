@@ -14,7 +14,6 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
-	"cellbe/internal/perfctr"
 )
 
 // benchBaseline reads one metric of one benchmark from BENCH_eib.json,
@@ -124,7 +123,6 @@ func TestSweepWarmAllocGuard(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys.SetPerf(&perfctr.Counters{})
 				if err := sys.RunChecked(0); err != nil {
 					t.Fatal(err)
 				}
