@@ -215,6 +215,9 @@ func baseConfig(cfgIn, faultSpec string, faultSeed, maxCycles int64) (*cell.Conf
 		if err := json.Unmarshal(data, ensure()); err != nil {
 			return nil, fmt.Errorf("parsing %s: %v", cfgIn, err)
 		}
+		if err := base.Validate(); err != nil {
+			return nil, fmt.Errorf("%s: %v", cfgIn, err)
+		}
 	}
 	if faultSpec != "" {
 		fc, err := fault.ParseSpec(faultSpec)

@@ -2,13 +2,17 @@
 // dumps the machine-level picture behind the number: the logical-to-
 // physical SPE layout, per-ring occupancy, command counts, memory bank
 // traffic and MFC statistics. It is the debugging companion to cellbench.
+// Every run is a one-point sweep on the shared scheduler, so the watchdog
+// (-max-cycles, deadlock detection) always applies; utilization over time
+// comes from -metrics, which samples the counter block every
+// -metrics-every cycles and drops the partial last window.
 //
 // Usage:
 //
 //	cellsim -scenario pair -chunk 4096 -seed 3
 //	cellsim -scenario cycle -spes 8
 //	cellsim -scenario mem -spes 4 -op copy
-//	cellsim -scenario mem -spes 4 -perf -perf-every 50000
+//	cellsim -scenario mem -spes 4 -perf -metrics mem.csv -metrics-every 50000
 //	cellsim -scenario gups -spes 8 -chunk 64 -volume 65536
 //	cellsim -scenario stream -op triad -spes 8 -chunk 16384
 //	cellsim -scenario qcd -spes 8 -chunk 4096 -ring 1
@@ -27,7 +31,6 @@ import (
 	"cellbe/internal/core"
 	"cellbe/internal/eib"
 	"cellbe/internal/fault"
-	"cellbe/internal/perfctr"
 	"cellbe/internal/report"
 	"cellbe/internal/sim"
 	"cellbe/internal/trace"
@@ -43,7 +46,6 @@ func main() {
 		dmalist  = flag.Bool("dmalist", false, "use the DMA-list kernel variant (GETL/PUTL)")
 		volume   = flag.Int64("volume", 2<<20, "bytes per SPE")
 		seed     = flag.Int64("seed", 0, "layout seed (0 = identity)")
-		timeline = flag.Int64("timeline", 0, "print per-window utilization every N cycles (0 = off)")
 		dumpN    = flag.Int("dump-transfers", 0, "print the last N EIB transfers as CSV")
 		cfgIn    = flag.String("config", "", "JSON file overriding the machine configuration (see cellbench -dump-config)")
 
@@ -57,8 +59,7 @@ func main() {
 		metricsOut   = flag.String("metrics", "", "write a utilization timeseries CSV to this file")
 		metricsEvery = flag.Int64("metrics-every", 10000, "metrics sampling interval in cycles")
 
-		perfOn    = flag.Bool("perf", false, "print the perf-counter report and the counter-vs-application bandwidth cross-check (exit 1 on disagreement)")
-		perfEvery = flag.Int64("perf-every", 0, "perf-counter window snapshot interval in cycles (0 = totals only)")
+		perfOn = flag.Bool("perf", false, "print the perf-counter report and the counter-vs-application bandwidth cross-check (exit 1 on disagreement)")
 	)
 	flag.Parse()
 
@@ -71,6 +72,10 @@ func main() {
 		}
 		if err := json.Unmarshal(data, &cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "cellsim: parsing %s: %v\n", *cfgIn, err)
+			os.Exit(2)
+		}
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "cellsim: %s: %v\n", *cfgIn, err)
 			os.Exit(2)
 		}
 	}
@@ -103,20 +108,6 @@ func main() {
 		os.Exit(2)
 	}
 	var sampler *trace.Sampler
-	var perfWindows *perfctr.Windows
-	// instrument attaches the observability hooks to the run's System.
-	instrument := func(sys *cell.System) {
-		if *traceOut != "" {
-			tracer = trace.New(*traceEvents, traceMask)
-			sys.SetTracer(tracer)
-		}
-		if *metricsOut != "" {
-			sampler = sys.StartMetrics(sim.Time(*metricsEvery))
-		}
-		if *perfOn && *perfEvery > 0 {
-			perfWindows = sys.StartPerfWindows(sim.Time(*perfEvery))
-		}
-	}
 	// flushObservability writes the trace and metrics files; it runs on
 	// failure paths too, so a wedged run still leaves an inspectable trace.
 	flushObservability := func() {
@@ -141,78 +132,56 @@ func main() {
 		fmt.Printf("  SPE%d -> phys %d -> ramp %v\n", logical, phys, eib.PhysicalSPERamp(phys))
 	}
 
-	var (
-		sys    *cell.System
-		gbps   float64
-		cycles sim.Time
-	)
-	if *timeline > 0 {
-		// The timeline mode steps the engine manually in fixed windows,
-		// so it drives the System directly instead of going through the
-		// scheduler.
-		sys = cell.New(cfg)
-		instrument(sys)
-		sc := cell.Scenario{Kind: *scenario, SPEs: *spes, Chunk: *chunk, Volume: *volume, Op: *op, List: *dmalist, Ring: *ring}.WithDefaultOp()
-		totalBytes, err := sc.Install(sys)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cellsim: %v\n", err)
-			os.Exit(2)
-		}
-		runTimeline(sys, *timeline)
-		if err := sys.Verify(); err != nil {
-			flushObservability()
-			fmt.Fprintf(os.Stderr, "cellsim: %v\n", err)
-			os.Exit(1)
-		}
-		cycles = sys.Eng.Now()
-		gbps = sys.GBps(totalBytes, cycles)
-	} else {
-		// The standard run is a one-point grid on the shared sweep
-		// scheduler: scenario validation happens up front (a bad -chunk
-		// fails with a clear message), and a wedged or panicking
-		// simulation comes back as a structured per-point diagnostic
-		// instead of killing the process. The Instrument hook returns
-		// true to retain the System: all the machine-level reporting
-		// below reads it after the run.
-		spec := core.SweepSpec{
-			Scenario:  *scenario,
-			SPEs:      *spes,
-			Op:        *op,
-			List:      *dmalist,
-			Ring:      *ring,
-			Chunks:    []int{*chunk},
-			Seeds:     []int64{*seed},
-			Volume:    *volume,
-			Workers:   1,
-			Base:      &cfg,
-			MaxCycles: sim.Time(*maxCycles),
-			Instrument: func(_ int, _ int64, s *cell.System) bool {
-				sys = s
-				instrument(s)
-				return true
-			},
-		}
-		results, err := core.RunSweep(spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cellsim: %v\n", err)
-			os.Exit(2)
-		}
-		r := results[0]
-		if r.Err != nil {
-			// A wedged or byte-losing run exits non-zero with the
-			// structured diagnostic (stuck processes, outstanding MFC
-			// tags, cycle, ...).
-			flushObservability()
-			// r.Log carries the resolved layout plus the full diagnostic
-			// (r.Err's text included), so it is the complete report.
-			for _, line := range r.Log {
-				fmt.Fprintf(os.Stderr, "cellsim: %s\n", line)
+	// The run is a one-point grid on the shared sweep scheduler: scenario
+	// validation happens up front (a bad -chunk fails with a clear
+	// message), and a wedged or panicking simulation comes back as a
+	// structured per-point diagnostic instead of killing the process. The
+	// Instrument hook attaches the tracer and the metrics sampler, and
+	// returns true to retain the System: all the machine-level reporting
+	// below reads it after the run.
+	var sys *cell.System
+	spec := core.SweepSpec{
+		Scenario:  *scenario,
+		SPEs:      *spes,
+		Op:        *op,
+		List:      *dmalist,
+		Ring:      *ring,
+		Chunks:    []int{*chunk},
+		Seeds:     []int64{*seed},
+		Volume:    *volume,
+		Workers:   1,
+		Base:      &cfg,
+		MaxCycles: sim.Time(*maxCycles),
+		Instrument: func(_ int, _ int64, s *cell.System) bool {
+			sys = s
+			if *traceOut != "" {
+				tracer = trace.New(*traceEvents, traceMask)
+				s.SetTracer(tracer)
 			}
-			os.Exit(1)
-		}
-		cycles = r.Cycles
-		gbps = r.GBps
+			if *metricsOut != "" {
+				sampler = s.StartMetrics(sim.Time(*metricsEvery))
+			}
+			return true
+		},
 	}
+	results, err := core.RunSweep(spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cellsim: %v\n", err)
+		os.Exit(2)
+	}
+	r := results[0]
+	if r.Err != nil {
+		// A wedged or byte-losing run exits non-zero with the structured
+		// diagnostic (stuck processes, outstanding MFC tags, cycle, ...).
+		flushObservability()
+		// r.Log carries the resolved layout plus the full diagnostic
+		// (r.Err's text included), so it is the complete report.
+		for _, line := range r.Log {
+			fmt.Fprintf(os.Stderr, "cellsim: %s\n", line)
+		}
+		os.Exit(1)
+	}
+	cycles, gbps := r.Cycles, r.GBps
 	flushObservability()
 	fmt.Printf("\nscenario %s: %d SPEs, %dB elements, %d MB/SPE\n",
 		*scenario, *spes, *chunk, *volume>>20)
@@ -285,7 +254,6 @@ func main() {
 	if *perfOn {
 		rep := report.BuildPerf(report.PerfInput{
 			Rollup:    sys.Perf().Rollup(),
-			Windows:   perfWindows,
 			ClockGHz:  cfg.ClockGHz,
 			AppGBps:   gbps,
 			AppCycles: cycles,
@@ -330,30 +298,4 @@ func writeMetrics(path string, s *trace.Sampler) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runTimeline drives the simulation in fixed windows, printing per-window
-// EIB and memory-bank traffic so saturation phases are visible over time.
-func runTimeline(sys *cell.System, window int64) {
-	// bytes/cycle to GB/s at the configured clock — not a hardcoded
-	// 2.1 GHz, so -timeline output stays correct under -config overrides.
-	clock := sys.Config().ClockGHz
-	fmt.Printf("\n%12s %10s %10s %10s %10s\n", "cycles", "EIB GB/s", "bank0 GB/s", "bank1 GB/s", "cmds")
-	var prevBytes, prevB0, prevB1, prevCmd int64
-	for {
-		t := sys.Eng.Now() + sim.Time(window)
-		more := sys.Eng.RunUntil(t)
-		st := sys.Bus.Stats()
-		b0 := sys.Mem.BankStats(0)
-		b1 := sys.Mem.BankStats(1)
-		gb := func(d int64) float64 { return float64(d) * clock / float64(window) }
-		r0 := b0.ReadBytes + b0.WriteBytes
-		r1 := b1.ReadBytes + b1.WriteBytes
-		fmt.Printf("%12d %10.2f %10.2f %10.2f %10d\n",
-			sys.Eng.Now(), gb(st.Bytes-prevBytes), gb(r0-prevB0), gb(r1-prevB1), st.Commands-prevCmd)
-		prevBytes, prevB0, prevB1, prevCmd = st.Bytes, r0, r1, st.Commands
-		if !more {
-			return
-		}
-	}
 }

@@ -139,8 +139,8 @@ type System struct {
 
 // Validate reports why the configuration cannot build a System, nil when
 // it can. New panics on exactly these conditions; callers assembling a
-// Config from untrusted input (the serve layer) validate first so a bad
-// request fails with an error instead of a recovered panic.
+// Config from untrusted input (the serve layer, the CLIs' -config files)
+// validate first so bad input fails with an error instead of a panic.
 func (c Config) Validate() error {
 	if c.ClockGHz <= 0 {
 		return fmt.Errorf("cell: clock must be positive")
@@ -159,6 +159,14 @@ func (c Config) Validate() error {
 	}
 	if c.LSSpan < spe.LocalStoreBytes || c.LSBase < c.Mem.TotalBytes {
 		return fmt.Errorf("cell: LS mapping overlaps RAM")
+	}
+	// The counter block and the EIB's per-ring arrays hold NumRings rings,
+	// split evenly between the two directions.
+	if r := c.EIB.RingsPerDirection; r < 1 || r > perfctr.NumRings/2 {
+		return fmt.Errorf("cell: EIB.RingsPerDirection %d outside 1..%d", r, perfctr.NumRings/2)
+	}
+	if c.EIB.BusPeriod <= 0 || c.EIB.BeatBytes <= 0 {
+		return fmt.Errorf("cell: EIB.BusPeriod and EIB.BeatBytes must be positive")
 	}
 	return nil
 }
@@ -315,21 +323,15 @@ func (s *System) SetPerf(pc *perfctr.Counters) {
 	}
 }
 
-// StartPerfWindows arms periodic snapshots of the attached counter block,
-// every interval cycles, for windowed bandwidth derivation. Like
-// StartMetrics it rides daemon events and never extends a run; the final
-// partial interval goes unsampled.
-func (s *System) StartPerfWindows(interval sim.Time) *perfctr.Windows {
-	return s.perf.StartWindows(s.Eng, interval)
-}
-
 // StartMetrics arms a periodic utilization sampler on the system: every
 // interval cycles it records EIB bandwidth and command rate, per-ring
 // utilization, accumulated wait cycles, both XDR banks' bandwidth,
 // per-SPE MFC queue depth, the command-bus backlog and the PPE miss-queue
-// occupancy. The sampler runs on daemon events, so it never extends a run
-// or changes simulated behaviour; call before Run and read the returned
-// sampler's Timeseries afterwards.
+// occupancy. It is the one windowed view of the counter block. The
+// sampler runs on daemon events, so it never extends a run or changes
+// simulated behaviour, and the partial interval after the last full tick
+// goes unsampled; call before Run and read the returned sampler's
+// Timeseries afterwards.
 func (s *System) StartMetrics(interval sim.Time) *trace.Sampler {
 	sa := trace.NewSampler(s.Eng, interval)
 	clk := s.cfg.ClockGHz
@@ -341,7 +343,7 @@ func (s *System) StartMetrics(interval sim.Time) *trace.Sampler {
 		return float64(e.GrantTotal() + e.LocalGrants)
 	})
 	sa.Rate("eib_wait_cyc", 1, func() float64 { return float64(s.Perf().EIB.WaitCycles) })
-	for r := range min(2*s.cfg.EIB.RingsPerDirection, perfctr.NumRings) {
+	for r := range 2 * s.cfg.EIB.RingsPerDirection {
 		sa.Rate(fmt.Sprintf("ring%d_util", r), perCyc, func() float64 {
 			return float64(s.Perf().EIB.RingBusy[r])
 		})

@@ -289,6 +289,30 @@ func TestConfigAndLayoutAccessors(t *testing.T) {
 	}
 }
 
+// TestConfigValidateEIB: ring counts the counter block cannot hold, and
+// non-positive bus geometry, are rejected up front instead of panicking
+// at the first grant or inside eib.New.
+func TestConfigValidateEIB(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"one ring per direction", func(c *Config) { c.EIB.RingsPerDirection = 1 }, true},
+		{"zero rings", func(c *Config) { c.EIB.RingsPerDirection = 0 }, false},
+		{"three rings per direction", func(c *Config) { c.EIB.RingsPerDirection = 3 }, false},
+		{"zero bus period", func(c *Config) { c.EIB.BusPeriod = 0 }, false},
+		{"zero beat bytes", func(c *Config) { c.EIB.BeatBytes = 0 }, false},
+	} {
+		cfg := DefaultConfig()
+		tc.edit(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestLSEABounds(t *testing.T) {
 	s := New(DefaultConfig())
 	for _, bad := range []struct{ spe, off int }{{-1, 0}, {8, 0}, {0, -1}, {0, spe.LocalStoreBytes}} {

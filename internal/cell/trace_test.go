@@ -198,3 +198,37 @@ func TestPPEStreamEmitsFills(t *testing.T) {
 		t.Fatalf("PPE stream produced %d fills and %d counter samples, want both > 0", fills, counters)
 	}
 }
+
+// TestStartMetricsLeavesRunUnchanged: arming the metrics sampler is pure
+// observation. The sampled run ends on the same cycle with the same
+// counter block as the unsampled one, and the timeseries holds one row
+// per full interval, the partial last window dropped.
+func TestStartMetricsLeavesRunUnchanged(t *testing.T) {
+	const every = 10000
+	sc := Scenario{Kind: "mem", SPEs: 4, Chunk: 16384, Volume: 262144, Op: "get"}
+	run := func(sample bool) (*System, *trace.Sampler) {
+		sys := New(DefaultConfig())
+		var sa *trace.Sampler
+		if sample {
+			sa = sys.StartMetrics(every)
+		}
+		if _, err := sc.Install(sys); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunChecked(0); err != nil {
+			t.Fatal(err)
+		}
+		return sys, sa
+	}
+	plain, _ := run(false)
+	sampled, sa := run(true)
+	if got, want := sampled.Eng.Now(), plain.Eng.Now(); got != want {
+		t.Fatalf("sampled run ended at cycle %d, unsampled at %d", got, want)
+	}
+	if sampled.Perf().Rollup() != plain.Perf().Rollup() {
+		t.Fatal("sampling changed the counter rollup")
+	}
+	if got, want := len(sa.Timeseries().Rows), int(sampled.Eng.Now()/every); got != want {
+		t.Fatalf("got %d timeseries rows, want %d (one per full %d-cycle window)", got, want, every)
+	}
+}

@@ -10,8 +10,10 @@
 // Counting is the cheap always-on tier: an increment costs a few
 // nanoseconds and never allocates, so every sweep point rolls its block
 // into SweepResult. Full Perfetto traces (internal/trace) remain the
-// opt-in deep tier. Periodic window snapshots ride the engine's daemon
-// events (sim.Engine.EveryDaemon), so sampling never extends a run.
+// opt-in deep tier. Windowed views of the block (bandwidth, command
+// rate and ring utilization over time) come from one place, the
+// trace.Sampler that cell.System.StartMetrics arms on daemon events, so
+// sampling never extends a run.
 package perfctr
 
 import "cellbe/internal/sim"
@@ -324,39 +326,4 @@ func (r Rollup) XDRBytesTotal() uint64 {
 		t += b
 	}
 	return t
-}
-
-// Snapshot is one windowed sample of the byte counters.
-type Snapshot struct {
-	Cycle    sim.Time
-	EIBBytes uint64
-	XDRBytes [NumBanks]uint64
-}
-
-// Windows holds periodic counter snapshots taken by a daemon sampler.
-// Snaps[0] is the arm-time baseline; each later entry is one interval
-// on. The final partial interval goes unsampled (daemon events never
-// extend a run), which is exactly the timing-window subtlety the
-// report-layer cross-check exists to police.
-type Windows struct {
-	Interval sim.Time
-	Snaps    []Snapshot
-}
-
-// StartWindows arms periodic snapshots of c on eng, every interval
-// cycles, returning the accumulating window set. The first entry is
-// recorded immediately as the baseline. Panics on a non-positive
-// interval (via sim.Engine.EveryDaemon).
-func (c *Counters) StartWindows(eng *sim.Engine, interval sim.Time) *Windows {
-	w := &Windows{Interval: interval}
-	snap := func() {
-		s := Snapshot{Cycle: eng.Now(), EIBBytes: c.EIB.Bytes}
-		for i := range c.XDR {
-			s.XDRBytes[i] = c.XDR[i].Bytes()
-		}
-		w.Snaps = append(w.Snaps, s)
-	}
-	snap()
-	eng.EveryDaemon(interval, snap)
-	return w
 }

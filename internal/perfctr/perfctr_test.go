@@ -149,59 +149,3 @@ func TestRollupJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip changed rollup: %+v -> %+v", r, back)
 	}
 }
-
-// TestStartWindows checks the daemon sampler: snapshots land every
-// interval while real work remains, the arm-time baseline is Snaps[0],
-// and sampling never extends the run past the last real event.
-func TestStartWindows(t *testing.T) {
-	eng := sim.NewEngine()
-	var c Counters
-	// A process that moves 100 bytes every 10 cycles, 10 times: last
-	// real event at cycle 100.
-	step := 0
-	var proc func()
-	proc = func() {
-		c.EIB.Local(100)
-		step++
-		if step < 10 {
-			eng.At(eng.Now()+10, proc)
-		}
-	}
-	eng.At(10, proc)
-	w := c.StartWindows(eng, 25)
-	eng.Run()
-	if got := eng.Now(); got != 100 {
-		t.Fatalf("engine ended at %d, want 100 (sampler extended the run)", got)
-	}
-	if len(w.Snaps) < 2 {
-		t.Fatalf("got %d snapshots, want baseline + periodic samples", len(w.Snaps))
-	}
-	if w.Snaps[0].Cycle != 0 || w.Snaps[0].EIBBytes != 0 {
-		t.Errorf("baseline snapshot = %+v, want cycle 0 / 0 bytes", w.Snaps[0])
-	}
-	for i := 1; i < len(w.Snaps); i++ {
-		if w.Snaps[i].Cycle != w.Snaps[i-1].Cycle+25 {
-			t.Errorf("snapshot %d at cycle %d, want %d", i, w.Snaps[i].Cycle, w.Snaps[i-1].Cycle+25)
-		}
-		if w.Snaps[i].EIBBytes < w.Snaps[i-1].EIBBytes {
-			t.Errorf("snapshot %d bytes decreased", i)
-		}
-	}
-	last := w.Snaps[len(w.Snaps)-1]
-	if last.Cycle > 100 {
-		t.Errorf("snapshot past the last real event at cycle %d", last.Cycle)
-	}
-}
-
-// TestStartWindowsBadInterval pins the contract that a non-positive
-// sampling interval panics (via sim.Engine.EveryDaemon) instead of
-// silently spinning.
-func TestStartWindowsBadInterval(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("StartWindows(0) did not panic")
-		}
-	}()
-	var c Counters
-	c.StartWindows(sim.NewEngine(), 0)
-}

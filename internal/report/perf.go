@@ -19,10 +19,10 @@ import (
 const PerfTolerance = 0.02
 
 // PerfInput is everything BuildPerf needs: the counter rollup, the
-// application-side measurement to validate against, and the windowing.
+// application-side measurement to validate against, and the window the
+// counters are read over.
 type PerfInput struct {
-	Rollup  perfctr.Rollup
-	Windows *perfctr.Windows // optional: per-window EIB bandwidth timeline
+	Rollup perfctr.Rollup
 
 	ClockGHz float64
 	// AppGBps/AppCycles are the application-measured bandwidth and the
@@ -49,18 +49,15 @@ type PerfCheck struct {
 	OK          bool
 }
 
-// PerfReport is the derived-bandwidth report: counter totals, the
-// cross-validation checks, and an optional windowed EIB timeline.
+// PerfReport is the derived-bandwidth report: counter totals and the
+// cross-validation checks. Bandwidth over time is the metrics sampler's
+// job (cell.System.StartMetrics), not this report's.
 type PerfReport struct {
 	Rollup    perfctr.Rollup
 	ClockGHz  float64
 	Window    sim.Time
 	Tolerance float64
 	Checks    []PerfCheck
-
-	// WindowGBps is the EIB bandwidth of each sampled window (empty
-	// without Windows input).
-	WindowGBps []float64
 }
 
 // OK reports whether every cross-check passed.
@@ -116,19 +113,11 @@ func BuildPerf(in PerfInput) *PerfReport {
 	if xb := in.Rollup.XDRBytesTotal(); xb > 0 {
 		check("xdr", gbps(xb, win, in.ClockGHz))
 	}
-
-	if in.Windows != nil {
-		snaps := in.Windows.Snaps
-		for i := 1; i < len(snaps); i++ {
-			cyc := snaps[i].Cycle - snaps[i-1].Cycle
-			r.WindowGBps = append(r.WindowGBps, gbps(snaps[i].EIBBytes-snaps[i-1].EIBBytes, cyc, in.ClockGHz))
-		}
-	}
 	return r
 }
 
-// Write renders the counter report: totals, the per-window EIB timeline
-// when sampled, and one line per cross-check.
+// Write renders the counter report: totals, then one line per
+// cross-check.
 func (r *PerfReport) Write(w io.Writer) error {
 	ru := &r.Rollup
 	rows := [][]string{
@@ -159,16 +148,6 @@ func (r *PerfReport) Write(w io.Writer) error {
 	)
 	if err := writeAligned(w, rows); err != nil {
 		return err
-	}
-	if len(r.WindowGBps) > 0 {
-		if _, err := fmt.Fprintf(w, "\nEIB GB/s per window:\n"); err != nil {
-			return err
-		}
-		for i, g := range r.WindowGBps {
-			if _, err := fmt.Fprintf(w, "  w%-3d %7.3f\n", i, g); err != nil {
-				return err
-			}
-		}
 	}
 	if _, err := fmt.Fprintf(w, "\ncross-check (window %d cycles, tolerance %.1f%%):\n", r.Window, r.Tolerance*100); err != nil {
 		return err

@@ -85,36 +85,13 @@ func TestBuildPerfToleranceOverride(t *testing.T) {
 	}
 }
 
-// TestBuildPerfWindowTimeline: consecutive snapshots become per-window
-// bandwidth entries.
-func TestBuildPerfWindowTimeline(t *testing.T) {
-	w := &perfctr.Windows{Interval: 100, Snaps: []perfctr.Snapshot{
-		{Cycle: 0, EIBBytes: 0},
-		{Cycle: 100, EIBBytes: 200},
-		{Cycle: 200, EIBBytes: 200}, // idle window
-		{Cycle: 300, EIBBytes: 600},
-	}}
-	rep := BuildPerf(PerfInput{Rollup: perfctr.Rollup{EIBBytes: 600}, Windows: w,
-		ClockGHz: 1, AppGBps: 2, AppCycles: 300})
-	want := []float64{2, 0, 4}
-	if len(rep.WindowGBps) != len(want) {
-		t.Fatalf("got %d windows, want %d", len(rep.WindowGBps), len(want))
-	}
-	for i := range want {
-		if rep.WindowGBps[i] != want[i] {
-			t.Errorf("window %d = %v, want %v", i, rep.WindowGBps[i], want[i])
-		}
-	}
-}
-
-// TestPerfReportWrite smoke-tests the rendered report: counter totals,
-// the window timeline and a verdict line per check.
+// TestPerfReportWrite smoke-tests the rendered report: counter totals
+// and a verdict line per check.
 func TestPerfReportWrite(t *testing.T) {
 	ru := perfctr.Rollup{EIBBytes: 1 << 20, EIBGrants: 256}
 	ru.XDRBytes[0] = 4096
 	rep := BuildPerf(PerfInput{
 		Rollup:   ru,
-		Windows:  &perfctr.Windows{Interval: 500, Snaps: []perfctr.Snapshot{{Cycle: 0}, {Cycle: 500, EIBBytes: 1 << 19}}},
 		ClockGHz: 2, AppGBps: float64(ru.EIBBytes) * 2 / 1e6, AppCycles: 1e6,
 	})
 	var b strings.Builder
@@ -122,7 +99,7 @@ func TestPerfReportWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"eib.bytes", "xdr.bank0.bytes", "EIB GB/s per window", "cross-check", "eib ", "xdr "} {
+	for _, want := range []string{"eib.bytes", "xdr.bank0.bytes", "cross-check", "eib ", "xdr "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}

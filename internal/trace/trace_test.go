@@ -182,6 +182,59 @@ func TestSamplerRatesAndGauges(t *testing.T) {
 	}
 }
 
+// TestSamplerEndsAtLastEvent pins that an armed sampler never extends
+// the run: its ticks are daemon events, so the engine still stops at the
+// last real event and no row is taken past it.
+func TestSamplerEndsAtLastEvent(t *testing.T) {
+	eng := sim.NewEngine()
+	var bytes int64
+	// A process that moves 100 bytes every 10 cycles, 10 times: last
+	// real event at cycle 100.
+	step := 0
+	var proc func()
+	proc = func() {
+		bytes += 100
+		step++
+		if step < 10 {
+			eng.At(eng.Now()+10, proc)
+		}
+	}
+	eng.At(10, proc)
+	s := NewSampler(eng, 25)
+	s.Gauge("bytes", func() float64 { return float64(bytes) })
+	s.Start()
+	eng.Run()
+	if got := eng.Now(); got != 100 {
+		t.Fatalf("engine ended at %d, want 100 (sampler extended the run)", got)
+	}
+	rows := s.Timeseries().Rows
+	if len(rows) < 2 {
+		t.Fatalf("got %d rows, want periodic samples", len(rows))
+	}
+	for i, row := range rows {
+		if want := float64(25 * (i + 1)); row[0] != want {
+			t.Errorf("row %d at cycle %v, want %v", i, row[0], want)
+		}
+		if i > 0 && row[1] < rows[i-1][1] {
+			t.Errorf("row %d bytes decreased", i)
+		}
+	}
+	if last := rows[len(rows)-1]; last[0] > 100 {
+		t.Errorf("row past the last real event at cycle %v", last[0])
+	}
+}
+
+// TestNewSamplerBadInterval pins the contract that a non-positive
+// sampling interval panics instead of silently spinning.
+func TestNewSamplerBadInterval(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewSampler(eng, 0) did not panic")
+		}
+	}()
+	NewSampler(sim.NewEngine(), 0)
+}
+
 // TestEmitSteadyStateAllocFree checks the ring buffer stops allocating
 // once full — the property that lets the EIB hot path emit per-transfer
 // events without disturbing its allocation budget more than the buffer's
