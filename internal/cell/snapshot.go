@@ -45,17 +45,18 @@ type Snapshot struct {
 var ErrNotSnapshottable = errors.New("scenario not snapshot-capable")
 
 // Snapshottable reports whether the scenario can take the warm path: true
-// exactly for the element-DMA pair, couples and cycle kinds. Every
-// data-moving kind runs on the same DMA interpreter, but clone-vs-cold
-// identity is proven (by the differential tests in snapshot_test.go) only
-// for these; DMA lists, mem, wedge and the workload library stay cold
-// path until a change brings their differentials. Callers decide with it
-// before booting a template, so a cold-path job never spawns kernels it
-// will not run.
+// exactly for the element-DMA pair, couples and cycle kinds, except a pair
+// whose partner sits on the second chip (remote-chip state is not
+// recycled, so Snapshot would refuse it). Every data-moving kind runs on
+// the same DMA interpreter, but clone-vs-cold identity is proven (by the
+// differential tests in snapshot_test.go) only for these; DMA lists, mem,
+// wedge and the workload library stay cold path until a change brings
+// their differentials. Callers decide with it before booting a template,
+// so a cold-path job never boots a template it cannot use.
 func (sc Scenario) Snapshottable() bool {
 	switch sc.Kind {
 	case "pair", "couples", "cycle":
-		return !sc.List
+		return !sc.List && !sc.figure.Remote
 	}
 	return false
 }

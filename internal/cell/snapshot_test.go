@@ -68,14 +68,21 @@ func runClone(t *testing.T, sys *System) {
 // when the carcass previously ran a *different* grid point (other chunk,
 // other layout), which is exactly the sweep's reuse pattern.
 func TestSnapshotCloneMatchesCold(t *testing.T) {
-	scenarios := []Scenario{
-		{Kind: "pair", Chunk: 1024, Volume: 256 << 10},
-		{Kind: "pair", Chunk: 16384, Volume: 256 << 10},
-		{Kind: "couples", SPEs: 4, Chunk: 4096, Volume: 128 << 10},
-		{Kind: "cycle", SPEs: 8, Chunk: 2048, Volume: 128 << 10},
+	pair := Scenario{Kind: "pair", Chunk: 1024, Volume: 256 << 10}
+	scenarios := []struct {
+		name string
+		sc   Scenario
+	}{
+		{"pair-1024", pair},
+		{"pair-16384", Scenario{Kind: "pair", Chunk: 16384, Volume: 256 << 10}},
+		{"pair-1024-sync4", pair.WithPairFigure(PairFigure{SyncEvery: 4})},
+		{"pair-1024-partner5", pair.WithPairFigure(PairFigure{Partner: 5})},
+		{"couples-4096", Scenario{Kind: "couples", SPEs: 4, Chunk: 4096, Volume: 128 << 10}},
+		{"cycle-2048", Scenario{Kind: "cycle", SPEs: 8, Chunk: 2048, Volume: 128 << 10}},
 	}
-	for _, sc := range scenarios {
-		t.Run(fmt.Sprintf("%s-%d", sc.Kind, sc.Chunk), func(t *testing.T) {
+	for _, tc := range scenarios {
+		sc := tc.sc
+		t.Run(tc.name, func(t *testing.T) {
 			tpl := New(DefaultConfig())
 			if _, err := sc.Install(tpl); err != nil {
 				t.Fatalf("install template: %v", err)
@@ -145,8 +152,9 @@ func TestSnapshotGates(t *testing.T) {
 		{Kind: "mem", SPEs: 2, Chunk: 4096, Volume: 64 << 10, Op: "get"},
 		{Kind: "mem", SPEs: 2, Chunk: 4096, Volume: 64 << 10, Op: "put", List: true},
 		{Kind: "wedge", SPEs: 2},
+		Scenario{Kind: "pair", Chunk: 4096, Volume: 64 << 10}.WithPairFigure(PairFigure{Remote: true}),
 	} {
-		label := fmt.Sprintf("%s-list=%v", sc.Kind, sc.List)
+		label := fmt.Sprintf("%s-list=%v-remote=%v", sc.Kind, sc.List, sc.figure.Remote)
 		sys := New(DefaultConfig())
 		if _, err := sc.Install(sys); err != nil {
 			t.Fatalf("%s: install: %v", label, err)
@@ -159,6 +167,10 @@ func TestSnapshotGates(t *testing.T) {
 			t.Errorf("%s: Snapshottable() = %v but Snapshot err = %v", label, want, err)
 		}
 		sys.Release()
+	}
+	// A cross-chip pair is cold path: no template is worth booting.
+	if (Scenario{Kind: "pair", Chunk: 4096, Volume: 64 << 10}).WithPairFigure(PairFigure{Remote: true}).Snapshottable() {
+		t.Error("remote pair: Snapshottable() = true, want false")
 	}
 	// Already run.
 	sys := New(DefaultConfig())

@@ -200,9 +200,9 @@ func TestPPEStreamEmitsFills(t *testing.T) {
 }
 
 // TestStartMetricsLeavesRunUnchanged: arming the metrics sampler is pure
-// observation. The sampled run ends on the same cycle with the same
-// counter block as the unsampled one, and the timeseries holds one row
-// per full interval, the partial last window dropped.
+// observation. The sampled run ends on the same cycle with the same event
+// count and counter block as the unsampled one, and the timeseries holds
+// one row per full interval, the partial last window dropped.
 func TestStartMetricsLeavesRunUnchanged(t *testing.T) {
 	const every = 10000
 	sc := Scenario{Kind: "mem", SPEs: 4, Chunk: 16384, Volume: 262144, Op: "get"}
@@ -224,6 +224,9 @@ func TestStartMetricsLeavesRunUnchanged(t *testing.T) {
 	sampled, sa := run(true)
 	if got, want := sampled.Eng.Now(), plain.Eng.Now(); got != want {
 		t.Fatalf("sampled run ended at cycle %d, unsampled at %d", got, want)
+	}
+	if got, want := sampled.Eng.Fired(), plain.Eng.Fired(); got != want {
+		t.Fatalf("sampled run fired %d events, unsampled %d", got, want)
 	}
 	if sampled.Perf().Rollup() != plain.Perf().Rollup() {
 		t.Fatal("sampling changed the counter rollup")

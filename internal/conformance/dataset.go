@@ -6,7 +6,6 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
-	"cellbe/internal/stats"
 )
 
 // Dataset lazily runs and caches the measurement probes claims draw from.
@@ -285,7 +284,7 @@ var probes = map[string]probe{
 	},
 }
 
-// workloadVariant is one curve of a workload-library probe: a sweep spec
+// workloadVariant is one curve of a sweep-backed probe: a sweep spec
 // (seeds and volume filled in from the dataset parameters unless pinned)
 // plus an optional config override.
 type workloadVariant struct {
@@ -295,132 +294,59 @@ type workloadVariant struct {
 	base  *cell.Config
 }
 
-// workloadProbe folds workload-library sweeps into labeled curves over
-// the element-size axis.
+// workloadProbe folds sweeps into labeled curves over the element-size
+// axis, one curve per variant.
 func workloadProbe(p core.Params, name, title string, variants []workloadVariant) (*core.Result, error) {
 	res := &core.Result{Name: name, Title: title, XLabel: "element size (bytes)", YLabel: "GB/s"}
-	defSeeds := make([]int64, p.Runs)
-	for i := range defSeeds {
-		defSeeds[i] = p.FirstSeed + int64(i)
-	}
 	for _, v := range variants {
 		spec := v.spec
 		spec.Seeds = v.seeds
-		if spec.Seeds == nil {
-			spec.Seeds = defSeeds
-		}
-		spec.Volume = p.BytesPerSPE
 		spec.Base = v.base
-		if spec.Base == nil {
-			spec.Base = p.Base
-		}
-		results, err := core.RunSweep(spec)
+		c, err := p.SweepCurve(v.label, spec)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("conformance: %s %s: %w", name, v.label, err)
 		}
-		series := stats.NewSeries(v.label, spec.Chunks)
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("conformance: %s point %s chunk=%d seed=%d: %w", name, v.label, r.Chunk, r.Seed, r.Err)
-			}
-			series.Add(r.Chunk, r.GBps)
-		}
-		res.Curves = append(res.Curves, core.CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
 }
 
-// memBankProbe measures the NUMA placement ablation via the sweep runner:
-// the same 4-SPE, 16 KB GET stream once with pages interleaved over both
-// XDR banks and once pinned to the MIC-local bank, whose 16.8 GB/s rate
-// then caps the aggregate.
+// memBankProbe measures the NUMA placement ablation: the same 4-SPE,
+// 16 KB GET stream once with pages interleaved over both XDR banks and
+// once pinned to the MIC-local bank, whose 16.8 GB/s rate then caps the
+// aggregate.
 func memBankProbe(p core.Params) (*core.Result, error) {
-	res := &core.Result{
-		Name:   "mem-bank",
-		Title:  "SPE to memory GETs: interleaved banks vs a single bank",
-		XLabel: "element size (bytes)",
-		YLabel: "GB/s",
-	}
-	seeds := make([]int64, p.Runs)
-	for i := range seeds {
-		seeds[i] = p.FirstSeed + int64(i)
-	}
-	for _, variant := range []struct {
+	var variants []workloadVariant
+	for _, v := range []struct {
 		label      string
 		interleave bool
 	}{{"interleaved", true}, {"single bank", false}} {
-		cfg := p.Base
 		base := cell.DefaultConfig()
-		if cfg != nil {
-			base = *cfg
+		if p.Base != nil {
+			base = *p.Base
 		}
-		base.Mem.Interleave = variant.interleave
-		results, err := core.RunSweep(core.SweepSpec{
-			Scenario: "mem",
-			SPEs:     4,
-			Op:       "get",
-			Chunks:   []int{16384},
-			Seeds:    seeds,
-			Volume:   p.BytesPerSPE,
-			Base:     &base,
-		})
-		if err != nil {
-			return nil, err
-		}
-		series := stats.NewSeries(variant.label, []int{16384})
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("conformance: mem-bank point chunk=%d seed=%d: %w", r.Chunk, r.Seed, r.Err)
-			}
-			series.Add(r.Chunk, r.GBps)
-		}
-		res.Curves = append(res.Curves, core.CurveFromSeries(series))
+		base.Mem.Interleave = v.interleave
+		variants = append(variants, workloadVariant{label: v.label, base: &base,
+			spec: core.SweepSpec{Scenario: "mem", SPEs: 4, Op: "get", Chunks: []int{16384}}})
 	}
-	return res, nil
+	return workloadProbe(p, "mem-bank", "SPE to memory GETs: interleaved banks vs a single bank", variants)
 }
 
 // configProbe runs one sweep scenario at 16 KB chunks twice — once with a
 // config knob off, once on — and returns the pair as two curves named by
 // the mutator.
 func configProbe(p core.Params, name, scenario string, spes int, mutate func(cfg *cell.Config, on bool) string) (*core.Result, error) {
-	res := &core.Result{
-		Name:   name,
-		Title:  fmt.Sprintf("%s scenario with a §5 design rule off and on", scenario),
-		XLabel: "element size (bytes)",
-		YLabel: "GB/s",
-	}
-	seeds := make([]int64, p.Runs)
-	for i := range seeds {
-		seeds[i] = p.FirstSeed + int64(i)
-	}
+	var variants []workloadVariant
 	for _, on := range []bool{false, true} {
 		base := cell.DefaultConfig()
 		if p.Base != nil {
 			base = *p.Base
 		}
 		label := mutate(&base, on)
-		results, err := core.RunSweep(core.SweepSpec{
-			Scenario: scenario,
-			SPEs:     spes,
-			Op:       "get",
-			Chunks:   []int{16384},
-			Seeds:    seeds,
-			Volume:   p.BytesPerSPE,
-			Base:     &base,
-		})
-		if err != nil {
-			return nil, err
-		}
-		series := stats.NewSeries(label, []int{16384})
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("conformance: %s point chunk=%d seed=%d: %w", name, r.Chunk, r.Seed, r.Err)
-			}
-			series.Add(r.Chunk, r.GBps)
-		}
-		res.Curves = append(res.Curves, core.CurveFromSeries(series))
+		variants = append(variants, workloadVariant{label: label, base: &base,
+			spec: core.SweepSpec{Scenario: scenario, SPEs: spes, Op: "get", Chunks: []int{16384}}})
 	}
-	return res, nil
+	return workloadProbe(p, name, fmt.Sprintf("%s scenario with a §5 design rule off and on", scenario), variants)
 }
 
 // ppePrefetchProbe isolates the L2 stream prefetcher behind Figure 6's

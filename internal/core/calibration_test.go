@@ -9,14 +9,36 @@ import (
 	"testing"
 
 	"cellbe/internal/cell"
+	"cellbe/internal/stats"
 )
 
+// sweepGBps runs one-chunk spec through Params.Sweep at volume bytes per
+// SPE, over the first runs layout seeds of DefaultParams unless spec pins
+// its seeds, and returns the bandwidth of each seed.
+func sweepGBps(t *testing.T, runs int, volume int64, spec SweepSpec) []float64 {
+	t.Helper()
+	p := DefaultParams()
+	p.Runs = runs
+	p.BytesPerSPE = volume
+	results, err := p.Sweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(results))
+	for i, r := range results {
+		out[i] = r.GBps
+	}
+	return out
+}
+
+func mean(xs []float64) float64 { return stats.Summarize(xs).Mean }
+
 // pairBandwidth measures one active SPE doing GET+PUT with a passive
-// partner, as in §4.2.3.
+// partner, as in §4.2.3, on the identity layout.
 func pairBandwidth(t *testing.T, chunk int, syncEvery int) float64 {
 	t.Helper()
-	sc := cell.Scenario{Kind: "pair", Chunk: chunk, Volume: 2 << 20}
-	return runScenario(cell.New(cell.DefaultConfig()), sc.WithPairFigure(cell.PairFigure{SyncEvery: syncEvery}))
+	return sweepGBps(t, 1, 2<<20, SweepSpec{Scenario: "pair", Chunks: []int{chunk}, Seeds: []int64{0},
+		figure: cell.PairFigure{SyncEvery: syncEvery}})[0]
 }
 
 func TestCalibrationPairPeak(t *testing.T) {
@@ -49,11 +71,12 @@ func TestCalibrationSyncEveryRequestHurts(t *testing.T) {
 	}
 }
 
-// memBandwidth measures n SPEs streaming against main memory (Figure 8).
+// memBandwidth measures n SPEs streaming against main memory (Figure 8)
+// on the identity layout.
 func memBandwidth(t *testing.T, n int, chunk int, op DMAOp) float64 {
 	t.Helper()
-	return runScenario(cell.New(cell.DefaultConfig()),
-		cell.Scenario{Kind: "mem", SPEs: n, Chunk: chunk, Volume: 2 << 20, Op: op.scenarioOp()})
+	return sweepGBps(t, 1, 2<<20, SweepSpec{Scenario: "mem", SPEs: n, Op: op.scenarioOp(),
+		Chunks: []int{chunk}, Seeds: []int64{0}})[0]
 }
 
 func TestCalibrationSingleSPEMemory(t *testing.T) {
@@ -94,86 +117,64 @@ func TestCalibrationCopyTops23(t *testing.T) {
 	}
 }
 
-func couplesBandwidth(t *testing.T, run, nSPEs, chunk int, list bool) float64 {
+// couplesBandwidth measures nSPEs in couples at 1 MiB per SPE, one
+// sample per layout run.
+func couplesBandwidth(t *testing.T, runs, nSPEs, chunk int, list bool) []float64 {
 	t.Helper()
-	p := DefaultParams()
-	p.BytesPerSPE = 1 << 20
-	return runCouples(p, run, nSPEs, chunk, list)
+	return sweepGBps(t, runs, 1<<20, SweepSpec{Scenario: "couples", SPEs: nSPEs, List: list, Chunks: []int{chunk}})
 }
 
 func TestCalibrationCouplesScaling(t *testing.T) {
 	// Figure 12: 1 and 2 couples reach (near) peak; 4 couples average
 	// around 95 GB/s (70% of the 134.4 peak).
-	if got := couplesBandwidth(t, 0, 2, 16384, false); got < 30 {
+	if got := couplesBandwidth(t, 1, 2, 16384, false)[0]; got < 30 {
 		t.Errorf("1 couple: %.1f GB/s, want ~33.6", got)
 	}
-	if got := couplesBandwidth(t, 0, 4, 16384, false); got < 60 {
+	if got := couplesBandwidth(t, 1, 4, 16384, false)[0]; got < 60 {
 		t.Errorf("2 couples: %.1f GB/s, want ~67", got)
 	}
-	sum := 0.0
-	const runs = 8
-	for r := 0; r < runs; r++ {
-		sum += couplesBandwidth(t, r, 8, 16384, false)
-	}
-	avg := sum / runs
-	if avg < 80 || avg > 110 {
+	if avg := mean(couplesBandwidth(t, 8, 8, 16384, false)); avg < 80 || avg > 110 {
 		t.Errorf("4 couples avg: %.1f GB/s, want ~95", avg)
 	}
 }
 
 func TestCalibrationCouplesLayoutSpread(t *testing.T) {
 	// Figure 13: physical placement of the SPEs spreads min/max widely.
-	min, max := 1e9, 0.0
-	for r := 0; r < 10; r++ {
-		v := couplesBandwidth(t, r, 8, 16384, false)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if max-min < 15 {
-		t.Errorf("4-couple layout spread %.1f GB/s, want a wide min/max gap", max-min)
+	if s := stats.Summarize(couplesBandwidth(t, 10, 8, 16384, false)); s.Spread() < 15 {
+		t.Errorf("4-couple layout spread %.1f GB/s, want a wide min/max gap", s.Spread())
 	}
 }
 
 func TestCalibrationListFlatAcrossSizes(t *testing.T) {
 	// Figure 12(b): DMA-list bandwidth is constant across element sizes,
 	// even at 128 bytes where DMA-elem collapses.
-	small := couplesBandwidth(t, 0, 2, 128, true)
-	big := couplesBandwidth(t, 0, 2, 16384, true)
+	small := couplesBandwidth(t, 1, 2, 128, true)[0]
+	big := couplesBandwidth(t, 1, 2, 16384, true)[0]
 	if small < big*0.9 {
 		t.Errorf("DMA-list 128B %.1f vs 16KB %.1f: want flat", small, big)
 	}
-	elemSmall := couplesBandwidth(t, 0, 2, 128, false)
+	elemSmall := couplesBandwidth(t, 1, 2, 128, false)[0]
 	if elemSmall > small/2 {
 		t.Errorf("DMA-elem 128B %.1f should be far below DMA-list %.1f", elemSmall, small)
 	}
 }
 
-func cycleBandwidth(t *testing.T, run, nSPEs int) float64 {
+// cycleBandwidth measures a cycle of nSPEs at 16 KB elements and 1 MiB
+// per SPE, one sample per layout run.
+func cycleBandwidth(t *testing.T, runs, nSPEs int) []float64 {
 	t.Helper()
-	p := DefaultParams()
-	p.BytesPerSPE = 1 << 20
-	return runCycle(p, run, nSPEs, 16384, false)
+	return sweepGBps(t, runs, 1<<20, SweepSpec{Scenario: "cycle", SPEs: nSPEs, Chunks: []int{16384}})
 }
 
 func TestCalibrationCycleSaturation(t *testing.T) {
 	// Figure 15: a 2-SPE cycle reaches the 33.6 peak; 4 SPEs get ~50 of
 	// 67.2; 8 SPEs ~70 of 134.4 — saturating the EIB is counterproductive
 	// (lower than couples with half the active DMAs).
-	if got := cycleBandwidth(t, 0, 2); got < 31 {
+	if got := cycleBandwidth(t, 1, 2)[0]; got < 31 {
 		t.Errorf("2-SPE cycle: %.1f GB/s, want ~33.6", got)
 	}
-	avg4, avg8 := 0.0, 0.0
 	const runs = 8
-	for r := 0; r < runs; r++ {
-		avg4 += cycleBandwidth(t, r, 4)
-		avg8 += cycleBandwidth(t, r, 8)
-	}
-	avg4 /= runs
-	avg8 /= runs
+	avg4, avg8 := mean(cycleBandwidth(t, runs, 4)), mean(cycleBandwidth(t, runs, 8))
 	if avg4 < 42 || avg4 > 60 {
 		t.Errorf("4-SPE cycle avg: %.1f GB/s, want ~50", avg4)
 	}
@@ -182,12 +183,7 @@ func TestCalibrationCycleSaturation(t *testing.T) {
 	}
 	// And the cycle (all active) must underperform couples (half active)
 	// at 8 SPEs.
-	couples := 0.0
-	for r := 0; r < runs; r++ {
-		couples += couplesBandwidth(t, r, 8, 16384, false)
-	}
-	couples /= runs
-	if avg8 >= couples {
+	if couples := mean(couplesBandwidth(t, runs, 8, 16384, false)); avg8 >= couples {
 		t.Errorf("8-SPE cycle %.1f must be below 8-SPE couples %.1f", avg8, couples)
 	}
 }

@@ -6,11 +6,13 @@
 // SPEs (Figs. 15, 16) — plus the streaming-pipeline experiment behind the
 // paper's "two streams of 4 SPEs beat one stream of 8" guidance.
 //
-// Each experiment builds fresh systems (one per run, with a different
-// logical-to-physical SPE layout, as the paper does with its 10 repeated
-// runs), installs the SPE figures as cell scenarios (PPE figures and the
-// application kernels drive coroutines), and reports bandwidth curves
-// with min/max/median/average summaries.
+// Every SPE figure is a grid of DMA element sizes x sampled
+// logical-to-physical SPE layouts (the paper's 10 repeated runs), so it
+// runs as a SweepSpec on the sweep scheduler (Params.Sweep) — the path
+// cellbench -sweep, cellsim and cellserve take, warm clones and watchdog
+// included. The PPE figures and the application kernels drive coroutines
+// on bare systems (Params.newSystem). Every experiment reports bandwidth
+// curves with min/max/median/average summaries.
 package core
 
 import (
@@ -155,33 +157,66 @@ func (p Params) syncIntervals() []int {
 	return SyncIntervals
 }
 
-// newSystem builds a system for run r of the sweep.
+// newSystem builds a bare system for run r (layout seed FirstSeed+r), for
+// the coroutine-kernel experiments that drive a System directly.
 func (p Params) newSystem(run int) *cell.System {
-	cfg := p.config()
-	cfg.Layout = cell.RandomLayout(p.FirstSeed + int64(run))
-	if cfg.Faults.Enabled() && cfg.FaultSeed == 0 {
-		// Tie the fault stream to the run so repeated runs sample fault
-		// patterns alongside layouts, deterministically.
-		cfg.FaultSeed = p.FirstSeed + int64(run)
-	}
-	return cell.New(cfg)
+	return cell.New(pointConfig(p.Base, p.FirstSeed+int64(run)))
 }
 
-// runScenario installs sc on sys, runs it under the watchdog and returns
-// the aggregate bandwidth in GB/s: the bytes the scenario accounts for
-// over the cycles until its last kernel finished. A deadlocked or
-// conservation-violating run panics with the structured diagnostic
-// (*sim.DeadlockError or a conservation error); RunSweep and the
-// experiment drivers recover it into a per-run error.
-func runScenario(sys *cell.System, sc cell.Scenario) float64 {
-	total, err := sc.Install(sys)
+// Sweep runs spec on the sweep scheduler, filling in what it leaves
+// unset from p: Seeds from FirstSeed..FirstSeed+Runs-1, Volume from
+// BytesPerSPE and Base from p.Base. Results come back in (chunk, seed)
+// order; a failed point (deadlock, conservation error, panic) fails the
+// whole sweep with an error that names it and wraps its cause.
+func (p Params) Sweep(spec SweepSpec) ([]SweepResult, error) {
+	if spec.Seeds == nil {
+		spec.Seeds = make([]int64, p.Runs)
+		for i := range spec.Seeds {
+			spec.Seeds[i] = p.FirstSeed + int64(i)
+		}
+	}
+	if spec.Volume == 0 {
+		spec.Volume = p.BytesPerSPE
+	}
+	if spec.Base == nil {
+		spec.Base = p.Base
+	}
+	results, err := RunSweep(spec)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	if err := sys.RunChecked(0); err != nil {
-		panic(err)
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("core: %s point chunk=%d seed=%d: %w", spec.Scenario, r.Chunk, r.Seed, r.Err)
+		}
 	}
-	return sys.GBps(total, sys.Eng.Now())
+	return results, nil
+}
+
+// SweepCurve runs spec through Sweep and folds its per-seed bandwidths
+// into one curve over the chunk axis.
+func (p Params) SweepCurve(label string, spec SweepSpec) (Curve, error) {
+	results, err := p.Sweep(spec)
+	if err != nil {
+		return Curve{}, err
+	}
+	series := stats.NewSeries(label, spec.Chunks)
+	for _, r := range results {
+		series.Add(r.Chunk, r.GBps)
+	}
+	return CurveFromSeries(series), nil
+}
+
+// sweepAt runs a one-chunk spec through Sweep and returns its samples as
+// the point at x, for figures whose x axis is not the element size.
+func (p Params) sweepAt(x int, spec SweepSpec) (Point, error) {
+	c, err := p.SweepCurve("", spec)
+	if err != nil {
+		return Point{}, err
+	}
+	pt := c.Points[0]
+	pt.X = x
+	return pt, nil
 }
 
 // Point is one x position of a curve with its cross-run summary. Samples

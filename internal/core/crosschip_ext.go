@@ -7,10 +7,7 @@ package core
 // pair workload, with the partner on the local chip versus on the second
 // chip behind the IOIF.
 
-import (
-	"cellbe/internal/cell"
-	"cellbe/internal/stats"
-)
+import "cellbe/internal/cell"
 
 // CrossChip measures pair bandwidth (simultaneous GET+PUT, delayed sync)
 // against an on-chip partner and a second-chip partner, across element
@@ -30,19 +27,12 @@ func CrossChip(p Params) (*Result, error) {
 		if remote {
 			label = "cross-chip partner"
 		}
-		series := stats.NewSeries(label, ChunkSizes)
-		for _, chunk := range ChunkSizes {
-			chunk, remote := chunk, remote
-			addRuns(p, series, chunk, func(run int) float64 {
-				return runCrossChip(p, run, chunk, remote)
-			})
+		c, err := p.SweepCurve(label, SweepSpec{Scenario: "pair", Chunks: ChunkSizes,
+			figure: cell.PairFigure{Remote: remote}})
+		if err != nil {
+			return nil, err
 		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
-}
-
-func runCrossChip(p Params, run, chunk int, remote bool) float64 {
-	sc := cell.Scenario{Kind: "pair", Chunk: chunk, Volume: p.BytesPerSPE}
-	return runScenario(p.newSystem(run), sc.WithPairFigure(cell.PairFigure{Remote: remote}))
 }

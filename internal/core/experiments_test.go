@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"cellbe/internal/cell"
+	"cellbe/internal/sim"
 )
 
 // fastParams keeps experiment tests quick: 2 layout samples, small
@@ -348,24 +351,46 @@ func TestDMAOpStrings(t *testing.T) {
 }
 
 func TestParallelHarnessDeterministic(t *testing.T) {
-	// The experiment harness must produce identical numbers whether runs
-	// execute sequentially or on several goroutines: each run owns its
+	// The figure harness must produce identical numbers whether its grid
+	// points run on one scheduler worker or several: each point owns its
 	// engine, so only wall-clock time may differ.
 	p := fastParams()
 	p.Runs = 4
 	p.BytesPerSPE = 256 << 10
-	run := func(procs int) []float64 {
+	p.Chunks = []int{4096, 16384}
+	p.SPESweep = []int{8}
+	run := func(procs int) *Result {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		return forEachRun(p, func(r int) float64 {
-			return runCouples(p, r, 8, 16384, false)
-		})
-	}
-	seq := run(1)
-	par := run(4)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("run %d differs: sequential %v vs parallel %v", i, seq[i], par[i])
+		res, err := SPECouples(p, false)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
+	}
+	seq, par := run(1), run(4)
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("worker count moved a sample:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", seq.Curves, par.Curves)
+	}
+}
+
+// TestFigureWatchdog: a figure point that exceeds the watchdog budget
+// fails the figure with the structured diagnostic instead of panicking a
+// worker goroutine.
+func TestFigureWatchdog(t *testing.T) {
+	p := fastParams()
+	p.Runs = 1
+	p.Chunks = []int{4096}
+	p.Syncs = []int{0}
+	base := cell.DefaultConfig()
+	base.MaxCycles = 1000
+	p.Base = &base
+	_, err := SPEPairSync(p)
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("SPEPairSync under a 1000-cycle budget: err = %v, want a *sim.DeadlockError", err)
+	}
+	if !strings.Contains(err.Error(), "chunk=4096 seed=1") {
+		t.Errorf("error %q does not name the failed point", err)
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"cellbe/internal/cell"
-	"cellbe/internal/fault"
-	"cellbe/internal/stats"
-)
+import "cellbe/internal/fault"
 
 // FaultRatesBp is the injected fault probability sweep of the fault-sweep
 // experiment, in basis points (1 bp = 0.01%). The range spans "healthy"
@@ -14,11 +10,11 @@ var FaultRatesBp = []int{0, 10, 50, 100, 250, 500}
 
 // faultScenarios are the four canonical workloads the degradation curves
 // are measured on (the same set the acceptance run drives).
-var faultScenarios = []cell.Scenario{
-	{Kind: "pair", SPEs: 2, Chunk: 4096, Op: "get"},
-	{Kind: "couples", SPEs: 8, Chunk: 4096, Op: "get"},
-	{Kind: "cycle", SPEs: 8, Chunk: 4096, Op: "get"},
-	{Kind: "mem", SPEs: 8, Chunk: 4096, Op: "get"},
+var faultScenarios = []SweepSpec{
+	{Scenario: "pair", SPEs: 2, Op: "get", Chunks: []int{4096}},
+	{Scenario: "couples", SPEs: 8, Op: "get", Chunks: []int{4096}},
+	{Scenario: "cycle", SPEs: 8, Op: "get", Chunks: []int{4096}},
+	{Scenario: "mem", SPEs: 8, Op: "get", Chunks: []int{4096}},
 }
 
 // faultConfigAt scales the combined fault mix to a single probability knob:
@@ -51,37 +47,23 @@ func FaultSweep(p Params) (*Result, error) {
 		XLabel: "fault rate (basis points)",
 		YLabel: "GB/s",
 	}
-	for _, sc := range faultScenarios {
-		sc := sc
-		series := stats.NewSeries(sc.Kind, FaultRatesBp)
+	for _, spec := range faultScenarios {
+		c := Curve{Label: spec.Scenario}
 		for _, bp := range FaultRatesBp {
-			bp := bp
-			addRuns(p, series, bp, func(run int) float64 {
-				return runFaultPoint(p, run, sc, bp)
-			})
+			// FaultSeed 0 derives each point's fault stream from its
+			// layout seed, so run r sweeps fault patterns alongside
+			// layouts and the experiment stays byte-reproducible.
+			base := p.config()
+			base.Faults = faultConfigAt(bp)
+			base.FaultSeed = 0
+			spec.Base = &base
+			pt, err := p.sweepAt(bp, spec)
+			if err != nil {
+				return nil, err
+			}
+			c.Points = append(c.Points, pt)
 		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
-}
-
-// runFaultPoint runs one scenario under one fault rate and returns the
-// aggregate GB/s. The fault stream is seeded from the layout seed, so run r
-// sweeps fault patterns alongside layouts and the whole experiment stays
-// byte-reproducible.
-func runFaultPoint(p Params, run int, sc cell.Scenario, bp int) float64 {
-	cfg := p.config()
-	cfg.Layout = cell.RandomLayout(p.FirstSeed + int64(run))
-	cfg.Faults = faultConfigAt(bp)
-	cfg.FaultSeed = p.FirstSeed + int64(run)
-	sys := cell.New(cfg)
-	sc.Volume = p.BytesPerSPE
-	total, err := sc.Install(sys)
-	if err != nil {
-		panic(err)
-	}
-	if err := sys.RunChecked(0); err != nil {
-		panic(err)
-	}
-	return sys.GBps(total, sys.Eng.Now())
 }

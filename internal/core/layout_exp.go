@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cellbe/internal/cell"
-	"cellbe/internal/sim"
 	"cellbe/internal/stats"
 	"cellbe/internal/trace"
 )
@@ -22,71 +21,50 @@ func LayoutTimeline(p Params) (*Result, error) {
 		return nil, err
 	}
 	const chunk = 4096
-	scenario := cell.Scenario{
-		Kind:   "cycle",
-		SPEs:   cell.NumSPEs,
-		Chunk:  chunk,
-		Volume: p.BytesPerSPE,
-		Op:     "get",
-	}
+	spec := SweepSpec{Scenario: "cycle", SPEs: cell.NumSPEs, Op: "get", Chunks: []int{chunk}}
 
 	// Probe pass: aggregate bandwidth per layout seed, no tracing.
-	type probe struct {
-		seed   int64
-		gbps   float64
-		cycles sim.Time
+	probes, err := p.Sweep(spec)
+	if err != nil {
+		return nil, err
 	}
-	var best, worst probe
-	for r := 0; r < p.Runs; r++ {
-		sys := p.newSystem(r)
-		total, err := scenario.Install(sys)
-		if err != nil {
-			return nil, err
+	best, worst := probes[0], probes[0]
+	for _, r := range probes[1:] {
+		if r.GBps > best.GBps {
+			best = r
 		}
-		if err := sys.RunChecked(0); err != nil {
-			return nil, err
-		}
-		pr := probe{seed: p.FirstSeed + int64(r), gbps: sys.GBps(total, sys.Eng.Now()), cycles: sys.Eng.Now()}
-		if r == 0 || pr.gbps > best.gbps {
-			best = pr
-		}
-		if r == 0 || pr.gbps < worst.gbps {
-			worst = pr
+		if r.GBps < worst.GBps {
+			worst = r
 		}
 	}
 
 	// One shared sampling interval, sized off the slower run so both
 	// timelines get comparable resolution on the same axis (~64 samples).
-	maxCyc := best.cycles
-	if worst.cycles > maxCyc {
-		maxCyc = worst.cycles
-	}
-	interval := maxCyc / 64
+	interval := max(best.Cycles, worst.Cycles) / 64
 	if interval < 1000 {
 		interval = 1000
 	}
 
+	// Each rerun is a one-point sweep whose Instrument hook arms the
+	// sampler and keeps the System for it to read.
 	rerun := func(seed int64) (*trace.Timeseries, error) {
-		cfg := p.config()
-		cfg.Layout = cell.RandomLayout(seed)
-		if cfg.Faults.Enabled() && cfg.FaultSeed == 0 {
-			cfg.FaultSeed = seed
+		var sampler *trace.Sampler
+		one := spec
+		one.Seeds = []int64{seed}
+		one.Instrument = func(_ int, _ int64, sys *cell.System) bool {
+			sampler = sys.StartMetrics(interval)
+			return true
 		}
-		sys := cell.New(cfg)
-		sampler := sys.StartMetrics(interval)
-		if _, err := scenario.Install(sys); err != nil {
-			return nil, err
-		}
-		if err := sys.RunChecked(0); err != nil {
+		if _, err := p.Sweep(one); err != nil {
 			return nil, err
 		}
 		return sampler.Timeseries(), nil
 	}
-	bestTS, err := rerun(best.seed)
+	bestTS, err := rerun(best.Seed)
 	if err != nil {
 		return nil, err
 	}
-	worstTS, err := rerun(worst.seed)
+	worstTS, err := rerun(worst.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +91,7 @@ func LayoutTimeline(p Params) (*Result, error) {
 	res := &Result{
 		Name: "layout-timeline",
 		Title: fmt.Sprintf("Cycle of 8 SPEs, %dB chunks: best (seed %d, %.1f GB/s) vs worst (seed %d, %.1f GB/s) layout timeline",
-			chunk, best.seed, best.gbps, worst.seed, worst.gbps),
+			chunk, best.Seed, best.GBps, worst.Seed, worst.GBps),
 		XLabel: "kilocycle",
 		YLabel: "GB/s | wait cycles per transfer",
 	}

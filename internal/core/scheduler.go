@@ -603,7 +603,7 @@ func (j *Job) snapshot() *cell.Snapshot {
 		// let the cold path contain the same panic per-point, exactly as
 		// it did before the warm path existed.
 		defer func() { _ = recover() }()
-		sys := cell.New(pointConfig(&j.spec, j.spec.Seeds[0]))
+		sys := cell.New(pointConfig(j.spec.Base, j.spec.Seeds[0]))
 		if _, err := sc.Install(sys); err != nil {
 			sys.Release()
 			return
@@ -702,22 +702,29 @@ func (j *Job) finish() {
 }
 
 // pointKey canonicalizes everything that determines a grid point's result
-// — the scenario (kind, SPE count, op, list variant, chunk, volume), the
-// fully resolved machine configuration (fault config and derived fault
-// seed included) and the watchdog budget — into a content address. Two
-// submissions that would simulate identically hash identically, whatever
-// spec fields (Workers, Instrument, seed-list order) differ around them.
+// — the scenario (kind, SPE count, op, list variant, chunk, volume, pair
+// figure knobs), the fully resolved machine configuration (fault config
+// and derived fault seed included) and the watchdog budget — into a
+// content address. Two submissions that would simulate identically hash
+// identically, whatever spec fields (Workers, Instrument, seed-list
+// order) differ around them. The figure knobs enter only when set, so a
+// figure-less point keeps the key journals already hold.
 func pointKey(spec *SweepSpec, chunk int, seed int64) [sha256.Size]byte {
-	cfg := pointConfig(spec, seed)
+	cfg := pointConfig(spec.Base, seed)
 	// The layout is a pure function of the seed; keying on the seed keeps
 	// the canonical form small and layout-representation independent.
 	cfg.Layout = nil
+	var figure *cell.PairFigure
+	if spec.figure != (cell.PairFigure{}) {
+		figure = &spec.figure
+	}
 	k := struct {
 		Scenario  cell.Scenario
 		Config    cell.Config
 		Seed      int64
 		MaxCycles sim.Time
-	}{spec.scenario(chunk), cfg, seed, spec.MaxCycles}
+		Figure    *cell.PairFigure `json:",omitempty"`
+	}{spec.scenario(chunk), cfg, seed, spec.MaxCycles, figure}
 	b, err := json.Marshal(k)
 	if err != nil {
 		// Scenario and Config are plain data; this cannot fail.

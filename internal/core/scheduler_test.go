@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/hex"
 	"errors"
 	"sort"
 	"sync"
@@ -372,5 +373,24 @@ func TestSchedulerSubmitCloseRace(t *testing.T) {
 		if _, err := s.Submit(context.Background(), spec); !errors.Is(err, ErrClosed) {
 			t.Fatalf("Submit after Close: %v, want ErrClosed", err)
 		}
+	}
+}
+
+// TestPointKeyFigureKnobs: the memo key tells pair-figure variants apart,
+// while a figure-less point keeps the key earlier journals recorded, so
+// they still resume.
+func TestPointKeyFigureKnobs(t *testing.T) {
+	spec := SweepSpec{Scenario: "pair", Chunks: []int{4096}, Seeds: []int64{3}, Volume: 256 << 10}
+	key := pointKey(&spec, 4096, 3)
+	const pinned = "ce00dc42af86753a664014a5e279a089e11d897cc66f5a43fd7a0041ddf53ccc"
+	if got := hex.EncodeToString(key[:]); got != pinned {
+		t.Errorf("figure-less point key moved:\n got %s\nwant %s", got, pinned)
+	}
+	sync4, sync8 := spec, spec
+	sync4.figure = cell.PairFigure{SyncEvery: 4}
+	sync8.figure = cell.PairFigure{SyncEvery: 8}
+	k4, k8 := pointKey(&sync4, 4096, 3), pointKey(&sync8, 4096, 3)
+	if k4 == k8 || k4 == key {
+		t.Error("specs that differ only in SyncEvery share a point key")
 	}
 }

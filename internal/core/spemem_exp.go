@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cellbe/internal/cell"
 	"cellbe/internal/spe"
 	"cellbe/internal/stats"
 )
@@ -57,21 +56,14 @@ func SPEMemory(p Params, op DMAOp, list bool) (*Result, error) {
 		YLabel: "GB/s",
 	}
 	for _, n := range p.speCounts(SPECounts) {
-		series := stats.NewSeries(fmt.Sprintf("%d SPE", n), p.chunkSizes())
-		for _, chunk := range p.chunkSizes() {
-			chunk := chunk
-			addRuns(p, series, chunk, func(run int) float64 {
-				return runSPEMemory(p, run, n, chunk, op, list)
-			})
+		c, err := p.SweepCurve(fmt.Sprintf("%d SPE", n), SweepSpec{
+			Scenario: "mem", SPEs: n, Op: op.scenarioOp(), List: list, Chunks: p.chunkSizes()})
+		if err != nil {
+			return nil, err
 		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
-}
-
-func runSPEMemory(p Params, run, n, chunk int, op DMAOp, list bool) float64 {
-	return runScenario(p.newSystem(run), cell.Scenario{Kind: "mem", SPEs: n, Chunk: chunk,
-		Volume: p.BytesPerSPE, Op: op.scenarioOp(), List: list})
 }
 
 // SPELocalStore reproduces §4.2.2: SPU load/store/copy bandwidth against

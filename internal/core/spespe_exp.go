@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cellbe/internal/cell"
-	"cellbe/internal/stats"
 )
 
 // SyncIntervals is the synchronization sweep of Figure 10: wait for the
@@ -32,23 +31,14 @@ func SPEPairSync(p Params) (*Result, error) {
 		if every > 0 {
 			label = fmt.Sprintf("every %d", every)
 		}
-		series := stats.NewSeries(label, p.chunkSizes())
-		for _, chunk := range p.chunkSizes() {
-			chunk, every := chunk, every
-			addRuns(p, series, chunk, func(run int) float64 {
-				return runPair(p, run, chunk, cell.PairFigure{SyncEvery: every})
-			})
+		c, err := p.SweepCurve(label, SweepSpec{Scenario: "pair", Chunks: p.chunkSizes(),
+			figure: cell.PairFigure{SyncEvery: every}})
+		if err != nil {
+			return nil, err
 		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
-}
-
-// runPair measures one active/passive SPE pair: SPE0 against the partner
-// and sync interval f selects.
-func runPair(p Params, run, chunk int, f cell.PairFigure) float64 {
-	sc := cell.Scenario{Kind: "pair", Chunk: chunk, Volume: p.BytesPerSPE}
-	return runScenario(p.newSystem(run), sc.WithPairFigure(f))
 }
 
 // SPEPairDistance measures the bandwidth between logical SPE 0 and every
@@ -64,15 +54,16 @@ func SPEPairDistance(p Params) (*Result, error) {
 		XLabel: "partner logical SPE",
 		YLabel: "GB/s",
 	}
-	partners := []int{1, 2, 3, 4, 5, 6, 7}
-	series := stats.NewSeries("16KB elements", partners)
-	for _, b := range partners {
-		b := b
-		addRuns(p, series, b, func(run int) float64 {
-			return runPair(p, run, 16384, cell.PairFigure{Partner: b})
-		})
+	c := Curve{Label: "16KB elements"}
+	for b := 1; b < cell.NumSPEs; b++ {
+		pt, err := p.sweepAt(b, SweepSpec{Scenario: "pair", Chunks: []int{16384},
+			figure: cell.PairFigure{Partner: b}})
+		if err != nil {
+			return nil, err
+		}
+		c.Points = append(c.Points, pt)
 	}
-	res.Curves = append(res.Curves, CurveFromSeries(series))
+	res.Curves = append(res.Curves, c)
 	return res, nil
 }
 
@@ -82,35 +73,7 @@ func SPEPairDistance(p Params) (*Result, error) {
 // flows; physical placement decides how many ring segments collide, which
 // is what spreads the min/max across runs.
 func SPECouples(p Params, list bool) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	kind := "DMA-elem"
-	if list {
-		kind = "DMA-list"
-	}
-	res := &Result{
-		Name:   "spe-couples",
-		Title:  fmt.Sprintf("Couples of SPEs, %s (Figures 12, 13)", kind),
-		XLabel: "element size (bytes)",
-		YLabel: "GB/s",
-	}
-	for _, n := range p.speCounts([]int{2, 4, 8}) {
-		series := stats.NewSeries(fmt.Sprintf("%d SPEs", n), p.chunkSizes())
-		for _, chunk := range p.chunkSizes() {
-			n, chunk := n, chunk
-			addRuns(p, series, chunk, func(run int) float64 {
-				return runCouples(p, run, n, chunk, list)
-			})
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
-	}
-	return res, nil
-}
-
-func runCouples(p Params, run, nSPEs, chunk int, list bool) float64 {
-	return runScenario(p.newSystem(run), cell.Scenario{Kind: "couples", SPEs: nSPEs, Chunk: chunk,
-		Volume: p.BytesPerSPE, List: list})
+	return pairFamily(p, "couples", list, "spe-couples", "Couples of SPEs, %s (Figures 12, 13)")
 }
 
 // SPECycle reproduces Figures 15 and 16: a ring of 2, 4 or 8 SPEs in which
@@ -118,6 +81,12 @@ func runCouples(p Params, run, nSPEs, chunk int, list bool) float64 {
 // than 4 concurrent flows the four EIB rings saturate and aggregate
 // bandwidth falls well below the couples experiment.
 func SPECycle(p Params, list bool) (*Result, error) {
+	return pairFamily(p, "cycle", list, "spe-cycle", "Cycle of SPEs, all active, %s (Figures 15, 16)")
+}
+
+// pairFamily sweeps the couples or cycle scenario over 2, 4 and 8 SPEs,
+// one curve per SPE count; title takes the DMA kind.
+func pairFamily(p Params, scenario string, list bool, name, title string) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -126,25 +95,17 @@ func SPECycle(p Params, list bool) (*Result, error) {
 		kind = "DMA-list"
 	}
 	res := &Result{
-		Name:   "spe-cycle",
-		Title:  fmt.Sprintf("Cycle of SPEs, all active, %s (Figures 15, 16)", kind),
+		Name:   name,
+		Title:  fmt.Sprintf(title, kind),
 		XLabel: "element size (bytes)",
 		YLabel: "GB/s",
 	}
 	for _, n := range p.speCounts([]int{2, 4, 8}) {
-		series := stats.NewSeries(fmt.Sprintf("%d SPEs", n), p.chunkSizes())
-		for _, chunk := range p.chunkSizes() {
-			n, chunk := n, chunk
-			addRuns(p, series, chunk, func(run int) float64 {
-				return runCycle(p, run, n, chunk, list)
-			})
+		c, err := p.SweepCurve(fmt.Sprintf("%d SPEs", n), SweepSpec{Scenario: scenario, SPEs: n, List: list, Chunks: p.chunkSizes()})
+		if err != nil {
+			return nil, err
 		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
-}
-
-func runCycle(p Params, run, nSPEs, chunk int, list bool) float64 {
-	return runScenario(p.newSystem(run), cell.Scenario{Kind: "cycle", SPEs: nSPEs, Chunk: chunk,
-		Volume: p.BytesPerSPE, List: list})
 }

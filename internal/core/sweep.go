@@ -78,6 +78,11 @@ type SweepSpec struct {
 	// Instrumented jobs are also never journaled — a hook is process
 	// state that cannot be re-attached from a file on resume.
 	Instrument func(chunk int, seed int64, sys *cell.System) bool `json:"-"`
+
+	// figure carries the pair-kernel knobs of the paper's figure drivers
+	// (cell.PairFigure). Unexported, so JSON, the CLIs, the journal and
+	// MarshalSpec cannot reach it; pointKey still tells its values apart.
+	figure cell.PairFigure
 }
 
 // MarshalSpec canonicalizes a spec for the write-ahead journal. The
@@ -185,18 +190,20 @@ func (s SweepSpec) scenario(chunk int) cell.Scenario {
 		Kind: s.Scenario, SPEs: s.SPEs, Chunk: chunk, Volume: s.Volume,
 		Op: s.Op, List: s.List, Ring: s.Ring, AddrSeeds: s.AddrSeeds, Pattern: s.Pattern,
 	}
-	return sc.WithDefaultOp()
+	return sc.WithDefaultOp().WithPairFigure(s.figure)
 }
 
 // pointConfig resolves the machine configuration one grid point runs on:
-// the snapshotted base (or the default), with the point's layout and — for
-// faulty sweeps that left FaultSeed unset — the derived fault seed. The
-// base is cloned per point so concurrent workers never share the Layout
-// slice (or any future reference field) through the spec.
-func pointConfig(spec *SweepSpec, seed int64) cell.Config {
+// the base (or the default), with the point's layout and — for faulty
+// configs that left FaultSeed unset — the derived fault seed. It is the
+// one place layout and fault seeds are derived, for sweep points and
+// Params.newSystem's bare systems alike. The base is cloned per point so
+// concurrent workers never share the Layout slice (or any future
+// reference field) through the spec.
+func pointConfig(base *cell.Config, seed int64) cell.Config {
 	cfg := cell.DefaultConfig()
-	if spec.Base != nil {
-		cfg = spec.Base.Clone()
+	if base != nil {
+		cfg = base.Clone()
 	}
 	cfg.Layout = cell.RandomLayout(seed)
 	if cfg.Faults.Enabled() && cfg.FaultSeed == 0 {
@@ -230,7 +237,7 @@ func runPoint(spec *SweepSpec, snap *cell.Snapshot, chunk int, seed int64, attem
 			res.Log = append(res.Log, res.Err.Error())
 		}
 	}()
-	cfg := pointConfig(spec, seed)
+	cfg := pointConfig(spec.Base, seed)
 	if cfg.Faults.Enabled() {
 		cfg.FaultSeed = retryFaultSeed(cfg.FaultSeed, attempt)
 		res.FaultSeed = cfg.FaultSeed

@@ -7,12 +7,6 @@ package core
 // run behind the "Workload library" section of EXPERIMENTS.md: the
 // conformance claims re-check the same shapes at quick volumes.
 
-import (
-	"fmt"
-
-	"cellbe/internal/stats"
-)
-
 // Workloads measures the scenario presets of the pattern interpreter.
 // Each curve is one preset (GUPS at its 8–128 B gather envelope, the
 // others at DMA-stream sizes); volumes are scaled per preset so the
@@ -28,40 +22,25 @@ func Workloads(p Params) (*Result, error) {
 		XLabel: "element size (bytes)",
 		YLabel: "GB/s",
 	}
-	seeds := make([]int64, p.Runs)
-	for i := range seeds {
-		seeds[i] = p.FirstSeed + int64(i)
-	}
+	half := p.BytesPerSPE / 2
 	variants := []struct {
-		label  string
-		spec   SweepSpec
-		volume int64
+		label string
+		spec  SweepSpec
 	}{
-		{"gups both", SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{8, 16, 32, 64, 128}}, p.BytesPerSPE / 16},
-		{"qcd halo", SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{1024, 4096, 16384}}, p.BytesPerSPE / 2},
-		{"md pairs", SweepSpec{Scenario: "md", SPEs: 8, Chunks: []int{512, 4096}}, p.BytesPerSPE / 2},
-		{"stream copy", SweepSpec{Scenario: "stream", SPEs: 8, Op: "copy", Chunks: []int{16384}}, p.BytesPerSPE / 2},
-		{"stream scale", SweepSpec{Scenario: "stream", SPEs: 8, Op: "scale", Chunks: []int{16384}}, p.BytesPerSPE / 2},
-		{"stream add", SweepSpec{Scenario: "stream", SPEs: 8, Op: "add", Chunks: []int{16384}}, p.BytesPerSPE / 2},
-		{"stream triad", SweepSpec{Scenario: "stream", SPEs: 8, Op: "triad", Chunks: []int{4096, 16384}}, p.BytesPerSPE / 2},
+		{"gups both", SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{8, 16, 32, 64, 128}, Volume: p.BytesPerSPE / 16}},
+		{"qcd halo", SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{1024, 4096, 16384}, Volume: half}},
+		{"md pairs", SweepSpec{Scenario: "md", SPEs: 8, Chunks: []int{512, 4096}, Volume: half}},
+		{"stream copy", SweepSpec{Scenario: "stream", SPEs: 8, Op: "copy", Chunks: []int{16384}, Volume: half}},
+		{"stream scale", SweepSpec{Scenario: "stream", SPEs: 8, Op: "scale", Chunks: []int{16384}, Volume: half}},
+		{"stream add", SweepSpec{Scenario: "stream", SPEs: 8, Op: "add", Chunks: []int{16384}, Volume: half}},
+		{"stream triad", SweepSpec{Scenario: "stream", SPEs: 8, Op: "triad", Chunks: []int{4096, 16384}, Volume: half}},
 	}
 	for _, v := range variants {
-		spec := v.spec
-		spec.Seeds = seeds
-		spec.Volume = v.volume
-		spec.Base = p.Base
-		results, err := RunSweep(spec)
+		c, err := p.SweepCurve(v.label, v.spec)
 		if err != nil {
 			return nil, err
 		}
-		series := stats.NewSeries(v.label, spec.Chunks)
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("core: workloads point %s chunk=%d seed=%d: %w", v.label, r.Chunk, r.Seed, r.Err)
-			}
-			series.Add(r.Chunk, r.GBps)
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+		res.Curves = append(res.Curves, c)
 	}
 	return res, nil
 }

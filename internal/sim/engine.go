@@ -174,7 +174,8 @@ func (e *Engine) Reset() {
 func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far (useful for tracing
-// and for asserting that a model stays within an event budget).
+// and for asserting that a model stays within an event budget). Daemon
+// events are not counted: an observer never moves the figure.
 func (e *Engine) Fired() int64 { return e.nfired }
 
 // Scheduled returns the number of events scheduled so far (the engine's
@@ -488,9 +489,10 @@ func (e *Engine) Step() bool {
 	e.npend--
 	if ev.daemon {
 		e.ndaemon--
+	} else {
+		e.nfired++
 	}
 	e.now = ev.at
-	e.nfired++
 	switch {
 	case ev.fn != nil:
 		ev.fn()

@@ -776,3 +776,28 @@ func TestRunUntilSkipsTrailingDaemons(t *testing.T) {
 		t.Fatalf("Now() = %d, want 20", e.Now())
 	}
 }
+
+// TestDaemonTicksNotCounted: Fired counts the model's events only, so a
+// run observed by a periodic daemon reports the same event count as the
+// unobserved run.
+func TestDaemonTicksNotCounted(t *testing.T) {
+	run := func(observe bool) (fired int64, ticks int) {
+		e := NewEngine()
+		for _, at := range []Time{3, 17, 40, 41, 95} {
+			e.At(at, func() {})
+		}
+		if observe {
+			e.EveryDaemon(10, func() { ticks++ })
+		}
+		e.Run()
+		return e.Fired(), ticks
+	}
+	plain, _ := run(false)
+	observed, ticks := run(true)
+	if ticks == 0 {
+		t.Fatal("the daemon never ticked; the comparison proves nothing")
+	}
+	if plain != 5 || observed != plain {
+		t.Fatalf("Fired() = %d unobserved, %d with %d daemon ticks; want 5 both", plain, observed, ticks)
+	}
+}
