@@ -307,38 +307,30 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkSweepWarm measures the same grid as BenchmarkSweep through the
-// warm-clone path in steady state: one snapshot held across all
-// iterations, every grid point stamped onto a recycled arena carcass
-// (CloneFor + RunChecked + Retire). The delta against BenchmarkSweep is
+// arena in steady state: one cell.Arena held across all iterations, every
+// grid point stamped onto a recycled carcass (Boot + RunChecked +
+// Retire). The delta against BenchmarkSweep is
 // the boot-and-teardown overhead the arena removes; allocs/point is the
 // alloc-guarded figure of merit for the stamped path.
 func BenchmarkSweepWarm(b *testing.B) {
 	chunks := []int{1024, 4096}
 	seeds := []int64{1, 2, 3}
-	tpl := cell.New(cell.DefaultConfig())
-	sc := cell.Scenario{Kind: "cycle", SPEs: 8, Chunk: chunks[0], Volume: 128 << 10}
-	if _, err := sc.Install(tpl); err != nil {
-		b.Fatal(err)
-	}
-	snap, err := tpl.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap.Retire(tpl)
+	var arena cell.Arena
+	defer arena.Release()
 	runGrid := func() float64 {
 		n := 0.0
 		for _, c := range chunks {
 			for _, sd := range seeds {
-				cfg := snap.Config()
+				cfg := cell.DefaultConfig()
 				cfg.Layout = cell.RandomLayout(sd)
-				sys, _, err := snap.CloneFor(cfg, c)
+				sys, _, err := arena.Boot(cfg, cell.Scenario{Kind: "cycle", SPEs: 8, Chunk: c, Volume: 128 << 10})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if err := sys.RunChecked(0); err != nil {
 					b.Fatal(err)
 				}
-				snap.Retire(sys)
+				arena.Retire(sys)
 				n++
 			}
 		}

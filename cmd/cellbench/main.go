@@ -276,12 +276,13 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 		Base:     base,
 	}
 
-	// Instrument exactly the first grid point. The tracer and sampler are
+	// Instrument exactly the first grid point; the hook sees its
+	// installed System before the first event. The tracer and sampler are
 	// owned by that point's worker until RunSweep returns; we only read
 	// them afterwards, so no synchronization beyond RunSweep's own join is
 	// needed. Only the instrumented point's System is retained (return
-	// true); every other grid point returns false so its pooled LS
-	// buffers recycle exactly as in an uninstrumented sweep.
+	// true); every other grid point returns false so its System goes
+	// back to the arena exactly as in an uninstrumented sweep.
 	var tracer *trace.Tracer
 	var sampler *trace.Sampler
 	var perfSys *cell.System

@@ -136,9 +136,10 @@ func main() {
 	// validation happens up front (a bad -chunk fails with a clear
 	// message), and a wedged or panicking simulation comes back as a
 	// structured per-point diagnostic instead of killing the process. The
-	// Instrument hook attaches the tracer and the metrics sampler, and
-	// returns true to retain the System: all the machine-level reporting
-	// below reads it after the run.
+	// Instrument hook sees the installed System before its first event:
+	// it attaches the tracer and the metrics sampler, and returns true to
+	// retain the System, since all the machine-level reporting below
+	// reads it after the run.
 	var sys *cell.System
 	spec := core.SweepSpec{
 		Scenario:  *scenario,

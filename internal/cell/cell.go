@@ -132,8 +132,8 @@ type System struct {
 	// fabs holds each logical SPE's routing fabric so a recycled system
 	// can rebind ramps for a new layout without rebuilding the SPEs.
 	fabs [NumSPEs]*fabric
-	// scen records the installed scenario (zero Kind = none yet); the
-	// snapshot layer replays it into clones.
+	// scen records the installed scenario (zero Kind = none yet); a
+	// Snapshot captures it for its clones.
 	scen Scenario
 }
 
@@ -179,12 +179,13 @@ func New(cfg Config) *System {
 }
 
 // init wires s for cfg. On a zero System it performs the cold boot New
-// always did; on a recycled carcass (the Snapshot arena path) it resets
-// and rebinds the components already present, keeping every allocation
-// they grew — the engine's timing wheel, the EIB's interval timelines,
-// the MFC queues and the local stores (re-zeroed over their dirty spans
-// only). Either way the result must be observationally identical to a
-// cold boot: the differential clone-vs-cold tests pin this.
+// always did; on a recycled carcass (Arena.Boot) it resets and rebinds
+// the components already present, whatever Config and scenario they last
+// ran, keeping every allocation they grew — the engine's timing wheel,
+// the EIB's interval timelines, the MFC queues and the local stores
+// (re-zeroed over their dirty spans only). Either way the result must be
+// observationally identical to a cold boot: the arena differential tests
+// pin this.
 func (s *System) init(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())

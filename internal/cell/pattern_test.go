@@ -162,35 +162,6 @@ func TestStreamOpTraffic(t *testing.T) {
 	}
 }
 
-// TestWorkloadsNotSnapshottable declares the whole workload library
-// cold-path: Snapshottable must report false and snapshot capture must
-// fail with ErrNotSnapshottable for every kind, so sweeps fall back to
-// per-point cold boots without booting a template (proven by
-// TestWorkloadSweepColdFallback in internal/core).
-func TestWorkloadsNotSnapshottable(t *testing.T) {
-	for _, sc := range []Scenario{
-		{Kind: "gups", SPEs: 2, Chunk: 64, Volume: 1 << 10, Op: "both"},
-		{Kind: "qcd", SPEs: 2, Chunk: 1024, Volume: 16 << 10},
-		{Kind: "md", SPEs: 2, Chunk: 512, Volume: 16 << 10},
-		{Kind: "stream", SPEs: 2, Chunk: 4096, Volume: 16 << 10, Op: "copy"},
-		{Kind: "pattern", SPEs: 2, Chunk: 256, Pattern: &Pattern{
-			Phases: []Phase{{Access: "seq", Op: "get", Bytes: 4096}}, Region: 4096,
-		}},
-	} {
-		if sc.Snapshottable() {
-			t.Errorf("%s: Snapshottable() = true, want false", sc.Kind)
-		}
-		sys := New(DefaultConfig())
-		if _, err := sc.Install(sys); err != nil {
-			t.Fatalf("%s: install: %v", sc.Kind, err)
-		}
-		if _, err := sys.Snapshot(); !errors.Is(err, ErrNotSnapshottable) {
-			t.Errorf("%s: snapshot err = %v, want ErrNotSnapshottable", sc.Kind, err)
-		}
-		sys.Release()
-	}
-}
-
 // TestGUPSAddrSeedsChangeStreams: distinct address seeds must actually
 // produce distinct address streams (different bank traffic mixes), or
 // the seed-permutation metamorphic invariant would be vacuous.

@@ -53,7 +53,7 @@ type lane struct {
 // advancing a kernel is a method call on a pooled record, not a pair of
 // coroutine switches per park/activate. Being a plain record rather than
 // a parked coroutine is also what lets a finished run's System be reset
-// and reused (see Snapshot).
+// and reused (see Arena).
 type dmaStream struct {
 	lane
 

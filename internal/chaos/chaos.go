@@ -443,7 +443,10 @@ func Run(dir string, sch Schedule) (*Report, error) {
 	}
 
 	// Invariant: the resumed job finished, so a third boot sees nothing
-	// to resume — crash-exactly-once semantics.
+	// to resume — crash-exactly-once semantics. The journal closes after
+	// the scheduler (SchedOptions.Journal): the results channel closes
+	// before the worker appends the done record.
+	s2.Close()
 	if err := jr2.Close(); err != nil {
 		rep.violate("closing journal after resume: %v", err)
 	}

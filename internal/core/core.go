@@ -9,8 +9,9 @@
 // Every SPE figure is a grid of DMA element sizes x sampled
 // logical-to-physical SPE layouts (the paper's 10 repeated runs), so it
 // runs as a SweepSpec on the sweep scheduler (Params.Sweep) — the path
-// cellbench -sweep, cellsim and cellserve take, warm clones and watchdog
-// included. The PPE figures and the application kernels drive coroutines
+// cellbench -sweep, cellsim and cellserve take, with its one boot path
+// (every point boots onto a recycled carcass of the scheduler's
+// cell.Arena) and its watchdog. The PPE figures and the application kernels drive coroutines
 // on bare systems (Params.newSystem). Every experiment reports bandwidth
 // curves with min/max/median/average summaries.
 package core

@@ -347,6 +347,9 @@ func TestSchedulerJournalAndResume(t *testing.T) {
 	}
 
 	// The resumed job finished, so a third boot has nothing to resume.
+	// The journal closes after the scheduler (SchedOptions.Journal): the
+	// results channel closes before the worker appends the done record.
+	s2.Close()
 	jr2.Close()
 	jr3, st3, err := journal.Open(dir, journal.Options{})
 	if err != nil {

@@ -46,7 +46,8 @@ func LayoutTimeline(p Params) (*Result, error) {
 	}
 
 	// Each rerun is a one-point sweep whose Instrument hook arms the
-	// sampler and keeps the System for it to read.
+	// sampler on the installed System, before its first event, and keeps
+	// the System for the sampler to read.
 	rerun := func(seed int64) (*trace.Timeseries, error) {
 		var sampler *trace.Sampler
 		one := spec

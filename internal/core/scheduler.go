@@ -104,7 +104,11 @@ type Scheduler struct {
 
 	sims    atomic.Int64 // points actually simulated (cache hits excluded)
 	pending atomic.Int64 // grid points admitted but not yet delivered or skipped
-	warm    atomic.Int64 // points stamped from a warm snapshot instead of cold-booted
+
+	// arena is the one boot path: every simulated point boots onto one of
+	// its carcasses and retires it afterwards, across jobs. Each worker
+	// holds at most one carcass at a time, so at most Workers are live.
+	arena cell.Arena
 
 	perfMu sync.Mutex
 	perf   perfctr.Rollup // counter totals over every delivered point
@@ -165,6 +169,7 @@ func (s *Scheduler) Close() {
 	s.feedWG.Wait()
 	close(s.tasks)
 	s.workWG.Wait()
+	s.arena.Release()
 }
 
 // SubmitOptions carries submission metadata beyond the spec itself.
@@ -440,19 +445,15 @@ func (s *Scheduler) attemptPoint(j *Job, pt gridPoint, attempt int) SweepResult 
 			return SweepResult{Chunk: pt.chunk, Seed: pt.seed, Err: err, Log: []string{err.Error()}}
 		}
 	}
-	snap := j.snapshot()
-	if snap != nil {
-		s.warm.Add(1)
-	}
-	res := runPoint(&j.spec, snap, pt.chunk, pt.seed, attempt)
+	res := runPoint(&j.spec, &s.arena, pt.chunk, pt.seed, attempt)
 	s.sims.Add(1)
 	return res
 }
 
-// WarmPoints reports how many grid points were stamped from a warm
-// snapshot (recycled arena carcass or shared warm ancestor) instead of
-// cold-booting a System — the /metrics observability for the clone path.
-func (s *Scheduler) WarmPoints() int64 { return s.warm.Load() }
+// WarmPoints reports how many grid points booted onto a recycled arena
+// carcass instead of a new System — the /metrics observability for the
+// arena.
+func (s *Scheduler) WarmPoints() int64 { return s.arena.Recycled() }
 
 // release retires a finished job: frees its admission slot and prunes the
 // oldest finished jobs beyond KeepJobs.
@@ -520,14 +521,6 @@ type Job struct {
 	cancel  context.CancelFunc
 	results chan PointResult
 
-	// snap is the job's warm ancestor: one installed-but-never-run System
-	// captured as a cell.Snapshot, from which every grid point is forked
-	// (CloneFor) instead of cold-booted. Built lazily by the first worker
-	// to simulate a point; nil when the scenario is not Snapshottable or
-	// the job is instrumented.
-	snapOnce sync.Once
-	snap     *cell.Snapshot
-
 	mu        sync.Mutex
 	started   bool
 	delivered int
@@ -581,43 +574,6 @@ func (j *Job) Status() JobStatus {
 		st.State = JobRunning
 	}
 	return st
-}
-
-// snapshot returns the job's warm ancestor, building it on first use: a
-// template System is booted once, the scenario installed, and the
-// install-boundary state captured. Grid points then fork from it with
-// per-point configs (layout, fault seed) and chunk sizes. Jobs whose
-// scenario is not Snapshottable — and instrumented jobs, whose hook must
-// see the System before the scenario installs — return nil without
-// booting a template and run every point through the cold path.
-func (j *Job) snapshot() *cell.Snapshot {
-	j.snapOnce.Do(func() {
-		if j.spec.Instrument != nil || len(j.spec.Chunks) == 0 || len(j.spec.Seeds) == 0 {
-			return
-		}
-		sc := j.spec.scenario(j.spec.Chunks[0])
-		if !sc.Snapshottable() {
-			return
-		}
-		// A hostile Base config makes cell.New panic; leave snap nil and
-		// let the cold path contain the same panic per-point, exactly as
-		// it did before the warm path existed.
-		defer func() { _ = recover() }()
-		sys := cell.New(pointConfig(j.spec.Base, j.spec.Seeds[0]))
-		if _, err := sc.Install(sys); err != nil {
-			sys.Release()
-			return
-		}
-		snap, err := sys.Snapshot()
-		if err != nil {
-			sys.Release()
-			return
-		}
-		// The template itself becomes the arena's first carcass.
-		snap.Retire(sys)
-		j.snap = snap
-	})
-	return j.snap
 }
 
 func (j *Job) markStarted() {

@@ -201,11 +201,12 @@ func TestSubmitSnapshotsBaseConfig(t *testing.T) {
 }
 
 // TestInstrumentedSweepReleasesLSBuffers is the leak regression test for
-// the Instrument retention contract: a sweep whose hook retains nothing
-// must give back every local-store buffer its points acquired, exactly
-// like an uninstrumented sweep, instead of leaking 8 buffers per grid
-// point. It counts outstanding buffers at the spe acquire and Release
-// sites, so the verdict does not depend on what sync.Pool retains.
+// the arena and the Instrument retention contract: a sweep — plain, or
+// with a hook that retains nothing — must give back every local-store
+// buffer its points acquired once its scheduler closes, instead of
+// dropping its recycled carcasses with 8 buffers each. It counts
+// outstanding buffers at the spe acquire and Release sites, so the
+// verdict does not depend on what sync.Pool retains.
 func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
 	spec := SweepSpec{
 		Scenario: "cycle",
@@ -226,6 +227,14 @@ func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3} {
+		plain := spec
+		plain.Workers = workers
+		for i := 0; i < 3; i++ {
+			if n := outstanding(plain); n != 0 {
+				t.Fatalf("warm sweep (%d workers, run %d) left %d LS buffers outstanding, want 0: arena carcasses are leaking",
+					workers, i, n)
+			}
+		}
 		instrumented := spec
 		instrumented.Workers = workers
 		instrumented.Instrument = func(int, int64, *cell.System) bool { return false }
@@ -254,6 +263,66 @@ func TestInstrumentedSweepReleasesLSBuffers(t *testing.T) {
 	}
 	if n := before - spe.LiveLocalStores(); n != int64(len(kept)*cell.NumSPEs) {
 		t.Fatalf("releasing the %d retained systems returned %d LS buffers, want %d", len(kept), n, len(kept)*cell.NumSPEs)
+	}
+}
+
+// TestSchedulerArenaBoundsLiveStores: a long-lived scheduler serving
+// many one-point jobs keeps at most one carcass per worker alive, reused
+// across jobs, and gives every local store back when it closes.
+func TestSchedulerArenaBoundsLiveStores(t *testing.T) {
+	const workers = 2
+	before := spe.LiveLocalStores()
+	s := NewScheduler(SchedOptions{Workers: workers})
+	for i := 0; i < 20; i++ {
+		j, err := s.Submit(context.Background(), SweepSpec{
+			Scenario: "cycle", SPEs: 8, Chunks: []int{4096}, Seeds: []int64{int64(i)}, Volume: 16 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range drainJob(j) {
+			if r.Err != nil {
+				t.Fatalf("job %d: %v", i, r.Err)
+			}
+		}
+		if n := spe.LiveLocalStores() - before; n > workers*cell.NumSPEs {
+			t.Fatalf("after job %d: %d LS buffers live, want at most %d (one carcass per worker)", i, n, workers*cell.NumSPEs)
+		}
+	}
+	if s.WarmPoints() < 20-workers {
+		t.Errorf("WarmPoints() = %d of 20 one-point jobs, want carcasses reused across jobs", s.WarmPoints())
+	}
+	s.Close()
+	if n := spe.LiveLocalStores() - before; n != 0 {
+		t.Fatalf("closed scheduler left %d LS buffers outstanding, want 0", n)
+	}
+}
+
+// TestWarmPointsCountsRecycledBoots: WarmPoints counts the points booted
+// onto a recycled carcass — every point after the first on one worker —
+// and not a boot whose install failed.
+func TestWarmPointsCountsRecycledBoots(t *testing.T) {
+	s := NewScheduler(SchedOptions{Workers: 1})
+	defer s.Close()
+	run := func(spec SweepSpec) []PointResult {
+		j, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drainJob(j)
+	}
+	run(SweepSpec{Scenario: "pair", Chunks: []int{1024, 4096}, Seeds: []int64{0, 1, 2}, Volume: 16 << 10})
+	if got := s.WarmPoints(); got != 5 {
+		t.Fatalf("WarmPoints() = %d after 6 points on one worker, want 5", got)
+	}
+	// 8 SPEs x 128 MiB overflows the 512 MiB of simulated RAM at install.
+	for _, r := range run(SweepSpec{Scenario: "mem", SPEs: 8, Op: "get", Chunks: []int{4096}, Seeds: []int64{0}, Volume: 128 << 20}) {
+		if r.Err == nil {
+			t.Fatal("oversized mem point installed")
+		}
+	}
+	if got := s.WarmPoints(); got != 5 {
+		t.Fatalf("WarmPoints() = %d after a failed install, want 5", got)
 	}
 }
 

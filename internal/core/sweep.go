@@ -61,18 +61,19 @@ type SweepSpec struct {
 	Base *cell.Config
 	// MaxCycles is the watchdog budget per grid point (0 = unlimited).
 	MaxCycles sim.Time
-	// Instrument, when set, runs against each grid point's freshly built
-	// System before the scenario installs — the hook cellbench uses to
-	// attach a tracer or metrics sampler to one chosen point. It executes
-	// on a worker goroutine: an Instrument that touches shared state must
-	// target a single (chunk, seed) point, or synchronize.
+	// Instrument, when set, runs against each grid point's System once
+	// the scenario is installed and before its first event fires — the
+	// hook cellbench uses to attach a tracer or metrics sampler to one
+	// chosen point. It executes on a worker goroutine: an Instrument that
+	// touches shared state must target a single (chunk, seed) point, or
+	// synchronize.
 	//
 	// The return value is the retention contract: return true to keep the
 	// System alive past the point's lifetime (tracers and samplers read it
-	// after the sweep joins) — its pooled buffers are then never recycled.
-	// Return false and the scheduler releases the System exactly as it
+	// after the sweep joins) — it then never goes back to the arena.
+	// Return false and the scheduler retires the System exactly as it
 	// does for uninstrumented points, so instrumenting one grid point does
-	// not leak the local-store buffers of every other point in the grid.
+	// not cost the other points of the grid their recycled carcasses.
 	// Jobs with an Instrument hook bypass the result cache: a memoized
 	// point would skip the simulation the hook exists to observe.
 	// Instrumented jobs are also never journaled — a hook is process
@@ -216,16 +217,15 @@ func pointConfig(base *cell.Config, seed int64) cell.Config {
 
 // runPoint simulates one grid point; attempt is 0 for the first try and
 // counts up on retries, where it deterministically re-rolls the fault
-// stream (see retryFaultSeed). When snap is non-nil the point is forked
-// from the job's warm ancestor — stamped onto a recycled arena carcass
-// with the point's own layout, fault seed and chunk — and the carcass is
-// retired back to the arena afterwards; results are bit-identical to the
-// cold path (pinned by the clone-vs-cold differential tests). Any
-// failure — an install error, a watchdog deadlock, or a panic anywhere
-// inside the simulation — is contained to this point's Err so one bad
-// point cannot kill the sweep (or, worse, a worker goroutine and with it
-// the whole process).
-func runPoint(spec *SweepSpec, snap *cell.Snapshot, chunk int, seed int64, attempt int) (res SweepResult) {
+// stream (see retryFaultSeed). The point boots onto a carcass of the
+// scheduler's arena with its own layout, fault seed and chunk, and the
+// carcass is retired back afterwards unless the Instrument hook kept the
+// System; results are bit-identical to a cold boot (pinned by the
+// arena differential tests). Any failure — an install error, a watchdog
+// deadlock, or a panic anywhere inside the simulation — is contained to
+// this point's Err so one bad point cannot kill the sweep (or, worse, a
+// worker goroutine and with it the whole process).
+func runPoint(spec *SweepSpec, arena *cell.Arena, chunk int, seed int64, attempt int) (res SweepResult) {
 	res = SweepResult{Chunk: chunk, Seed: seed}
 	defer func() {
 		if r := recover(); r != nil {
@@ -242,40 +242,20 @@ func runPoint(spec *SweepSpec, snap *cell.Snapshot, chunk int, seed int64, attem
 		cfg.FaultSeed = retryFaultSeed(cfg.FaultSeed, attempt)
 		res.FaultSeed = cfg.FaultSeed
 	}
-	var sys *cell.System
-	var total int64
-	if snap != nil {
-		var err error
-		sys, total, err = snap.CloneFor(cfg, chunk)
-		if err != nil {
-			res.Err = err
-			res.Log = append(res.Log, err.Error())
-			return res
-		}
-		// Teardown is a pointer-reset, not a garbage collection: the
-		// carcass goes back to the arena for the next point to stamp.
-		// init fully re-stamps it (counter block included), so retiring
-		// after a deadlock or panic is safe.
-		defer snap.Retire(sys)
-	} else {
-		sys = cell.New(cfg)
-		retained := false
-		if spec.Instrument != nil {
-			retained = spec.Instrument(chunk, seed, sys)
-		}
-		if !retained {
-			// The system dies with this point, so recycle its buffers. An
-			// Instrument hook opts out per point by returning true: it kept
-			// the system (tracers, samplers) past the point's lifetime.
-			defer sys.Release()
-		}
-		var err error
-		total, err = spec.scenario(chunk).Install(sys)
-		if err != nil {
-			res.Err = err
-			res.Log = append(res.Log, err.Error())
-			return res
-		}
+	sys, total, err := arena.Boot(cfg, spec.scenario(chunk))
+	if err != nil {
+		res.Err = err
+		res.Log = append(res.Log, err.Error())
+		return res
+	}
+	// Teardown is a pointer-reset, not a garbage collection: the carcass
+	// goes back to the arena for the next point to stamp. init fully
+	// re-stamps it (counter block included), so retiring after a deadlock
+	// or panic is safe. An Instrument hook opts out per point by returning
+	// true: it kept the System (tracers, samplers) past the point's
+	// lifetime.
+	if spec.Instrument == nil || !spec.Instrument(chunk, seed, sys) {
+		defer arena.Retire(sys)
 	}
 	if err := sys.RunChecked(spec.MaxCycles); err != nil {
 		res.Err = err

@@ -1,16 +1,12 @@
 package core
 
 // Sweep-path coverage for the workload library (gups, qcd, md, stream).
-// The pattern interpreter is a coroutine kernel, so these kinds are
-// declared cold-path: System.Snapshot refuses them with
-// ErrNotSnapshottable and the scheduler's Job.snapshot() falls back to
-// booting every grid point from scratch. The tests here pin both halves
-// of that contract — the refusal is typed, and the fallback produces
-// exactly what a hand-rolled cold loop produces — plus the allocation
-// discipline of the cold interpreter itself.
+// These kinds boot through the scheduler's arena like every other kind;
+// the tests here pin that a sweep produces exactly what a hand-rolled
+// cold loop produces, plus the allocation discipline of the pattern
+// interpreter itself.
 
 import (
-	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -29,30 +25,15 @@ func workloadSweepSpecs() []SweepSpec {
 	}
 }
 
-// TestWorkloadSweepColdFallback is the clone-vs-cold differential for the
-// pattern family: every workload kind must (a) refuse to snapshot with a
-// typed ErrNotSnapshottable, and (b) sweep through the scheduler — which
-// hits that refusal and silently downgrades the job to per-point cold
-// boots — with results identical to a manual cold loop over the same
-// grid. If someone later makes the interpreter snapshottable, (a) fails
-// and the differential in snapshot_test.go takes over; if the fallback
-// breaks, (b) fails.
-func TestWorkloadSweepColdFallback(t *testing.T) {
+// TestWorkloadSweepMatchesColdLoop is the sweep-vs-cold differential
+// for the pattern family: a scheduler sweep, whose points boot onto
+// recycled arena carcasses, must equal a manual cold loop over the same
+// grid.
+func TestWorkloadSweepMatchesColdLoop(t *testing.T) {
 	for _, spec := range workloadSweepSpecs() {
 		spec := spec
 		t.Run(spec.Scenario, func(t *testing.T) {
 			t.Parallel()
-			// (a) The kind is really cold-path: the snapshot gate refuses it.
-			tpl := cell.New(cell.DefaultConfig())
-			defer tpl.Release()
-			if _, err := spec.scenario(spec.Chunks[0]).Install(tpl); err != nil {
-				t.Fatalf("install template: %v", err)
-			}
-			if _, err := tpl.Snapshot(); !errors.Is(err, cell.ErrNotSnapshottable) {
-				t.Fatalf("Snapshot(%s) = %v, want ErrNotSnapshottable", spec.Scenario, err)
-			}
-
-			// (b) The scheduler sweep equals the hand-rolled cold loop.
 			results, err := RunSweep(spec)
 			if err != nil {
 				t.Fatalf("sweep: %v", err)
@@ -92,12 +73,10 @@ func TestWorkloadSweepColdFallback(t *testing.T) {
 	}
 }
 
-// TestColdSweepLeaksNoGoroutines: a cold-path job must not boot a warm
-// template. A template System of a coroutine-kernel scenario spawns its
-// kernels at Install, parked on their first activation; if the job then
-// discards it unrun, those goroutines (and the System they reference)
-// live forever. Ten gups sweeps after a warm-up must leave the goroutine
-// count where it was.
+// TestColdSweepLeaksNoGoroutines: coroutine-kernel sweeps must not leave
+// goroutines behind — not the workers, and not the carriers of the
+// kernels their points ran. Ten gups sweeps after a warm-up must leave
+// the goroutine count where it was.
 func TestColdSweepLeaksNoGoroutines(t *testing.T) {
 	spec := SweepSpec{Scenario: "gups", SPEs: 4, Op: "both", Chunks: []int{8, 64}, Seeds: []int64{0, 3}, Volume: 16 << 10}
 	if _, err := RunSweep(spec); err != nil {

@@ -24,6 +24,7 @@ package mfc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"cellbe/internal/fault"
@@ -279,9 +280,10 @@ type MFC struct {
 
 	// SPU-queue occupancy histogram: occHist[n] accumulates the simulated
 	// cycles the queue spent holding exactly n commands (n = 0..QueueDepth),
-	// advanced lazily at each occupancy transition. occLast is the time of
-	// the last transition. The histogram is observational only — it never
-	// feeds back into timing — and costs one add per enqueue/complete.
+	// advanced lazily at each occupancy transition, and empty until the
+	// first one. occLast is the time of the last transition. The
+	// histogram is observational only — it never feeds back into timing —
+	// and costs one add per enqueue/complete.
 	occHist []sim.Time
 	occLast sim.Time
 }
@@ -340,8 +342,11 @@ func (m *MFC) QueueOccupancy() int { return m.spuQueue }
 // occAdvance charges the cycles since the last occupancy transition to the
 // level the queue is leaving, then moves the accounting cursor to now.
 func (m *MFC) occAdvance(level int) {
-	if m.occHist == nil {
-		m.occHist = make([]sim.Time, m.cfg.QueueDepth+1)
+	if len(m.occHist) == 0 {
+		// First transition since New or Reset.
+		n := m.cfg.QueueDepth + 1
+		m.occHist = slices.Grow(m.occHist, n)[:n]
+		clear(m.occHist)
 	}
 	now := m.eng.Now()
 	m.occHist[level] += now - m.occLast
@@ -356,7 +361,7 @@ func (m *MFC) occAdvance(level int) {
 func (m *MFC) OccupancyHist() []sim.Time {
 	out := make([]sim.Time, m.cfg.QueueDepth+1)
 	copy(out, m.occHist)
-	if m.occHist != nil {
+	if len(m.occHist) > 0 {
 		out[m.spuQueue] += m.eng.Now() - m.occLast
 	}
 	return out
@@ -372,11 +377,9 @@ func (m *MFC) Reset(fabric Fabric, ls []byte, cfg Config) {
 	if cfg.QueueDepth <= 0 || cfg.Window <= 0 || cfg.ListWindow <= 0 {
 		panic("mfc: invalid config")
 	}
-	if cfg.QueueDepth != m.cfg.QueueDepth {
-		m.occHist = nil
-	} else {
-		clear(m.occHist)
-	}
+	// An MFC untouched since Reset must read like a fresh one: all-zero
+	// histogram, not its whole run charged to level 0.
+	m.occHist = m.occHist[:0]
 	m.fabric, m.ls, m.cfg = fabric, ls, cfg
 	m.faults, m.tracer = nil, nil
 	m.traceSPE = 0

@@ -3,6 +3,7 @@ package mfc
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -384,5 +385,45 @@ func TestPerCommandSetupCostDominatesSmall(t *testing.T) {
 	big := run(1, 16384)
 	if small < 3*big {
 		t.Fatalf("128x128B (%d cycles) should be much slower than 1x16KB (%d cycles)", small, big)
+	}
+}
+
+// TestResetIdleOccupancyLikeFresh: an MFC used in one run, Reset, and
+// left idle through the next must report the all-zero occupancy
+// histogram a fresh MFC reports, not charge the whole idle run to level
+// 0. A recycled system whose next scenario leaves this SPE untouched
+// depends on it.
+func TestResetIdleOccupancyLikeFresh(t *testing.T) {
+	eng, fab, m, ls := newMFC(100)
+	if err := m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 4096, Size: 1024}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	if h := m.OccupancyHist(); h[0]+h[1] == 0 {
+		t.Fatalf("used MFC histogram %v is empty", h)
+	}
+
+	eng.Reset()
+	m.Reset(fab, ls, DefaultConfig())
+	eng.At(5000, func() {}) // the next run advances time without this MFC
+	eng.Run()
+	fresh := New(eng, fab, ls, DefaultConfig()).OccupancyHist()
+	if got := m.OccupancyHist(); !reflect.DeepEqual(got, fresh) {
+		t.Fatalf("idle MFC after Reset: histogram %v, fresh MFC %v", got, fresh)
+	}
+
+	// Touched again after Reset, it counts from the reset clock on.
+	eng.Reset()
+	m.Reset(fab, ls, DefaultConfig())
+	if err := m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 4096, Size: 1024}, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	var sum sim.Time
+	for _, c := range m.OccupancyHist() {
+		sum += c
+	}
+	if sum != eng.Now() {
+		t.Fatalf("reused MFC histogram sums to %d cycles, run took %d", sum, eng.Now())
 	}
 }

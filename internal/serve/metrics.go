@@ -36,7 +36,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("cellserve_cache_misses_total", "Result cache misses.", cs.Misses)
 	counter("cellserve_cache_evictions_total", "Result cache LRU evictions.", cs.Evictions)
 	counter("cellserve_simulations_total", "Grid points actually simulated (cache hits excluded).", cs.Simulations)
-	counter("cellserve_warm_points_total", "Grid points stamped from a warm snapshot (recycled arena carcass) instead of cold-booted.", s.sched.WarmPoints())
+	counter("cellserve_warm_points_total", "Grid points booted onto a recycled arena carcass instead of a new System.", s.sched.WarmPoints())
 
 	if s.opts.Journal != nil {
 		h := s.opts.Journal.Health()

@@ -146,10 +146,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("no time-weighted MFC occupancy series emitted")
 	}
 
-	// Every point of the cycle sweep is snapshot-capable, so all of them
-	// must have been stamped from the warm arena.
-	if got := values["cellserve_warm_points_total"]; got != 4 {
-		t.Errorf("cellserve_warm_points_total = %v, want 4", got)
+	// Only boots onto a recycled carcass count. The scheduler's first
+	// boot always builds a new System, and its 4 workers build at most 4,
+	// so 0 to 3 of the 4 simulated points were recycled.
+	if got := values["cellserve_warm_points_total"]; got < 0 || got > 3 {
+		t.Errorf("cellserve_warm_points_total = %v, want 0..3", got)
 	}
 }
 

@@ -144,7 +144,7 @@ func NewEngine() *Engine {
 // Reset returns the engine to its NewEngine state while keeping every
 // allocation it has grown — the wheel's per-bucket event slices, the
 // staged batch and the hook slices. It exists for warm-system recycling
-// (cell.Snapshot): a reset engine must be observationally identical to a
+// (cell.Arena): a reset engine must be observationally identical to a
 // fresh one, including the sequence counter, so a rerun schedules the same
 // events with the same (at, seq) keys and replays cycle-for-cycle.
 func (e *Engine) Reset() {

@@ -90,12 +90,12 @@ func TestSweepThroughputSmoke(t *testing.T) {
 	t.Logf("sweep throughput %.1f point/s (baseline %.1f)", got, base)
 }
 
-// TestSweepWarmAllocGuard pins the warm-clone path's steady-state
-// allocation budget: stamping and running a grid point from a recycled
-// arena carcass must stay at the few dozen allocations the SweepWarm
-// baseline recorded. Any per-command, per-packet or per-reset allocation
-// sneaking back into the clone path trips this immediately (a point
-// moves hundreds of DMA commands).
+// TestSweepWarmAllocGuard pins the arena's steady-state allocation
+// budget: stamping and running a grid point on a recycled carcass must
+// stay at the few dozen allocations the SweepWarm baseline recorded. Any
+// per-command, per-packet or per-reset allocation sneaking back into the
+// boot path trips this immediately (a point moves hundreds of DMA
+// commands).
 func TestSweepWarmAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full warm grid: skipped in -short mode")
@@ -103,30 +103,23 @@ func TestSweepWarmAllocGuard(t *testing.T) {
 	base := benchBaseline(t, "SweepWarm", "allocs/point")
 
 	spec := sweepBenchSpec()
-	tpl := cell.New(cell.DefaultConfig())
-	sc := cell.Scenario{Kind: spec.Scenario, SPEs: spec.SPEs, Chunk: spec.Chunks[0], Volume: spec.Volume}
-	if _, err := sc.Install(tpl); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := tpl.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Retire(tpl)
+	var arena cell.Arena
+	defer arena.Release()
 	gridPoints := float64(len(spec.Chunks) * len(spec.Seeds))
 	runGrid := func() {
 		for _, c := range spec.Chunks {
 			for _, sd := range spec.Seeds {
-				cfg := snap.Config()
+				cfg := cell.DefaultConfig()
 				cfg.Layout = cell.RandomLayout(sd)
-				sys, _, err := snap.CloneFor(cfg, c)
+				sc := cell.Scenario{Kind: spec.Scenario, SPEs: spec.SPEs, Chunk: c, Volume: spec.Volume}
+				sys, _, err := arena.Boot(cfg, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sys.RunChecked(0); err != nil {
 					t.Fatal(err)
 				}
-				snap.Retire(sys)
+				arena.Retire(sys)
 			}
 		}
 	}
