@@ -10,11 +10,12 @@ import (
 // TestFigureGoldens pins every per-run sample of the figure experiments,
 // byte for byte: the SHA-256 of the JSON-encoded samples of each
 // experiment at a small fixed grid. The SPE-DMA figures run two layouts at
-// 256 KiB per SPE and five DMA element sizes; the PPE and workload figures
-// run two layouts at 256 KiB per SPE, 64 KiB of PPE memory traffic and two
-// access widths. Any change to the kernels' event order, command stream,
-// memory path or byte accounting moves a hash; a change that keeps the
-// model exact keeps all of them.
+// 256 KiB per SPE and five DMA element sizes; the PPE, workload, SPU
+// local-store and coroutine-kernel figures run two layouts at 256 KiB per
+// SPE, 64 KiB of PPE memory traffic and two access widths. Any change to
+// the kernels' event order, command stream, memory path or byte
+// accounting moves a hash; a change that keeps the model exact keeps all
+// of them.
 func TestFigureGoldens(t *testing.T) {
 	speGoldens := map[string]string{
 		"spe-mem-get":       "f5655862211290559f297e5344b4dd954808b1fc24c7b379900527f2d469107d",
@@ -36,10 +37,16 @@ func TestFigureGoldens(t *testing.T) {
 	checkFigureGoldens(t, speParams, speGoldens)
 
 	memGoldens := map[string]string{
-		"ppe-l1":    "d6463e2b270c19671667ae347e1b37ba9f1d493ba76eac022a2883cec5e227e5",
-		"ppe-l2":    "df580d8e96fd0917b671052ecdb0dbcb1f5c5adc1f6e2f92559ae429336df6d6",
-		"ppe-mem":   "824d5b00ac1e3790780e5059904052d40e91a5632c8ed1554e1fb1f6c9b2bcc9",
-		"workloads": "bc1995072a2c1f3b327438b72e77d9c8e9407bf55337635b02ca428f7cae99d6",
+		"ppe-l1":      "d6463e2b270c19671667ae347e1b37ba9f1d493ba76eac022a2883cec5e227e5",
+		"ppe-l2":      "df580d8e96fd0917b671052ecdb0dbcb1f5c5adc1f6e2f92559ae429336df6d6",
+		"ppe-mem":     "824d5b00ac1e3790780e5059904052d40e91a5632c8ed1554e1fb1f6c9b2bcc9",
+		"workloads":   "bc1995072a2c1f3b327438b72e77d9c8e9407bf55337635b02ca428f7cae99d6",
+		"spe-ls":      "986af8733431a64941a7af089c16adbb3f6c0c51dbdea5c4315b3e60c0e48c33",
+		"streaming":   "f8959586267e4c5babffcda0e7c7dc39773a1a06538ca241d49d60b3be4c9f86",
+		"stream":      "f4c5ab04fa16bdcb80f2698e221c734bd460cbe4f9e72dd6177685424dc969dc",
+		"kernels":     "5725b54c2de59689554a2c386147a5fd74a5be340266c0646d09ad9d3f31cf8c",
+		"task-chain":  "96ba0934694ec8a2f9759a2e67f925ee1436ae91b5ad1cb3878324d4d76da3ed",
+		"dma-latency": "8d90a2b07cbcbf4acff19d29a6cdba98eea6bfdb1fabe77f5b1cc20a48f4a47d",
 	}
 	memParams := DefaultParams()
 	memParams.Runs = 2
