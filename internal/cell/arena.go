@@ -7,8 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// Arena is the one boot path for grid points: a pool of dead System
-// carcasses that Boot stamps fresh points onto.
+// Arena is the one boot path for grid points and coroutine-kernel
+// measurements: a pool of dead System carcasses that Boot (a scenario
+// point) and New (a bare system) stamp fresh systems onto.
 //
 // The boot point is the install boundary — cycle 0, before any event
 // fires. That is the only instant provably shared by every grid point of
@@ -37,34 +38,49 @@ type Arena struct {
 	recycled atomic.Int64
 }
 
-// Boot readies one grid point: it takes a pooled carcass (or a new
-// System when the pool is empty), initializes it for cfg and installs
-// sc. The returned total is the bytes the scenario will move. The system
-// is installed but has not run: the caller may attach observers before
-// RunChecked, and hands it back with Retire once it is dead. An install
-// error retires the carcass itself. Like New, Boot panics on a cfg that
-// fails Config.Validate; the carcass goes back to the pool first.
-func (a *Arena) Boot(cfg Config, sc Scenario) (*System, int64, error) {
-	sys := a.take()
-	reused := sys != nil
-	if !reused {
+// New readies a bare system for cfg: it takes a pooled carcass (or a new
+// System when the pool is empty) and initializes it, observationally
+// identical to cell.New(cfg); recycled reports which. The caller installs
+// its own kernels, runs it and hands it back with Retire once it is dead.
+// Like cell.New, it panics on a cfg that fails Config.Validate; the
+// carcass goes back to the pool first.
+func (a *Arena) New(cfg Config) (sys *System, recycled bool) {
+	sys = a.take()
+	recycled = sys != nil
+	if !recycled {
 		sys = &System{}
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			if sys.Eng != nil {
-				a.Retire(sys) // init re-stamps it whole on the next Boot
+				a.Retire(sys) // init re-stamps it whole on the next boot
 			}
 			panic(r)
 		}
 	}()
 	sys.init(cfg)
+	return sys, recycled
+}
+
+// Boot readies one grid point: New, then install sc. The returned total
+// is the bytes the scenario will move. The system is installed but has
+// not run: the caller may attach observers before RunChecked, and hands
+// it back with Retire once it is dead. An install error (or panic)
+// retires the carcass itself.
+func (a *Arena) Boot(cfg Config, sc Scenario) (*System, int64, error) {
+	sys, recycled := a.New(cfg)
+	installed := false
+	defer func() {
+		if !installed {
+			a.Retire(sys)
+		}
+	}()
 	total, err := sc.Install(sys)
 	if err != nil {
-		a.Retire(sys)
 		return nil, 0, err
 	}
-	if reused {
+	installed = true
+	if recycled {
 		a.recycled.Add(1)
 	}
 	return sys, total, nil

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"cellbe/internal/fault"
+	"cellbe/internal/ppe"
+	"cellbe/internal/spe"
 )
 
 // coldRun boots, installs and runs one grid point from scratch, the
@@ -161,11 +163,31 @@ func TestSnapshotCloneMatchesCold(t *testing.T) {
 	}
 }
 
-// TestArenaMixedHistory ping-pongs one carcass across scenario kinds and
-// machine configurations, the reuse pattern of a scheduler-wide arena
-// that serves every job: each boot must match a cold boot of its own
-// point whatever the carcass ran before — more SPEs, a remote chip,
-// coroutine kernels, fault injection, OS noise, another ring count.
+// installKernels spawns a coroutine-kernel run by hand on a bare system,
+// the way the experiment harness does: a PPE copy on both SMT threads and
+// an SPE kernel streaming a buffer through its local store and back out.
+func installKernels(sys *System) {
+	const n = 16 << 10
+	for th := 0; th < 2; th++ {
+		src, dst := sys.Alloc(n, 128), sys.Alloc(n, 128)
+		sys.PPE.Spawn(th, fmt.Sprintf("ppe%d", th), func(t *ppe.Thread) { t.StreamCopy(src, dst, n, 16) })
+	}
+	in, out := sys.Alloc(n, 128), sys.Alloc(n, 128)
+	sys.SPEs[3].Run("kernel", func(ctx *spe.Context) {
+		ctx.Get(0, in, n, 0)
+		ctx.WaitTag(0)
+		ctx.Put(0, out, n, 1)
+		ctx.WaitTag(1)
+	})
+}
+
+// TestArenaMixedHistory ping-pongs one carcass across scenario kinds,
+// hand-installed coroutine kernels and machine configurations, the reuse
+// pattern of a scheduler-wide arena that serves every job and of the
+// experiment harness's per-figure arena: each boot must match a cold boot
+// of its own point whatever the carcass ran before — more SPEs, a remote
+// chip, PPE threads, coroutine kernels, fault injection, OS noise,
+// another ring count.
 func TestArenaMixedHistory(t *testing.T) {
 	odd := DefaultConfig()
 	odd.EIB.RingsPerDirection = 1
@@ -185,6 +207,24 @@ func TestArenaMixedHistory(t *testing.T) {
 	defer a.Release()
 	var carcass *System
 	for round := 0; round < 2; round++ {
+		// A bare boot with hand-installed kernels: a 2-thread PPE copy
+		// and an SPE coroutine kernel.
+		cfg := configs[round%len(configs)]
+		label := fmt.Sprintf("round %d kernels", round)
+		sys, recycled := a.New(cfg.Clone())
+		if recycled != (carcass != nil) || carcass != nil && sys != carcass {
+			t.Fatalf("%s: New did not reuse the one carcass", label)
+		}
+		carcass = sys
+		cold := New(cfg.Clone())
+		installKernels(cold)
+		installKernels(sys)
+		if c, w := runErr(cold), runErr(sys); c != "" || w != "" {
+			t.Fatalf("%s: run failed: cold %q, warm %q", label, c, w)
+		}
+		assertIdentical(t, label, cold, sys)
+		cold.Release()
+		a.Retire(sys)
 		for i, sc := range scenarios {
 			cfg := configs[(i+round)%len(configs)]
 			label := fmt.Sprintf("round %d %s/%d", round, sc.Kind, sc.SPEs)
@@ -200,7 +240,7 @@ func TestArenaMixedHistory(t *testing.T) {
 			a.Retire(sys)
 		}
 	}
-	if got, want := a.Recycled(), int64(2*len(scenarios)-1); got != want {
+	if got, want := a.Recycled(), int64(2*len(scenarios)); got != want {
 		t.Errorf("Recycled() = %d, want %d", got, want)
 	}
 }

@@ -193,8 +193,8 @@ func TestCalibrationStreamingSplitWins(t *testing.T) {
 	// read memory concurrently.
 	p := DefaultParams()
 	p.BytesPerSPE = 1 << 20
-	one := runStreaming(p, 0, 1)
-	two := runStreaming(p, 0, 2)
+	one := measureOnce(t, p, func(sys *cell.System) func() float64 { return p.streaming(sys, 1) })
+	two := measureOnce(t, p, func(sys *cell.System) func() float64 { return p.streaming(sys, 2) })
 	if two < one*1.4 {
 		t.Errorf("2x4 streams %.1f GB/s vs 1x8 %.1f: want a clear win", two, one)
 	}

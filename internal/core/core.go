@@ -9,11 +9,12 @@
 // Every SPE figure is a grid of DMA element sizes x sampled
 // logical-to-physical SPE layouts (the paper's 10 repeated runs), so it
 // runs as a SweepSpec on the sweep scheduler (Params.Sweep) — the path
-// cellbench -sweep, cellsim and cellserve take, with its one boot path
-// (every point boots onto a recycled carcass of the scheduler's
-// cell.Arena) and its watchdog. The PPE figures and the application kernels drive coroutines
-// on bare systems (Params.newSystem). Every experiment reports bandwidth
-// curves with min/max/median/average summaries.
+// cellbench -sweep, cellsim and cellserve take. The PPE figures, the
+// local-store figure and the application kernels drive coroutines they
+// install themselves (Params.kernelFigure). Either way every experiment
+// boots from a cell.Arena carcass and finishes under the watchdog
+// (System.RunChecked), and reports bandwidth curves with
+// min/max/median/average summaries.
 package core
 
 import (
@@ -156,12 +157,6 @@ func (p Params) syncIntervals() []int {
 		return p.Syncs
 	}
 	return SyncIntervals
-}
-
-// newSystem builds a bare system for run r (layout seed FirstSeed+r), for
-// the coroutine-kernel experiments that drive a System directly.
-func (p Params) newSystem(run int) *cell.System {
-	return cell.New(pointConfig(p.Base, p.FirstSeed+int64(run)))
 }
 
 // Sweep runs spec on the sweep scheduler, filling in what it leaves

@@ -31,7 +31,7 @@ func TestCrossChipLimitedByIOIF(t *testing.T) {
 
 func TestRemoteLSDataRoundTrip(t *testing.T) {
 	p := fastParams()
-	sys := p.newSystem(0)
+	sys := testSystem(p)
 	// PUT a payload to the remote chip's SPE 3, then GET it back.
 	src := sys.SPEs[0]
 	for i := 0; i < 2048; i++ {
@@ -54,7 +54,7 @@ func TestRemoteLSDataRoundTrip(t *testing.T) {
 
 func TestRemoteLSBoundsPanic(t *testing.T) {
 	p := fastParams()
-	sys := p.newSystem(0)
+	sys := testSystem(p)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad remote index should panic")

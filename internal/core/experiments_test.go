@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -9,7 +10,27 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/sim"
+	"cellbe/internal/spe"
 )
+
+// testSystem cold-boots a bare system on p's first layout run, for tests
+// that drive kernels by hand.
+func testSystem(p Params) *cell.System {
+	return cell.New(pointConfig(p.Base, p.FirstSeed))
+}
+
+// measureOnce runs one kernel measurement on p's first layout run
+// through the harness's boot-run-read-out path.
+func measureOnce(t *testing.T, p Params, install func(*cell.System) func() float64) float64 {
+	t.Helper()
+	var arena cell.Arena
+	defer arena.Release()
+	v, err := p.measure(&arena, t.Name(), 0, install)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
 
 // fastParams keeps experiment tests quick: 2 layout samples, small
 // volumes.
@@ -323,16 +344,76 @@ func TestFullExperimentFunctions(t *testing.T) {
 	}
 }
 
-func TestForEachRunParallelPath(t *testing.T) {
+// TestKernelFigureHarness pins the coroutine-kernel harness on a
+// synthetic figure: samples land in (curve, x, run) order whichever
+// worker ran them, a failed measurement fails the figure with an error
+// naming its curve, x and run, a panic is contained to an error, and
+// every carcass goes back to the spe buffer pool.
+func TestKernelFigureHarness(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	p := DefaultParams()
-	p.Runs = 8
-	got := forEachRun(p, func(run int) float64 { return float64(run * run) })
-	for r := 0; r < p.Runs; r++ {
-		if got[r] != float64(r*r) {
-			t.Fatalf("run %d produced %v", r, got[r])
+	p.Runs = 3
+	labels, xs := []string{"a", "b"}, []int{10, 20}
+	// runOf recovers the layout run a measurement booted on.
+	runOf := func(sys *cell.System) int {
+		for r := 0; r < p.Runs; r++ {
+			if reflect.DeepEqual(sys.Layout(), cell.RandomLayout(p.FirstSeed+int64(r))) {
+				return r
+			}
 		}
+		t.Errorf("layout %v is no run's", sys.Layout())
+		return -1
+	}
+	before := spe.LiveLocalStores()
+	synthetic := func() *Result { return &Result{Name: "synthetic"} }
+	res, err := p.kernelFigure(synthetic(), p.Runs, labels, xs, func(c, x int, sys *cell.System) func() float64 {
+		run := runOf(sys)
+		return func() float64 { return float64(1000*c + x + run) }
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, curve := range res.Curves {
+		if curve.Label != labels[c] {
+			t.Errorf("curve %d labelled %q, want %q", c, curve.Label, labels[c])
+		}
+		for j, pt := range curve.Points {
+			want := []float64{float64(1000*c + xs[j]), float64(1000*c + xs[j] + 1), float64(1000*c + xs[j] + 2)}
+			if pt.X != xs[j] || !reflect.DeepEqual(pt.Samples, want) {
+				t.Errorf("curve %q point %d = x %d samples %v, want x %d samples %v", curve.Label, j, pt.X, pt.Samples, xs[j], want)
+			}
+		}
+	}
+
+	// Run 1 of ("b", 20) outlives a 1000-cycle budget; run 2 of ("a", 10)
+	// panics with an error value inside its install.
+	base := cell.DefaultConfig()
+	base.MaxCycles = 1000
+	p.Base = &base
+	boom := errors.New("boom")
+	failing := func(panicAt, wedgeAt int) func(c, x int, sys *cell.System) func() float64 {
+		return func(c, x int, sys *cell.System) func() float64 {
+			switch run := runOf(sys); {
+			case c == 0 && x == 10 && run == panicAt:
+				panic(boom)
+			case c == 1 && x == 20 && run == wedgeAt:
+				sys.SPEs[0].Run("slow", func(ctx *spe.Context) { ctx.Wait(5000) })
+			}
+			return func() float64 { return 0 }
+		}
+	}
+	_, err = p.kernelFigure(synthetic(), p.Runs, labels, xs, failing(-1, 1))
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) || !strings.Contains(err.Error(), `synthetic "b" x=20 run=1`) {
+		t.Errorf("wedged measurement: err = %v, want a *sim.DeadlockError naming it", err)
+	}
+	_, err = p.kernelFigure(synthetic(), p.Runs, labels, xs, failing(2, 1))
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `synthetic "a" x=10 run=2 panicked`) {
+		t.Errorf("panicking measurement: err = %v, want the first failure, the contained panic", err)
+	}
+	if n := spe.LiveLocalStores() - before; n != 0 {
+		t.Errorf("%d local stores outlived the harness", n)
 	}
 }
 
@@ -352,45 +433,101 @@ func TestDMAOpStrings(t *testing.T) {
 
 func TestParallelHarnessDeterministic(t *testing.T) {
 	// The figure harness must produce identical numbers whether its grid
-	// points run on one scheduler worker or several: each point owns its
-	// engine, so only wall-clock time may differ.
+	// points run on one scheduler worker or several, and whichever arena
+	// carcass a coroutine-kernel measurement lands on: each point owns
+	// its engine, so only wall-clock time may differ.
 	p := fastParams()
 	p.Runs = 4
 	p.BytesPerSPE = 256 << 10
+	p.PPEBytes = 64 << 10
 	p.Chunks = []int{4096, 16384}
 	p.SPESweep = []int{8}
-	run := func(procs int) *Result {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		res, err := SPECouples(p, false)
+	p.Elems = []int{4, 16}
+	for _, name := range []string{"spe-couples", "ppe-l1", "streaming"} {
+		e, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	seq, par := run(1), run(4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("worker count moved a sample:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", seq.Curves, par.Curves)
+		run := func(procs int) *Result {
+			old := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(old)
+			res, err := e.Run(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		seq, par := run(1), run(4)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("%s: worker count moved a sample:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v", name, seq.Curves, par.Curves)
+		}
 	}
 }
 
-// TestFigureWatchdog: a figure point that exceeds the watchdog budget
-// fails the figure with the structured diagnostic instead of panicking a
-// worker goroutine.
-func TestFigureWatchdog(t *testing.T) {
-	p := fastParams()
+// tinyParams is the smallest grid every registry experiment accepts.
+func tinyParams() Params {
+	p := DefaultParams()
 	p.Runs = 1
+	p.BytesPerSPE = 64 << 10
+	p.PPEBytes = 16 << 10
 	p.Chunks = []int{4096}
+	p.Elems = []int{16}
+	p.SPESweep = []int{2}
 	p.Syncs = []int{0}
+	return p
+}
+
+// TestFigureWatchdog: every experiment of the registry, sweep-backed or
+// coroutine-kernel, finishes under the watchdog, so a budget overrun
+// fails the figure with the structured diagnostic instead of being
+// ignored or panicking a worker goroutine.
+func TestFigureWatchdog(t *testing.T) {
+	p := tinyParams()
 	base := cell.DefaultConfig()
 	base.MaxCycles = 1000
 	p.Base = &base
-	_, err := SPEPairSync(p)
-	var de *sim.DeadlockError
-	if !errors.As(err, &de) {
-		t.Fatalf("SPEPairSync under a 1000-cycle budget: err = %v, want a *sim.DeadlockError", err)
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked under a 1000-cycle budget: %v", r)
+					}
+				}()
+				_, err = e.Run(p)
+			}()
+			var de *sim.DeadlockError
+			if !errors.As(err, &de) {
+				t.Fatalf("under a 1000-cycle budget: err = %v, want a *sim.DeadlockError", err)
+			}
+			if !strings.Contains(err.Error(), "cycle budget 1000 exceeded") {
+				t.Errorf("error %q does not report the budget", err)
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), "chunk=4096 seed=1") {
+	p.Runs = 1
+	p.Chunks = []int{4096}
+	_, err := SPEPairSync(p)
+	if !strings.Contains(fmt.Sprint(err), "chunk=4096 seed=1") {
 		t.Errorf("error %q does not name the failed point", err)
+	}
+}
+
+// TestExperimentsReleaseLocalStores: every experiment hands the local
+// stores of every system it booted back to the spe buffer pool, so a
+// long-lived caller (perfbench, cellserve) running figures back to back
+// does not grow.
+func TestExperimentsReleaseLocalStores(t *testing.T) {
+	p := tinyParams()
+	for _, e := range Experiments() {
+		before := spe.LiveLocalStores()
+		if _, err := e.Run(p); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if n := spe.LiveLocalStores() - before; n != 0 {
+			t.Errorf("%s: %d local stores outlived the experiment", e.Name, n)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"cellbe/internal/cell"
 	"cellbe/internal/sim"
 	"cellbe/internal/spe"
-	"cellbe/internal/stats"
 )
 
 // simdFlopsPerCycle is the SPU peak: 4 single-precision lanes x FMA.
@@ -60,37 +59,25 @@ func (k Kernel) String() string {
 // memory bandwidth saturates; blocked matrix multiply (flops grow with the
 // tile edge) scales to all 8 SPEs.
 func ComputeKernels(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "kernels",
 		Title:  "Extension (§5 future work): streamed compute kernels, GFLOPS by SPE count",
 		XLabel: "SPEs",
 		YLabel: "GFLOPS",
 	}
-	for _, k := range []Kernel{KernelDot, KernelMatVec, KernelMatMul} {
-		series := stats.NewSeries(k.String(), SPECounts)
-		for _, n := range SPECounts {
-			k, n := k, n
-			addRuns(p, series, n, func(run int) float64 {
-				return runKernel(p, run, k, n)
-			})
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
-	}
-	return res, nil
+	kernels := []Kernel{KernelDot, KernelMatVec, KernelMatMul}
+	return p.kernelFigure(res, p.Runs, labelsOf(kernels), SPECounts, func(c, n int, sys *cell.System) func() float64 {
+		return p.computeKernel(sys, kernels[c], n)
+	})
 }
 
-// runKernel returns aggregate GFLOPS (at the 2.1 GHz clock) for n SPEs.
-func runKernel(p Params, run int, k Kernel, n int) float64 {
-	sys := p.newSystem(run)
+// computeKernel installs kernel k on n SPEs of sys; its read-out is the
+// aggregate GFLOPS at the system clock.
+func (p Params) computeKernel(sys *cell.System, k Kernel, n int) func() float64 {
 	volume := p.BytesPerSPE
 	var lastEnd sim.Time
 	var totalFlops int64
-	pending := n
 	for i := 0; i < n; i++ {
-		sp := sys.SPEs[i]
 		var base, base2 int64
 		switch k {
 		case KernelDot:
@@ -102,33 +89,21 @@ func runKernel(p Params, run int, k Kernel, n int) float64 {
 			base = sys.Alloc(volume, 1<<16)
 			fillF32(sys, base, int(volume), 2.0)
 		}
-		sp.Run(fmt.Sprintf("%v%d", k, i), func(ctx *spe.Context) {
-			var flops int64
+		sys.SPEs[i].Run(fmt.Sprintf("%v%d", k, i), func(ctx *spe.Context) {
 			switch k {
 			case KernelDot:
-				flops = dotKernel(ctx, base, base2, volume)
+				totalFlops += dotKernel(ctx, base, base2, volume)
 			case KernelMatVec:
-				flops = matVecKernel(ctx, base, volume)
+				totalFlops += matVecKernel(ctx, base, volume)
 			case KernelMatMul:
-				flops = matMulKernel(ctx, base, volume)
+				totalFlops += matMulKernel(ctx, base, volume)
 			}
-			totalFlops += flops
-			if e := ctx.Decrementer(); e > lastEnd {
-				lastEnd = e
-			}
-			pending--
+			lastEnd = max(lastEnd, ctx.Decrementer())
 		})
 	}
-	// The watchdog turns a wedged kernel into a structured diagnostic
-	// (stuck process names, outstanding MFC tags) instead of a bare panic.
-	if err := sys.RunChecked(0); err != nil {
-		panic(err)
+	return func() float64 {
+		return float64(totalFlops) * sys.Config().ClockGHz / float64(lastEnd)
 	}
-	if pending != 0 {
-		panic(fmt.Sprintf("core: %d kernels did not complete yet no process is blocked", pending))
-	}
-	cfg := sys.Config()
-	return float64(totalFlops) * cfg.ClockGHz / float64(lastEnd)
 }
 
 // fillF32 writes a repeating float pattern into simulated RAM so the
@@ -255,31 +230,21 @@ func matMulKernel(ctx *spe.Context, base int64, volume int64) int64 {
 // memory-to-LS transfers. It isolates the latency term that the window
 // model divides by.
 func DMALatency(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "dma-latency",
 		Title:  "Extension: synchronous DMA round-trip latency (cycles)",
 		XLabel: "transfer size (bytes)",
 		YLabel: "cycles",
 	}
-	for _, target := range []string{"LS-to-LS", "memory"} {
-		target := target
-		series := stats.NewSeries(target, ChunkSizes)
-		for _, size := range ChunkSizes {
-			size := size
-			addRuns(p, series, size, func(run int) float64 {
-				return float64(latencyOnce(p, run, target == "memory", size))
-			})
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
-	}
-	return res, nil
+	return p.kernelFigure(res, p.Runs, []string{"LS-to-LS", "memory"}, ChunkSizes, func(c, size int, sys *cell.System) func() float64 {
+		return latencyKernel(sys, c == 1, size)
+	})
 }
 
-func latencyOnce(p Params, run int, mem bool, size int) sim.Time {
-	sys := p.newSystem(run)
+// latencyKernel installs 50 synchronous GETs of size bytes on SPE 0 of
+// sys, from main memory or from SPE 1's local store; its read-out is the
+// mean round trip in cycles.
+func latencyKernel(sys *cell.System, mem bool, size int) func() float64 {
 	var ea int64
 	if mem {
 		ea = sys.Alloc(int64(size), 128)
@@ -296,6 +261,5 @@ func latencyOnce(p Params, run int, mem bool, size int) sim.Time {
 			total += ctx.Decrementer() - start
 		}
 	})
-	sys.Run()
-	return total / iters
+	return func() float64 { return float64(total / iters) }
 }

@@ -9,7 +9,7 @@ import (
 
 func TestDotKernelComputesCorrectValue(t *testing.T) {
 	p := fastParams()
-	sys := p.newSystem(0)
+	sys := testSystem(p)
 	const volume = 64 << 10
 	x := sys.Alloc(volume, 1<<16)
 	y := sys.Alloc(volume, 1<<16)
@@ -41,7 +41,7 @@ func TestDotKernelComputesCorrectValue(t *testing.T) {
 
 func TestMatMulKernelFlops(t *testing.T) {
 	p := fastParams()
-	sys := p.newSystem(0)
+	sys := testSystem(p)
 	const volume = 128 << 10 // 4 tile pairs
 	a := sys.Alloc(volume, 1<<16)
 	fillF32(sys, a, volume, 1.0)

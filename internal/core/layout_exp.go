@@ -47,16 +47,21 @@ func LayoutTimeline(p Params) (*Result, error) {
 
 	// Each rerun is a one-point sweep whose Instrument hook arms the
 	// sampler on the installed System, before its first event, and keeps
-	// the System for the sampler to read.
+	// the System for the sampler to read; the rerun releases it after.
 	rerun := func(seed int64) (*trace.Timeseries, error) {
 		var sampler *trace.Sampler
+		var kept *cell.System
 		one := spec
 		one.Seeds = []int64{seed}
 		one.Instrument = func(_ int, _ int64, sys *cell.System) bool {
-			sampler = sys.StartMetrics(interval)
+			sampler, kept = sys.StartMetrics(interval), sys
 			return true
 		}
-		if _, err := p.Sweep(one); err != nil {
+		_, err := p.Sweep(one)
+		if kept != nil {
+			defer kept.Release()
+		}
+		if err != nil {
 			return nil, err
 		}
 		return sampler.Timeseries(), nil

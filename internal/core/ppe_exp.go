@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
+	"cellbe/internal/cell"
 	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
-	"cellbe/internal/stats"
 )
 
 // CacheLevel selects the PPE experiment target: which memory level the
@@ -52,9 +52,6 @@ func (p Params) bufBytes(level CacheLevel) int64 {
 // warm-up lap precedes the timed laps, exactly as the paper does to avoid
 // cold-start effects.
 func PPEBandwidth(p Params, level CacheLevel) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	buf := p.bufBytes(level)
 	res := &Result{
 		Name:   "ppe-" + map[CacheLevel]string{LevelL1: "l1", LevelL2: "l2", LevelMem: "mem"}[level],
@@ -64,35 +61,22 @@ func PPEBandwidth(p Params, level CacheLevel) (*Result, error) {
 	}
 	// PPE results do not depend on the SPE layout, but we keep the same
 	// multi-run structure (results are deterministic, so Runs collapses
-	// to 1 here to avoid wasted work). Each kernel boots its own System,
-	// so they fan out across cores, dispatched in reverse declaration
-	// order: the two-thread copies, the longest kernels, start first.
-	// Kernel k runs op ops[curve/2] on 1+curve%2 threads at element size
-	// elems[k%len(elems)], where curve = k/len(elems) indexes the curves
-	// in result order.
+	// to 1 here to avoid wasted work). Curve c runs op ops[c/2] on 1+c%2
+	// threads.
 	ops := []ppe.Op{ppe.Load, ppe.Store, ppe.Copy}
-	elems := p.elemSizes()
-	bw := make([]float64, len(ops)*2*len(elems))
-	fanOut(len(bw), func(i int) {
-		k := len(bw) - 1 - i
-		curve := k / len(elems)
-		bw[k] = runPPEKernel(p, ops[curve/2], 1+curve%2, elems[k%len(elems)], buf)
-	})
-	for curve := 0; curve < 2*len(ops); curve++ {
-		series := stats.NewSeries(fmt.Sprintf("%s %dT", ops[curve/2], 1+curve%2), elems)
-		for j, elem := range elems {
-			series.Add(elem, bw[curve*len(elems)+j])
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
+	var labels []string
+	for c := 0; c < 2*len(ops); c++ {
+		labels = append(labels, fmt.Sprintf("%s %dT", ops[c/2], 1+c%2))
 	}
-	return res, nil
+	return p.kernelFigure(res, 1, labels, p.elemSizes(), func(c, elem int, sys *cell.System) func() float64 {
+		return ppeKernel(sys, ops[c/2], 1+c%2, elem, buf)
+	})
 }
 
-// runPPEKernel measures one configuration: op with the given element size
-// on 1 or 2 threads over private buffers of buf bytes each, warm-up lap
-// plus timed laps. Returns aggregate GB/s across threads.
-func runPPEKernel(p Params, op ppe.Op, threads, elem int, buf int64) float64 {
-	sys := p.newSystem(0)
+// ppeKernel installs one configuration on sys: op with the given element
+// size on 1 or 2 threads over private buffers of buf bytes each, warm-up
+// lap plus timed laps. Its read-out is the aggregate GB/s across threads.
+func ppeKernel(sys *cell.System, op ppe.Op, threads, elem int, buf int64) func() float64 {
 	// Timed laps: more for small buffers so timing is stable.
 	laps := int64(1)
 	if buf <= 1<<20 {
@@ -100,7 +84,6 @@ func runPPEKernel(p Params, op ppe.Op, threads, elem int, buf int64) float64 {
 	}
 	var slowest sim.Time
 	for th := 0; th < threads; th++ {
-		th := th
 		src := sys.Alloc(buf, 128)
 		dst := sys.Alloc(buf, 128)
 		sys.PPE.Spawn(th, fmt.Sprintf("ppe%d", th), func(t *ppe.Thread) {
@@ -124,10 +107,11 @@ func runPPEKernel(p Params, op ppe.Op, threads, elem int, buf int64) float64 {
 			}
 		})
 	}
-	sys.Run()
-	bytes := int64(threads) * buf * laps
-	if op == ppe.Copy {
-		bytes *= 2
+	return func() float64 {
+		bytes := int64(threads) * buf * laps
+		if op == ppe.Copy {
+			bytes *= 2
+		}
+		return sys.GBps(bytes, slowest)
 	}
-	return sys.GBps(bytes, slowest)
 }

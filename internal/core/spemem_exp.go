@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"cellbe/internal/cell"
 	"cellbe/internal/spe"
-	"cellbe/internal/stats"
 )
 
 // DMAOp selects the transfer direction of a memory-streaming kernel.
@@ -71,9 +71,6 @@ func SPEMemory(p Params, op DMAOp, list bool) (*Result, error) {
 // accesses reach the 33.6 GB/s peak; the SPU ISA has no narrower loads, so
 // smaller accesses pay extract/merge overhead.
 func SPELocalStore(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "spe-ls",
 		Title:  "SPU to Local Store load/store bandwidth (§4.2.2)",
@@ -81,24 +78,17 @@ func SPELocalStore(p Params) (*Result, error) {
 		YLabel: "GB/s",
 	}
 	volume := 16 << 20 // pure compute-side loop; cheap to simulate
-	for _, op := range []spe.LSOp{spe.LSLoad, spe.LSStore, spe.LSCopy} {
-		label := map[spe.LSOp]string{spe.LSLoad: "load", spe.LSStore: "store", spe.LSCopy: "copy"}[op]
-		series := stats.NewSeries(label, p.elemSizes())
-		for _, elem := range p.elemSizes() {
-			sys := p.newSystem(0)
-			var bw float64
-			sys.SPEs[0].Run("ls", func(ctx *spe.Context) {
-				cycles := ctx.StreamLS(op, elem, volume)
-				bytes := int64(volume)
-				if op == spe.LSCopy {
-					bytes *= 2
-				}
-				bw = sys.GBps(bytes, cycles)
-			})
-			sys.Run()
-			series.Add(elem, bw)
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
-	}
-	return res, nil
+	ops := []spe.LSOp{spe.LSLoad, spe.LSStore, spe.LSCopy}
+	return p.kernelFigure(res, 1, []string{"load", "store", "copy"}, p.elemSizes(), func(c, elem int, sys *cell.System) func() float64 {
+		var bw float64
+		sys.SPEs[0].Run("ls", func(ctx *spe.Context) {
+			cycles := ctx.StreamLS(ops[c], elem, volume)
+			bytes := int64(volume)
+			if ops[c] == spe.LSCopy {
+				bytes *= 2
+			}
+			bw = sys.GBps(bytes, cycles)
+		})
+		return func() float64 { return bw }
+	})
 }

@@ -10,9 +10,9 @@ package core
 import (
 	"fmt"
 
+	"cellbe/internal/cell"
 	"cellbe/internal/sim"
 	"cellbe/internal/spe"
-	"cellbe/internal/stats"
 )
 
 // StreamKernel is one of the four STREAM operations.
@@ -54,32 +54,22 @@ func (k StreamKernel) streams() (reads, writes int) {
 // slices). Bandwidth counts bytes read plus bytes written, as McCalpin
 // does.
 func STREAM(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "stream",
 		Title:  "STREAM (copy/scale/add/triad) on SPEs — extension after McCalpin",
 		XLabel: "SPEs",
 		YLabel: "GB/s",
 	}
-	for _, k := range []StreamKernel{StreamCopy, StreamScale, StreamAdd, StreamTriad} {
-		series := stats.NewSeries(k.String(), SPECounts)
-		for _, n := range SPECounts {
-			k, n := k, n
-			addRuns(p, series, n, func(run int) float64 {
-				return runSTREAM(p, run, k, n)
-			})
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
-	}
-	return res, nil
+	kernels := []StreamKernel{StreamCopy, StreamScale, StreamAdd, StreamTriad}
+	return p.kernelFigure(res, p.Runs, labelsOf(kernels), SPECounts, func(c, n int, sys *cell.System) func() float64 {
+		return p.streamKernel(sys, kernels[c], n)
+	})
 }
 
-func runSTREAM(p Params, run int, k StreamKernel, n int) float64 {
-	sys := p.newSystem(run)
+// streamKernel installs STREAM kernel k on n SPEs of sys, each over
+// private BytesPerSPE slices; its read-out is the GB/s read plus written.
+func (p Params) streamKernel(sys *cell.System, k StreamKernel, n int) func() float64 {
 	slice := p.BytesPerSPE
-	reads, writes := k.streams()
 	var lastEnd sim.Time
 	for i := 0; i < n; i++ {
 		a := sys.Alloc(slice, 1<<16)
@@ -88,17 +78,15 @@ func runSTREAM(p Params, run int, k StreamKernel, n int) float64 {
 		fillF32(sys, a, int(slice), 1.0)
 		fillF32(sys, b, int(slice), 2.0)
 		fillF32(sys, c, int(slice), 3.0)
-		sp := sys.SPEs[i]
-		sp.Run(fmt.Sprintf("stream%d", i), func(ctx *spe.Context) {
+		sys.SPEs[i].Run(fmt.Sprintf("stream%d", i), func(ctx *spe.Context) {
 			streamSliceKernel(ctx, k, a, b, c, slice)
-			if e := ctx.Decrementer(); e > lastEnd {
-				lastEnd = e
-			}
+			lastEnd = max(lastEnd, ctx.Decrementer())
 		})
 	}
-	sys.Run()
-	total := int64(n) * slice * int64(reads+writes)
-	return sys.GBps(total, lastEnd)
+	return func() float64 {
+		reads, writes := k.streams()
+		return sys.GBps(int64(n)*slice*int64(reads+writes), lastEnd)
+	}
 }
 
 // streamSliceKernel runs one SPE's STREAM slice: 16 KB blocks, double

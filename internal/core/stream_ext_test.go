@@ -9,7 +9,7 @@ import (
 
 func TestStreamScaleComputesCorrectly(t *testing.T) {
 	p := fastParams()
-	sys := p.newSystem(0)
+	sys := testSystem(p)
 	const slice = 64 << 10
 	a := sys.Alloc(slice, 1<<16)
 	b := sys.Alloc(slice, 1<<16)
@@ -35,7 +35,7 @@ func TestStreamScaleComputesCorrectly(t *testing.T) {
 
 func TestStreamTriadComputesCorrectly(t *testing.T) {
 	p := fastParams()
-	sys := p.newSystem(0)
+	sys := testSystem(p)
 	const slice = 32 << 10
 	a := sys.Alloc(slice, 1<<16)
 	b := sys.Alloc(slice, 1<<16)

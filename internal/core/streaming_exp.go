@@ -6,7 +6,6 @@ import (
 	"cellbe/internal/cell"
 	"cellbe/internal/sim"
 	"cellbe/internal/spe"
-	"cellbe/internal/stats"
 )
 
 // streamBlock is the pipeline granularity: one maximum-size DMA.
@@ -135,9 +134,6 @@ func (pl *Pipeline) stage(ctx *spe.Context, s int, blocks int64) {
 			pl.credits[s-1].Write(ctx.Process, uint32(b))
 		}
 	}
-	if last {
-		return
-	}
 }
 
 // Streaming reproduces the paper's §1/§5 guidance: a single data stream
@@ -147,47 +143,35 @@ func (pl *Pipeline) stage(ctx *spe.Context, s int, blocks int64) {
 // stream because memory is read by two SPEs concurrently, which Figure 8
 // shows is far more efficient than one.
 func Streaming(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "streaming",
 		Title:  "Streaming: 1x8 SPEs vs 2x4 SPEs vs 4x2 SPEs (§1, §5)",
 		XLabel: "parallel streams (8 SPEs total)",
 		YLabel: "GB/s end-to-end",
 	}
-	streamCounts := []int{1, 2, 4}
-	series := stats.NewSeries("aggregate", streamCounts)
-	for _, streams := range streamCounts {
-		streams := streams
-		addRuns(p, series, streams, func(run int) float64 {
-			return runStreaming(p, run, streams)
-		})
-	}
-	res.Curves = append(res.Curves, CurveFromSeries(series))
-	return res, nil
+	return p.kernelFigure(res, p.Runs, []string{"aggregate"}, []int{1, 2, 4}, func(_, streams int, sys *cell.System) func() float64 {
+		return p.streaming(sys, streams)
+	})
 }
 
-func runStreaming(p Params, run, streams int) float64 {
-	sys := p.newSystem(run)
+// streaming installs streams pipelines of 8/streams SPEs each on sys,
+// every one moving BytesPerSPE; its read-out is the aggregate end-to-end
+// GB/s at the last pipeline's end.
+func (p Params) streaming(sys *cell.System, streams int) func() float64 {
 	perStream := cell.NumSPEs / streams
 	volume := p.BytesPerSPE
 	pls := make([]*Pipeline, streams)
-	for st := 0; st < streams; st++ {
+	for st := range pls {
 		src := sys.Alloc(volume, 1<<16)
 		dst := sys.Alloc(volume, 1<<16)
 		pls[st] = NewPipeline(sys, st*perStream, perStream, src, dst, volume)
 		pls[st].Start()
 	}
-	sys.Run()
-	var lastEnd sim.Time
-	for _, pl := range pls {
-		if !pl.Done().Fired() {
-			panic("core: pipeline did not finish")
+	return func() float64 {
+		var lastEnd sim.Time
+		for _, pl := range pls {
+			lastEnd = max(lastEnd, pl.EndTime())
 		}
-		if pl.EndTime() > lastEnd {
-			lastEnd = pl.EndTime()
-		}
+		return sys.GBps(int64(streams)*volume, lastEnd)
 	}
-	return sys.GBps(int64(streams)*volume, lastEnd)
 }

@@ -198,7 +198,7 @@ func (s SweepSpec) scenario(chunk int) cell.Scenario {
 // the base (or the default), with the point's layout and — for faulty
 // configs that left FaultSeed unset — the derived fault seed. It is the
 // one place layout and fault seeds are derived, for sweep points and
-// Params.newSystem's bare systems alike. The base is cloned per point so
+// coroutine-kernel measurements alike. The base is cloned per point so
 // concurrent workers never share the Layout slice (or any future
 // reference field) through the spec.
 func pointConfig(base *cell.Config, seed int64) cell.Config {
@@ -229,11 +229,7 @@ func runPoint(spec *SweepSpec, arena *cell.Arena, chunk int, seed int64, attempt
 	res = SweepResult{Chunk: chunk, Seed: seed}
 	defer func() {
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok {
-				res.Err = fmt.Errorf("core: grid point chunk=%d seed=%d panicked: %w", chunk, seed, err)
-			} else {
-				res.Err = fmt.Errorf("core: grid point chunk=%d seed=%d panicked: %v", chunk, seed, r)
-			}
+			res.Err = panicError(r, fmt.Sprintf("core: grid point chunk=%d seed=%d", chunk, seed))
 			res.Log = append(res.Log, res.Err.Error())
 		}
 	}()

@@ -8,8 +8,8 @@ package core
 // should drive in such runtimes.
 
 import (
+	"cellbe/internal/cell"
 	"cellbe/internal/sim"
-	"cellbe/internal/stats"
 	"cellbe/internal/task"
 )
 
@@ -24,31 +24,21 @@ const (
 // TaskChain runs the chains (64 KB operands, SIMD-rate compute) on 1, 2,
 // 4 and 8 workers under both policies and reports operand throughput.
 func TaskChain(p Params) (*Result, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Name:   "task-chain",
 		Title:  "Extension: CellSs-style runtime, dependent task chain, by policy and workers",
 		XLabel: "workers",
 		YLabel: "GB/s of operands processed",
 	}
-	workerCounts := []int{1, 2, 4, 8}
-	for _, policy := range []task.Policy{task.ThroughMemory, task.Forwarding} {
-		series := stats.NewSeries(policy.String(), workerCounts)
-		for _, w := range workerCounts {
-			policy, w := policy, w
-			addRuns(p, series, w, func(run int) float64 {
-				return runTaskChain(p, run, policy, w)
-			})
-		}
-		res.Curves = append(res.Curves, CurveFromSeries(series))
-	}
-	return res, nil
+	policies := []task.Policy{task.ThroughMemory, task.Forwarding}
+	return p.kernelFigure(res, p.Runs, labelsOf(policies), []int{1, 2, 4, 8}, func(c, workers int, sys *cell.System) func() float64 {
+		return taskChain(sys, policies[c], workers)
+	})
 }
 
-func runTaskChain(p Params, run int, policy task.Policy, workers int) float64 {
-	sys := p.newSystem(run)
+// taskChain installs the chains on sys's task runtime with the given
+// policy and worker count; its read-out is the operand throughput.
+func taskChain(sys *cell.System, policy task.Policy, workers int) func() float64 {
 	const size = 64 << 10
 	ws := make([]int, workers)
 	for i := range ws {
@@ -69,7 +59,7 @@ func runTaskChain(p Params, run int, policy task.Policy, workers int) float64 {
 			})
 		}
 	}
-	st := rt.Run()
+	st := rt.Start()
 	// Each task touches 2*size operand bytes.
-	return sys.GBps(int64(st.Tasks)*2*size, st.Cycles)
+	return func() float64 { return sys.GBps(int64(st.Tasks)*2*size, st.Cycles) }
 }

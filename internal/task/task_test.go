@@ -2,9 +2,12 @@ package task
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"cellbe/internal/cell"
+	"cellbe/internal/sim"
 )
 
 func newSys() *cell.System { return cell.New(cell.DefaultConfig()) }
@@ -239,4 +242,24 @@ func TestEmptyRuntime(t *testing.T) {
 	if st.Tasks != 0 || st.Cycles != 0 {
 		t.Fatalf("empty run stats %+v", st)
 	}
+}
+
+// TestRunWedgedPanics: a runtime that cannot finish — here, a cycle
+// budget far below the chain's run time — panics with the watchdog's
+// *sim.DeadlockError, naming the stuck processes.
+func TestRunWedgedPanics(t *testing.T) {
+	cfg := cell.DefaultConfig()
+	cfg.MaxCycles = 100
+	sys := cell.New(cfg)
+	r := New(sys, []int{0}, ThroughMemory)
+	a, b := sys.Alloc(4096, 128), sys.Alloc(4096, 128)
+	r.Submit(&Task{Inputs: []Buffer{{EA: a, Size: 4096}}, Outputs: []Buffer{{EA: b, Size: 4096}}, ComputeCycles: 1000})
+	defer func() {
+		err, _ := recover().(error)
+		var de *sim.DeadlockError
+		if !errors.As(err, &de) || !strings.Contains(err.Error(), "dispatcher") {
+			t.Fatalf("wedged Run panicked with %v, want a *sim.DeadlockError naming the dispatcher", err)
+		}
+	}()
+	r.Run()
 }
