@@ -66,7 +66,7 @@ func ComputeKernels(p Params) (*Result, error) {
 		YLabel: "GFLOPS",
 	}
 	kernels := []Kernel{KernelDot, KernelMatVec, KernelMatMul}
-	return p.kernelFigure(res, p.Runs, labelsOf(kernels), SPECounts, func(c, n int, sys *cell.System) func() float64 {
+	return p.kernelFigure(res, p.Runs, labelsOf(kernels), p.speCounts(SPECounts), func(c, n int, sys *cell.System) func() float64 {
 		return p.computeKernel(sys, kernels[c], n)
 	})
 }
@@ -236,7 +236,7 @@ func DMALatency(p Params) (*Result, error) {
 		XLabel: "transfer size (bytes)",
 		YLabel: "cycles",
 	}
-	return p.kernelFigure(res, p.Runs, []string{"LS-to-LS", "memory"}, ChunkSizes, func(c, size int, sys *cell.System) func() float64 {
+	return p.kernelFigure(res, p.Runs, []string{"LS-to-LS", "memory"}, p.chunkSizes(), func(c, size int, sys *cell.System) func() float64 {
 		return latencyKernel(sys, c == 1, size)
 	})
 }

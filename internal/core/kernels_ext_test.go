@@ -106,3 +106,26 @@ func TestDMALatencyShape(t *testing.T) {
 		t.Errorf("128B LS-to-LS latency %.0f cycles implausible", lsSmall.Mean)
 	}
 }
+
+// TestKernelFiguresHonourAxisRestrictions: the SPE-count and DMA-size
+// axes of the kernel figures obey Params.SPESweep and Params.Chunks, as
+// every sweep-backed figure does.
+func TestKernelFiguresHonourAxisRestrictions(t *testing.T) {
+	p := tinyParams()
+	p.SPESweep = []int{2}
+	p.Chunks = []int{4096}
+	for _, f := range []struct {
+		run func(Params) (*Result, error)
+		x   int
+	}{{ComputeKernels, 2}, {STREAM, 2}, {DMALatency, 4096}} {
+		res, err := f.run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range res.Curves {
+			if len(c.Points) != 1 || c.Points[0].X != f.x {
+				t.Errorf("%s %q: points %+v, want only x=%d", res.Name, c.Label, c.Points, f.x)
+			}
+		}
+	}
+}

@@ -61,7 +61,7 @@ func STREAM(p Params) (*Result, error) {
 		YLabel: "GB/s",
 	}
 	kernels := []StreamKernel{StreamCopy, StreamScale, StreamAdd, StreamTriad}
-	return p.kernelFigure(res, p.Runs, labelsOf(kernels), SPECounts, func(c, n int, sys *cell.System) func() float64 {
+	return p.kernelFigure(res, p.Runs, labelsOf(kernels), p.speCounts(SPECounts), func(c, n int, sys *cell.System) func() float64 {
 		return p.streamKernel(sys, kernels[c], n)
 	})
 }
