@@ -164,10 +164,19 @@ var probes = map[string]probe{
 	"streaming": {
 		run: core.Streaming,
 	},
-	// The MIC bank ceiling: 4 SPEs streaming GETs against one bank versus
-	// pages interleaved over both.
+	// The MIC bank ceiling: 4 SPEs streaming 16 KB GETs with pages pinned
+	// to the MIC-local bank, whose 16.8 GB/s rate then caps the aggregate,
+	// versus pages interleaved over both XDR banks.
 	"mem-bank": {
-		run: memBankProbe,
+		run: func(p core.Params) (*core.Result, error) {
+			return configProbe(p, "mem-bank", "mem", 4, func(cfg *cell.Config, on bool) string {
+				cfg.Mem.Interleave = on
+				if on {
+					return "interleaved"
+				}
+				return "single bank"
+			})
+		},
 	},
 	// The remaining §5 ablations: each toggles one config knob and keeps
 	// everything else at the default.
@@ -295,41 +304,21 @@ type workloadVariant struct {
 }
 
 // workloadProbe folds sweeps into labeled curves over the element-size
-// axis, one curve per variant.
+// axis, one curve per variant, from one core.Params.Curves call.
 func workloadProbe(p core.Params, name, title string, variants []workloadVariant) (*core.Result, error) {
-	res := &core.Result{Name: name, Title: title, XLabel: "element size (bytes)", YLabel: "GB/s"}
-	for _, v := range variants {
-		spec := v.spec
-		spec.Seeds = v.seeds
-		spec.Base = v.base
-		c, err := p.SweepCurve(v.label, spec)
-		if err != nil {
-			return nil, fmt.Errorf("conformance: %s %s: %w", name, v.label, err)
-		}
-		res.Curves = append(res.Curves, c)
+	labels := make([]string, len(variants))
+	specs := make([]core.SweepSpec, len(variants))
+	for i, v := range variants {
+		labels[i] = v.label
+		specs[i] = v.spec
+		specs[i].Seeds = v.seeds
+		specs[i].Base = v.base
 	}
-	return res, nil
-}
-
-// memBankProbe measures the NUMA placement ablation: the same 4-SPE,
-// 16 KB GET stream once with pages interleaved over both XDR banks and
-// once pinned to the MIC-local bank, whose 16.8 GB/s rate then caps the
-// aggregate.
-func memBankProbe(p core.Params) (*core.Result, error) {
-	var variants []workloadVariant
-	for _, v := range []struct {
-		label      string
-		interleave bool
-	}{{"interleaved", true}, {"single bank", false}} {
-		base := cell.DefaultConfig()
-		if p.Base != nil {
-			base = *p.Base
-		}
-		base.Mem.Interleave = v.interleave
-		variants = append(variants, workloadVariant{label: v.label, base: &base,
-			spec: core.SweepSpec{Scenario: "mem", SPEs: 4, Op: "get", Chunks: []int{16384}}})
+	curves, err := p.Curves(labels, specs...)
+	if err != nil {
+		return nil, fmt.Errorf("conformance: %s: %w", name, err)
 	}
-	return workloadProbe(p, "mem-bank", "SPE to memory GETs: interleaved banks vs a single bank", variants)
+	return &core.Result{Name: name, Title: title, XLabel: "element size (bytes)", YLabel: "GB/s", Curves: curves}, nil
 }
 
 // configProbe runs one sweep scenario at 16 KB chunks twice — once with a

@@ -12,9 +12,9 @@ import (
 	"cellbe/internal/stats"
 )
 
-// sweepGBps runs one-chunk spec through Params.Sweep at volume bytes per
-// SPE, over the first runs layout seeds of DefaultParams unless spec pins
-// its seeds, and returns the bandwidth of each seed.
+// sweepGBps runs spec through Params.Sweep at volume bytes per SPE, over
+// the first runs layout seeds of DefaultParams unless spec pins its
+// seeds, and returns the bandwidth of each point in (chunk, seed) order.
 func sweepGBps(t *testing.T, runs int, volume int64, spec SweepSpec) []float64 {
 	t.Helper()
 	p := DefaultParams()
@@ -24,8 +24,8 @@ func sweepGBps(t *testing.T, runs int, volume int64, spec SweepSpec) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([]float64, len(results))
-	for i, r := range results {
+	out := make([]float64, len(results[0]))
+	for i, r := range results[0] {
 		out[i] = r.GBps
 	}
 	return out
@@ -193,8 +193,10 @@ func TestCalibrationStreamingSplitWins(t *testing.T) {
 	// read memory concurrently.
 	p := DefaultParams()
 	p.BytesPerSPE = 1 << 20
-	one := measureOnce(t, p, func(sys *cell.System) func() float64 { return p.streaming(sys, 1) })
-	two := measureOnce(t, p, func(sys *cell.System) func() float64 { return p.streaming(sys, 2) })
+	gbps := sweepGBps(t, 1, p.BytesPerSPE, SweepSpec{Chunks: []int{1, 2}, kernel: func(streams int, sys *cell.System) func() float64 {
+		return p.streaming(sys, streams)
+	}})
+	one, two := gbps[0], gbps[1]
 	if two < one*1.4 {
 		t.Errorf("2x4 streams %.1f GB/s vs 1x8 %.1f: want a clear win", two, one)
 	}

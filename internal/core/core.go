@@ -6,15 +6,15 @@
 // SPEs (Figs. 15, 16) — plus the streaming-pipeline experiment behind the
 // paper's "two streams of 4 SPEs beat one stream of 8" guidance.
 //
-// Every SPE figure is a grid of DMA element sizes x sampled
-// logical-to-physical SPE layouts (the paper's 10 repeated runs), so it
-// runs as a SweepSpec on the sweep scheduler (Params.Sweep) — the path
-// cellbench -sweep, cellsim and cellserve take. The PPE figures, the
-// local-store figure and the application kernels drive coroutines they
-// install themselves (Params.kernelFigure). Either way every experiment
-// boots from a cell.Arena carcass and finishes under the watchdog
-// (System.RunChecked), and reports bandwidth curves with
-// min/max/median/average summaries.
+// Every figure is a grid of configurations x sampled logical-to-physical
+// SPE layouts (the paper's 10 repeated runs). An experiment call submits
+// each curve as a SweepSpec job on one Scheduler (Params.Curves), the
+// path cellbench -sweep, cellsim and cellserve take: SPE figure points
+// are cell.Scenario grid points, and the PPE, local-store and
+// application-kernel figures carry coroutine kernels in the spec
+// (Params.kernelFigure). Every point boots from the scheduler's
+// cell.Arena, finishes under the watchdog (System.RunChecked) and carries
+// a perf-counter rollup; figures report min/max/median/average curves.
 package core
 
 import (
@@ -159,60 +159,122 @@ func (p Params) syncIntervals() []int {
 	return SyncIntervals
 }
 
-// Sweep runs spec on the sweep scheduler, filling in what it leaves
-// unset from p: Seeds from FirstSeed..FirstSeed+Runs-1, Volume from
-// BytesPerSPE and Base from p.Base. Results come back in (chunk, seed)
-// order; a failed point (deadlock, conservation error, panic) fails the
-// whole sweep with an error that names it and wraps its cause.
-func (p Params) Sweep(spec SweepSpec) ([]SweepResult, error) {
-	if spec.Seeds == nil {
-		spec.Seeds = make([]int64, p.Runs)
-		for i := range spec.Seeds {
-			spec.Seeds[i] = p.FirstSeed + int64(i)
-		}
-	}
-	if spec.Volume == 0 {
-		spec.Volume = p.BytesPerSPE
-	}
-	if spec.Base == nil {
-		spec.Base = p.Base
-	}
-	results, err := RunSweep(spec)
+// Sweep runs specs as jobs on one sweep scheduler, filling in what each
+// leaves unset from p: Seeds from FirstSeed..FirstSeed+Runs-1, Volume
+// from BytesPerSPE and Base from p.Base. Results come back per spec in
+// (chunk, seed) order; a failed point (deadlock, conservation error,
+// panic) fails the whole call with an error that names the first failed
+// point in spec order and wraps its cause.
+func (p Params) Sweep(specs ...SweepSpec) ([][]SweepResult, error) {
+	return p.sweep(nil, specs)
+}
+
+// Curves runs specs through one Sweep and folds each spec's per-seed
+// values into one curve over its chunk axis, labelled labels[i]; a
+// failed point's error names its curve.
+func (p Params) Curves(labels []string, specs ...SweepSpec) ([]Curve, error) {
+	results, err := p.sweep(labels, specs)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("core: %s point chunk=%d seed=%d: %w", spec.Scenario, r.Chunk, r.Seed, r.Err)
+	curves := make([]Curve, len(specs))
+	for i, rs := range results {
+		series := stats.NewSeries(labels[i], specs[i].Chunks)
+		for _, r := range rs {
+			series.Add(r.Chunk, r.GBps)
+		}
+		curves[i] = CurveFromSeries(series)
+	}
+	return curves, nil
+}
+
+// sweep is Sweep naming a failed point by its curve label when labels
+// is set, by its scenario otherwise.
+func (p Params) sweep(labels []string, specs []SweepSpec) ([][]SweepResult, error) {
+	specs = append([]SweepSpec(nil), specs...)
+	for i := range specs {
+		spec := &specs[i]
+		if spec.Seeds == nil {
+			spec.Seeds = make([]int64, p.Runs)
+			for r := range spec.Seeds {
+				spec.Seeds[r] = p.FirstSeed + int64(r)
+			}
+		}
+		if spec.Volume == 0 {
+			spec.Volume = p.BytesPerSPE
+		}
+		if spec.Base == nil {
+			spec.Base = p.Base
+		}
+	}
+	results, err := runJobs(specs)
+	if err != nil {
+		return nil, err
+	}
+	for i, rs := range results {
+		for _, r := range rs {
+			if r.Err != nil {
+				what := specs[i].Scenario
+				if labels != nil {
+					what = fmt.Sprintf("%q", labels[i])
+				}
+				return nil, fmt.Errorf("core: %s point chunk=%d seed=%d: %w", what, r.Chunk, r.Seed, r.Err)
+			}
 		}
 	}
 	return results, nil
 }
 
-// SweepCurve runs spec through Sweep and folds its per-seed bandwidths
-// into one curve over the chunk axis.
-func (p Params) SweepCurve(label string, spec SweepSpec) (Curve, error) {
-	results, err := p.Sweep(spec)
-	if err != nil {
-		return Curve{}, err
+// pointsAt folds one-point curves into one curve whose i-th point sits
+// at xs[i], for figures whose x axis is not the element size (a partner
+// SPE, a fault rate).
+func pointsAt(label string, xs []int, curves []Curve) Curve {
+	c := Curve{Label: label}
+	for i, cv := range curves {
+		pt := cv.Points[0]
+		pt.X = xs[i]
+		c.Points = append(c.Points, pt)
 	}
-	series := stats.NewSeries(label, spec.Chunks)
-	for _, r := range results {
-		series.Add(r.Chunk, r.GBps)
-	}
-	return CurveFromSeries(series), nil
+	return c
 }
 
-// sweepAt runs a one-chunk spec through Sweep and returns its samples as
-// the point at x, for figures whose x axis is not the element size.
-func (p Params) sweepAt(x int, spec SweepSpec) (Point, error) {
-	c, err := p.SweepCurve("", spec)
-	if err != nil {
-		return Point{}, err
+// kernelFigure runs a coroutine-kernel figure into res.Curves: one curve
+// per label over xs, each (curve, x) measured on runs layout runs (seeds
+// FirstSeed, FirstSeed+1, ...). install(curve, x, sys) spawns one
+// measurement's kernels on a booted, not yet run system and returns the
+// read-out to take once it has run. Each curve is a coroutine-kernel
+// SweepSpec on Curves, like any scenario figure's.
+func (p Params) kernelFigure(res *Result, runs int, labels []string, xs []int, install func(curve, x int, sys *cell.System) func() float64) (*Result, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
 	}
-	pt := c.Points[0]
-	pt.X = x
-	return pt, nil
+	p.Runs = runs
+	specs := make([]SweepSpec, len(labels))
+	for c := range specs {
+		specs[c] = SweepSpec{Chunks: xs, kernel: func(x int, sys *cell.System) func() float64 {
+			return install(c, x, sys)
+		}}
+	}
+	return res.withCurves(p.Curves(labels, specs...))
+}
+
+// labelsOf returns the curve labels of a figure's String-named series.
+func labelsOf[T fmt.Stringer](vs []T) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.String()
+	}
+	return out
+}
+
+// withCurves completes a figure with the curves of a Curves call, or
+// fails it with the call's error.
+func (r *Result) withCurves(curves []Curve, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	r.Curves = curves
+	return r, nil
 }
 
 // Point is one x position of a curve with its cross-run summary. Samples

@@ -22,17 +22,7 @@ func CrossChip(p Params) (*Result, error) {
 		XLabel: "element size (bytes)",
 		YLabel: "GB/s",
 	}
-	for _, remote := range []bool{false, true} {
-		label := "on-chip partner"
-		if remote {
-			label = "cross-chip partner"
-		}
-		c, err := p.SweepCurve(label, SweepSpec{Scenario: "pair", Chunks: ChunkSizes,
-			figure: cell.PairFigure{Remote: remote}})
-		if err != nil {
-			return nil, err
-		}
-		res.Curves = append(res.Curves, c)
-	}
-	return res, nil
+	return res.withCurves(p.Curves([]string{"on-chip partner", "cross-chip partner"},
+		SweepSpec{Scenario: "pair", Chunks: ChunkSizes},
+		SweepSpec{Scenario: "pair", Chunks: ChunkSizes, figure: cell.PairFigure{Remote: true}}))
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cellbe/internal/cell"
+	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
 	"cellbe/internal/spe"
 )
@@ -17,19 +18,6 @@ import (
 // that drive kernels by hand.
 func testSystem(p Params) *cell.System {
 	return cell.New(pointConfig(p.Base, p.FirstSeed))
-}
-
-// measureOnce runs one kernel measurement on p's first layout run
-// through the harness's boot-run-read-out path.
-func measureOnce(t *testing.T, p Params, install func(*cell.System) func() float64) float64 {
-	t.Helper()
-	var arena cell.Arena
-	defer arena.Release()
-	v, err := p.measure(&arena, t.Name(), 0, install)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v
 }
 
 // fastParams keeps experiment tests quick: 2 layout samples, small
@@ -344,11 +332,12 @@ func TestFullExperimentFunctions(t *testing.T) {
 	}
 }
 
-// TestKernelFigureHarness pins the coroutine-kernel harness on a
+// TestKernelFigureHarness pins the coroutine-kernel figure path on a
 // synthetic figure: samples land in (curve, x, run) order whichever
-// worker ran them, a failed measurement fails the figure with an error
-// naming its curve, x and run, a panic is contained to an error, and
-// every carcass goes back to the spe buffer pool.
+// scheduler worker ran them, the first failed measurement in that order
+// fails the figure with an error naming its curve, x (as chunk) and
+// seed, a panic is contained to an error wrapping its value, and every
+// carcass goes back to the spe buffer pool.
 func TestKernelFigureHarness(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -405,15 +394,39 @@ func TestKernelFigureHarness(t *testing.T) {
 	}
 	_, err = p.kernelFigure(synthetic(), p.Runs, labels, xs, failing(-1, 1))
 	var de *sim.DeadlockError
-	if !errors.As(err, &de) || !strings.Contains(err.Error(), `synthetic "b" x=20 run=1`) {
+	if !errors.As(err, &de) || !strings.Contains(err.Error(), `"b" point chunk=20 seed=2`) {
 		t.Errorf("wedged measurement: err = %v, want a *sim.DeadlockError naming it", err)
 	}
 	_, err = p.kernelFigure(synthetic(), p.Runs, labels, xs, failing(2, 1))
-	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `synthetic "a" x=10 run=2 panicked`) {
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), `"a" point chunk=10 seed=3`) || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("panicking measurement: err = %v, want the first failure, the contained panic", err)
 	}
 	if n := spe.LiveLocalStores() - before; n != 0 {
 		t.Errorf("%d local stores outlived the harness", n)
+	}
+}
+
+// TestKernelPointsCarryPerf: a coroutine-kernel point rolls up the
+// counters of the traffic its kernels made, as a scenario point does.
+func TestKernelPointsCarryPerf(t *testing.T) {
+	p := tinyParams()
+	results, err := p.Sweep(
+		SweepSpec{Chunks: []int{2}, kernel: func(n int, sys *cell.System) func() float64 {
+			return p.streamKernel(sys, StreamCopy, n)
+		}},
+		SweepSpec{Chunks: []int{16}, kernel: func(elem int, sys *cell.System) func() float64 {
+			return ppeKernel(sys, ppe.Load, 1, elem, p.bufBytes(LevelL1))
+		}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, l1 := results[0][0], results[1][0]
+	if stream.Perf == nil || stream.Perf.EIBCommands == 0 || stream.Commands == 0 || stream.GBps <= 0 {
+		t.Errorf("2-SPE stream copy point: perf %+v, commands %d, GB/s %g; want MFC traffic counted", stream.Perf, stream.Commands, stream.GBps)
+	}
+	if l1.Perf == nil || l1.Perf.PPEFills == 0 || l1.GBps <= 0 {
+		t.Errorf("ppe-l1 load point: perf %+v, GB/s %g; want PPE fills counted", l1.Perf, l1.GBps)
 	}
 }
 

@@ -1,6 +1,10 @@
 package core
 
-import "cellbe/internal/fault"
+import (
+	"fmt"
+
+	"cellbe/internal/fault"
+)
 
 // FaultRatesBp is the injected fault probability sweep of the fault-sweep
 // experiment, in basis points (1 bp = 0.01%). The range spans "healthy"
@@ -47,8 +51,9 @@ func FaultSweep(p Params) (*Result, error) {
 		XLabel: "fault rate (basis points)",
 		YLabel: "GB/s",
 	}
+	var labels []string
+	var specs []SweepSpec
 	for _, spec := range faultScenarios {
-		c := Curve{Label: spec.Scenario}
 		for _, bp := range FaultRatesBp {
 			// FaultSeed 0 derives each point's fault stream from its
 			// layout seed, so run r sweeps fault patterns alongside
@@ -57,13 +62,17 @@ func FaultSweep(p Params) (*Result, error) {
 			base.Faults = faultConfigAt(bp)
 			base.FaultSeed = 0
 			spec.Base = &base
-			pt, err := p.sweepAt(bp, spec)
-			if err != nil {
-				return nil, err
-			}
-			c.Points = append(c.Points, pt)
+			labels = append(labels, fmt.Sprintf("%s %dbp", spec.Scenario, bp))
+			specs = append(specs, spec)
 		}
-		res.Curves = append(res.Curves, c)
+	}
+	curves, err := p.Curves(labels, specs...)
+	if err != nil {
+		return nil, err
+	}
+	for i, spec := range faultScenarios {
+		n := len(FaultRatesBp)
+		res.Curves = append(res.Curves, pointsAt(spec.Scenario, FaultRatesBp, curves[i*n:(i+1)*n]))
 	}
 	return res, nil
 }

@@ -24,10 +24,11 @@ func LayoutTimeline(p Params) (*Result, error) {
 	spec := SweepSpec{Scenario: "cycle", SPEs: cell.NumSPEs, Op: "get", Chunks: []int{chunk}}
 
 	// Probe pass: aggregate bandwidth per layout seed, no tracing.
-	probes, err := p.Sweep(spec)
+	results, err := p.Sweep(spec)
 	if err != nil {
 		return nil, err
 	}
+	probes := results[0]
 	best, worst := probes[0], probes[0]
 	for _, r := range probes[1:] {
 		if r.GBps > best.GBps {
@@ -45,35 +46,32 @@ func LayoutTimeline(p Params) (*Result, error) {
 		interval = 1000
 	}
 
-	// Each rerun is a one-point sweep whose Instrument hook arms the
-	// sampler on the installed System, before its first event, and keeps
-	// the System for the sampler to read; the rerun releases it after.
-	rerun := func(seed int64) (*trace.Timeseries, error) {
-		var sampler *trace.Sampler
-		var kept *cell.System
-		one := spec
-		one.Seeds = []int64{seed}
-		one.Instrument = func(_ int, _ int64, sys *cell.System) bool {
-			sampler, kept = sys.StartMetrics(interval), sys
+	// The reruns are two one-point jobs of one Sweep. Each Instrument
+	// hook arms the sampler on its installed System, before the first
+	// event, and keeps the System for the sampler to read; it is released
+	// once the timelines are read.
+	seeds := []int64{best.Seed, worst.Seed}
+	samplers := make([]*trace.Sampler, len(seeds))
+	kept := make([]*cell.System, len(seeds))
+	reruns := make([]SweepSpec, len(seeds))
+	for i, seed := range seeds {
+		reruns[i] = spec
+		reruns[i].Seeds = []int64{seed}
+		reruns[i].Instrument = func(_ int, _ int64, sys *cell.System) bool {
+			samplers[i], kept[i] = sys.StartMetrics(interval), sys
 			return true
 		}
-		_, err := p.Sweep(one)
-		if kept != nil {
-			defer kept.Release()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return sampler.Timeseries(), nil
 	}
-	bestTS, err := rerun(best.Seed)
+	_, err = p.Sweep(reruns...)
+	for _, sys := range kept {
+		if sys != nil {
+			defer sys.Release()
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	worstTS, err := rerun(worst.Seed)
-	if err != nil {
-		return nil, err
-	}
+	bestTS, worstTS := samplers[0].Timeseries(), samplers[1].Timeseries()
 
 	curves := func(label string, ts *trace.Timeseries) []Curve {
 		cyc := ts.Column("cycle")

@@ -49,9 +49,9 @@ type SchedOptions struct {
 	BeforePoint func(chunk int, seed int64)
 	// Journal, when set, makes jobs durable: submissions and per-point
 	// completions are appended to the write-ahead journal, and a restart
-	// resumes incomplete jobs via Resume. Instrumented jobs are never
-	// journaled (their hooks are process state). The caller owns the
-	// journal's lifetime and closes it after Close.
+	// resumes incomplete jobs via Resume. Instrumented and kernel jobs
+	// are never journaled (their hooks are process state). The caller
+	// owns the journal's lifetime and closes it after Close.
 	Journal *journal.Journal
 	// Retry is the per-point self-healing policy: transient failures
 	// (fault-injected deadlocks, injected TransientErrors) retry with
@@ -248,7 +248,7 @@ func (s *Scheduler) SubmitWith(ctx context.Context, spec SweepSpec, opts SubmitO
 	// to an unjournaled job (sticky in journal Health / readiness)
 	// rather than rejecting the request: durability is best-effort,
 	// availability is not.
-	if jr := s.opts.Journal; jr != nil && spec.Instrument == nil {
+	if jr := s.opts.Journal; jr != nil && !spec.private() {
 		if opts.JournalID != "" {
 			j.jid = opts.JournalID
 		} else if raw, err := MarshalSpec(spec); err == nil {
@@ -369,12 +369,12 @@ func (s *Scheduler) runTask(t pointTask) {
 			return
 		}
 	}
-	// Instrumented jobs bypass the cache both ways: a memoized hit would
-	// skip the simulation the hook observes, and a hook-retained System
-	// must not be recorded as a reusable result. They bypass the journal
-	// for the same reason: a journaled result must be replayable.
-	cacheable := s.cache != nil && j.spec.Instrument == nil
-	journaled := s.opts.Journal != nil && j.spec.Instrument == nil
+	// Private jobs bypass the cache both ways: a memoized hit would skip
+	// the simulation the hook observes, and a hook-retained System must
+	// not be recorded as a reusable result. They bypass the journal for
+	// the same reason: a journaled result must be replayable.
+	cacheable := s.cache != nil && !j.spec.private()
+	journaled := s.opts.Journal != nil && !j.spec.private()
 	var key [sha256.Size]byte
 	if cacheable || journaled {
 		key = pointKey(&j.spec, pt.chunk, pt.seed)

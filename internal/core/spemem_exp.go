@@ -55,15 +55,14 @@ func SPEMemory(p Params, op DMAOp, list bool) (*Result, error) {
 		XLabel: "element size (bytes)",
 		YLabel: "GB/s",
 	}
+	var labels []string
+	var specs []SweepSpec
 	for _, n := range p.speCounts(SPECounts) {
-		c, err := p.SweepCurve(fmt.Sprintf("%d SPE", n), SweepSpec{
+		labels = append(labels, fmt.Sprintf("%d SPE", n))
+		specs = append(specs, SweepSpec{
 			Scenario: "mem", SPEs: n, Op: op.scenarioOp(), List: list, Chunks: p.chunkSizes()})
-		if err != nil {
-			return nil, err
-		}
-		res.Curves = append(res.Curves, c)
 	}
-	return res, nil
+	return res.withCurves(p.Curves(labels, specs...))
 }
 
 // SPELocalStore reproduces §4.2.2: SPU load/store/copy bandwidth against

@@ -26,19 +26,18 @@ func SPEPairSync(p Params) (*Result, error) {
 		XLabel: "element size (bytes)",
 		YLabel: "GB/s",
 	}
+	var labels []string
+	var specs []SweepSpec
 	for _, every := range p.syncIntervals() {
 		label := "all"
 		if every > 0 {
 			label = fmt.Sprintf("every %d", every)
 		}
-		c, err := p.SweepCurve(label, SweepSpec{Scenario: "pair", Chunks: p.chunkSizes(),
+		labels = append(labels, label)
+		specs = append(specs, SweepSpec{Scenario: "pair", Chunks: p.chunkSizes(),
 			figure: cell.PairFigure{SyncEvery: every}})
-		if err != nil {
-			return nil, err
-		}
-		res.Curves = append(res.Curves, c)
 	}
-	return res, nil
+	return res.withCurves(p.Curves(labels, specs...))
 }
 
 // SPEPairDistance measures the bandwidth between logical SPE 0 and every
@@ -54,16 +53,18 @@ func SPEPairDistance(p Params) (*Result, error) {
 		XLabel: "partner logical SPE",
 		YLabel: "GB/s",
 	}
-	c := Curve{Label: "16KB elements"}
-	for b := 1; b < cell.NumSPEs; b++ {
-		pt, err := p.sweepAt(b, SweepSpec{Scenario: "pair", Chunks: []int{16384},
-			figure: cell.PairFigure{Partner: b}})
-		if err != nil {
-			return nil, err
-		}
-		c.Points = append(c.Points, pt)
+	partners := []int{1, 2, 3, 4, 5, 6, 7}
+	labels := make([]string, len(partners))
+	specs := make([]SweepSpec, len(partners))
+	for i, b := range partners {
+		labels[i] = fmt.Sprintf("partner %d", b)
+		specs[i] = SweepSpec{Scenario: "pair", Chunks: []int{16384}, figure: cell.PairFigure{Partner: b}}
 	}
-	res.Curves = append(res.Curves, c)
+	curves, err := p.Curves(labels, specs...)
+	if err != nil {
+		return nil, err
+	}
+	res.Curves = []Curve{pointsAt("16KB elements", partners, curves)}
 	return res, nil
 }
 
@@ -100,12 +101,11 @@ func pairFamily(p Params, scenario string, list bool, name, title string) (*Resu
 		XLabel: "element size (bytes)",
 		YLabel: "GB/s",
 	}
+	var labels []string
+	var specs []SweepSpec
 	for _, n := range p.speCounts([]int{2, 4, 8}) {
-		c, err := p.SweepCurve(fmt.Sprintf("%d SPEs", n), SweepSpec{Scenario: scenario, SPEs: n, List: list, Chunks: p.chunkSizes()})
-		if err != nil {
-			return nil, err
-		}
-		res.Curves = append(res.Curves, c)
+		labels = append(labels, fmt.Sprintf("%d SPEs", n))
+		specs = append(specs, SweepSpec{Scenario: scenario, SPEs: n, List: list, Chunks: p.chunkSizes()})
 	}
-	return res, nil
+	return res.withCurves(p.Curves(labels, specs...))
 }

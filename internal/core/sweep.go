@@ -84,6 +84,12 @@ type SweepSpec struct {
 	// (cell.PairFigure). Unexported, so JSON, the CLIs, the journal and
 	// MarshalSpec cannot reach it; pointKey still tells its values apart.
 	figure cell.PairFigure
+
+	// kernel, when set, replaces the scenario: each point boots a bare
+	// system, kernel(chunk, sys) spawns the figure's kernels on it (the
+	// chunk axis is the figure's x axis) and returns the read-out that
+	// becomes SweepResult.GBps. Unexported like figure.
+	kernel func(x int, sys *cell.System) func() float64
 }
 
 // MarshalSpec canonicalizes a spec for the write-ahead journal. The
@@ -106,9 +112,12 @@ func UnmarshalSpec(b []byte) (SweepSpec, error) {
 
 // SweepResult is the outcome of one (chunk, seed) grid point.
 type SweepResult struct {
-	Chunk      int
-	Seed       int64
-	Cycles     sim.Time
+	Chunk  int
+	Seed   int64
+	Cycles sim.Time
+	// GBps is the point's bandwidth; for a coroutine-kernel point it is
+	// the kernel's read-out, in the figure's unit (GB/s, GFLOPS or
+	// cycles).
 	GBps       float64
 	Transfers  int64
 	WaitCycles sim.Time
@@ -170,6 +179,9 @@ func (s SweepSpec) Validate() error {
 	if len(s.Seeds) == 0 {
 		return fmt.Errorf("core: sweep needs at least one seed")
 	}
+	if s.kernel != nil {
+		return nil
+	}
 	for _, c := range s.Chunks {
 		sc := s.scenario(c)
 		if err := sc.Validate(); err != nil {
@@ -177,6 +189,12 @@ func (s SweepSpec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// private reports whether the spec carries process state (an Instrument
+// hook or a kernel) that the result cache and the journal cannot hold.
+func (s *SweepSpec) private() bool {
+	return s.Instrument != nil || s.kernel != nil
 }
 
 // faultsEnabled reports whether the sweep's (possibly nil) base config
@@ -215,6 +233,35 @@ func pointConfig(base *cell.Config, seed int64) cell.Config {
 	return cfg
 }
 
+// boot readies one grid point on a carcass of arena, installed but not
+// yet run, with the read-out that gives its GBps once it has. A failed
+// install retires the carcass itself.
+func (s *SweepSpec) boot(arena *cell.Arena, cfg cell.Config, chunk int) (sys *cell.System, readout func() float64, err error) {
+	if s.kernel == nil {
+		sys, total, err := arena.Boot(cfg, s.scenario(chunk))
+		if err != nil {
+			return nil, nil, err
+		}
+		return sys, func() float64 { return sys.GBps(total, sys.Eng.Now()) }, nil
+	}
+	sys, _ = arena.New(cfg)
+	defer func() {
+		if readout == nil {
+			arena.Retire(sys)
+		}
+	}()
+	return sys, s.kernel(chunk, sys), nil
+}
+
+// panicError is a recovered panic value as an error, prefixed with what
+// panicked and wrapping the value when it is an error.
+func panicError(r any, what string) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("%s panicked: %w", what, err)
+	}
+	return fmt.Errorf("%s panicked: %v", what, r)
+}
+
 // runPoint simulates one grid point; attempt is 0 for the first try and
 // counts up on retries, where it deterministically re-rolls the fault
 // stream (see retryFaultSeed). The point boots onto a carcass of the
@@ -238,7 +285,7 @@ func runPoint(spec *SweepSpec, arena *cell.Arena, chunk int, seed int64, attempt
 		cfg.FaultSeed = retryFaultSeed(cfg.FaultSeed, attempt)
 		res.FaultSeed = cfg.FaultSeed
 	}
-	sys, total, err := arena.Boot(cfg, spec.scenario(chunk))
+	sys, readout, err := spec.boot(arena, cfg, chunk)
 	if err != nil {
 		res.Err = err
 		res.Log = append(res.Log, err.Error())
@@ -261,7 +308,7 @@ func runPoint(spec *SweepSpec, arena *cell.Arena, chunk int, seed int64, attempt
 	}
 	st := sys.Bus.Stats()
 	res.Cycles = sys.Eng.Now()
-	res.GBps = sys.GBps(total, sys.Eng.Now())
+	res.GBps = readout()
 	res.Transfers = st.Transfers
 	res.WaitCycles = st.WaitCycles
 	res.Commands = st.Commands
@@ -282,35 +329,54 @@ func runPoint(spec *SweepSpec, arena *cell.Arena, chunk int, seed int64, attempt
 // regardless of Workers: each simulation owns its engine, and workers
 // only write disjoint slice slots.
 //
-// RunSweep is the one-shot facade over the job scheduler: it builds a
-// private Scheduler (no result cache — a one-shot sweep never resubmits a
-// point), submits the spec as a single job and drains it. Long-running
-// callers (cellserve) construct a shared Scheduler instead and get
-// memoization, admission control and cancellation on top of the same
-// worker pool.
+// RunSweep is the one-shot facade over the job scheduler (runJobs).
+// Long-running callers (cellserve) construct a shared Scheduler instead
+// and get memoization, admission control and cancellation on top of the
+// same worker pool.
 func RunSweep(spec SweepSpec) ([]SweepResult, error) {
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n := len(spec.Chunks) * len(spec.Seeds); n > 0 && workers > n {
-		workers = n
-	}
-	s := NewScheduler(SchedOptions{Workers: workers, MaxJobs: 1})
-	defer s.Close()
-	job, err := s.Submit(context.Background(), spec)
+	results, err := runJobs([]SweepSpec{spec})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepResult, 0, job.Total())
-	for pr := range job.Results() {
-		out = append(out, pr.SweepResult)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Chunk != out[j].Chunk {
-			return out[i].Chunk < out[j].Chunk
+	return results[0], nil
+}
+
+// runJobs is the one-shot runner under RunSweep and Params.Sweep: one
+// private Scheduler (no result cache — a one-shot run never resubmits a
+// point) with every spec as a job, each job's results sorted by (chunk,
+// seed). The pool has GOMAXPROCS workers (or a spec's Workers), capped
+// at the number of grid points.
+func runJobs(specs []SweepSpec) ([][]SweepResult, error) {
+	workers, points := runtime.GOMAXPROCS(0), 0
+	for _, spec := range specs {
+		if spec.Workers > 0 {
+			workers = spec.Workers
 		}
-		return out[i].Seed < out[j].Seed
-	})
+		points += len(spec.Chunks) * len(spec.Seeds)
+	}
+	s := NewScheduler(SchedOptions{Workers: min(workers, points), MaxJobs: len(specs)})
+	defer s.Close()
+	jobs := make([]*Job, len(specs))
+	for i, spec := range specs {
+		job, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = job
+	}
+	out := make([][]SweepResult, len(jobs))
+	for i, job := range jobs {
+		rs := make([]SweepResult, 0, job.Total())
+		for pr := range job.Results() {
+			rs = append(rs, pr.SweepResult)
+		}
+		sort.Slice(rs, func(a, b int) bool {
+			if rs[a].Chunk != rs[b].Chunk {
+				return rs[a].Chunk < rs[b].Chunk
+			}
+			return rs[a].Seed < rs[b].Seed
+		})
+		out[i] = rs
+	}
 	return out, nil
 }

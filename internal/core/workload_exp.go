@@ -23,24 +23,14 @@ func Workloads(p Params) (*Result, error) {
 		YLabel: "GB/s",
 	}
 	half := p.BytesPerSPE / 2
-	variants := []struct {
-		label string
-		spec  SweepSpec
-	}{
-		{"gups both", SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{8, 16, 32, 64, 128}, Volume: p.BytesPerSPE / 16}},
-		{"qcd halo", SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{1024, 4096, 16384}, Volume: half}},
-		{"md pairs", SweepSpec{Scenario: "md", SPEs: 8, Chunks: []int{512, 4096}, Volume: half}},
-		{"stream copy", SweepSpec{Scenario: "stream", SPEs: 8, Op: "copy", Chunks: []int{16384}, Volume: half}},
-		{"stream scale", SweepSpec{Scenario: "stream", SPEs: 8, Op: "scale", Chunks: []int{16384}, Volume: half}},
-		{"stream add", SweepSpec{Scenario: "stream", SPEs: 8, Op: "add", Chunks: []int{16384}, Volume: half}},
-		{"stream triad", SweepSpec{Scenario: "stream", SPEs: 8, Op: "triad", Chunks: []int{4096, 16384}, Volume: half}},
-	}
-	for _, v := range variants {
-		c, err := p.SweepCurve(v.label, v.spec)
-		if err != nil {
-			return nil, err
-		}
-		res.Curves = append(res.Curves, c)
-	}
-	return res, nil
+	return res.withCurves(p.Curves(
+		[]string{"gups both", "qcd halo", "md pairs", "stream copy", "stream scale", "stream add", "stream triad"},
+		SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{8, 16, 32, 64, 128}, Volume: p.BytesPerSPE / 16},
+		SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{1024, 4096, 16384}, Volume: half},
+		SweepSpec{Scenario: "md", SPEs: 8, Chunks: []int{512, 4096}, Volume: half},
+		SweepSpec{Scenario: "stream", SPEs: 8, Op: "copy", Chunks: []int{16384}, Volume: half},
+		SweepSpec{Scenario: "stream", SPEs: 8, Op: "scale", Chunks: []int{16384}, Volume: half},
+		SweepSpec{Scenario: "stream", SPEs: 8, Op: "add", Chunks: []int{16384}, Volume: half},
+		SweepSpec{Scenario: "stream", SPEs: 8, Op: "triad", Chunks: []int{4096, 16384}, Volume: half},
+	))
 }
