@@ -1,11 +1,13 @@
 package cellbe
 
-// One benchmark per table/figure of the paper's evaluation, plus ablation
-// benches for the design rules the paper derives. Each bench runs the
-// corresponding experiment at reduced volume and reports the headline
-// bandwidth numbers as custom metrics (GB/s), so `go test -bench=.`
-// regenerates the whole evaluation in one sweep. EXPERIMENTS.md records
-// the paper-vs-measured comparison produced from these.
+// One benchmark per table/figure of the paper's evaluation. Each bench
+// runs the corresponding experiment at reduced volume and reports the
+// headline bandwidth numbers as custom metrics (GB/s), so `go test
+// -bench=.` regenerates the whole evaluation in one sweep. EXPERIMENTS.md
+// records the paper-vs-measured comparison produced from these. The
+// design rules the paper derives are checked, rule off against rule on,
+// by the abl/* conformance claims:
+// go test ./internal/conformance -run 'TestClaims/abl/'.
 
 import (
 	"encoding/json"
@@ -16,9 +18,7 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
-	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
-	"cellbe/internal/spe"
 )
 
 // benchParams keeps benchmark iterations affordable: 3 layout samples,
@@ -381,220 +381,6 @@ func BenchmarkMemPath(b *testing.B) {
 		})
 	}
 	recordBenchBaseline(b, "MemPath", metrics)
-}
-
-// --- Ablations: the design rules §5 derives, each with the rule on/off ---
-
-// BenchmarkAblationSyncEvery measures the cost of synchronizing after
-// every DMA versus delaying the wait (the paper's first programming rule).
-func BenchmarkAblationSyncEvery(b *testing.B) {
-	var eager, delayed float64
-	for i := 0; i < b.N; i++ {
-		sys := cell.New(cell.DefaultConfig())
-		eager = pairOnce(sys, 2048, 1)
-		sys = cell.New(cell.DefaultConfig())
-		delayed = pairOnce(sys, 2048, 0)
-	}
-	b.ReportMetric(eager, "syncEvery1-GB/s")
-	b.ReportMetric(delayed, "delayed-GB/s")
-}
-
-func pairOnce(sys *cell.System, chunk, syncEvery int) float64 {
-	const volume = 1 << 20
-	var cycles sim.Time
-	sys.SPEs[0].Run("pair", func(ctx *spe.Context) {
-		start := ctx.Decrementer()
-		peer := sys.LSEA(1, 0)
-		issued, i := 0, 0
-		for off := int64(0); off < volume; off += int64(chunk) {
-			slot := i % 8
-			ctx.Get(slot*chunk, peer+int64(slot*chunk), chunk, 0)
-			ctx.Put(64<<10+slot*chunk, peer+int64(slot*chunk), chunk, 1)
-			issued += 2
-			i++
-			if syncEvery > 0 && issued >= syncEvery {
-				ctx.WaitTagMask(3)
-				issued = 0
-			}
-		}
-		ctx.WaitTagMask(3)
-		cycles = ctx.Decrementer() - start
-	})
-	sys.Run()
-	return sys.GBps(2*volume, cycles)
-}
-
-// BenchmarkAblationListVsElem compares DMA-list against DMA-elem for
-// small chunks (the paper: lists keep peak bandwidth below 1 KB).
-func BenchmarkAblationListVsElem(b *testing.B) {
-	p := benchParams()
-	p.Runs = 1
-	var elem, list float64
-	for i := 0; i < b.N; i++ {
-		r, err := core.SPECouples(p, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ := r.At("2 SPEs", 128)
-		elem = s.Mean
-		r, err = core.SPECouples(p, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ = r.At("2 SPEs", 128)
-		list = s.Mean
-	}
-	b.ReportMetric(elem, "elem128B-GB/s")
-	b.ReportMetric(list, "list128B-GB/s")
-}
-
-// BenchmarkAblationSingleBank shows why interleaved NUMA allocation
-// matters: with all pages on the local bank, multi-SPE memory bandwidth
-// caps at the MIC's 16.8 GB/s instead of ~20+.
-func BenchmarkAblationSingleBank(b *testing.B) {
-	var inter, single float64
-	for i := 0; i < b.N; i++ {
-		inter = memGetOnce(b, true, 16)
-		single = memGetOnce(b, false, 16)
-	}
-	b.ReportMetric(inter, "interleaved-GB/s")
-	b.ReportMetric(single, "singleBank-GB/s")
-}
-
-func memGetOnce(b *testing.B, interleave bool, window int) float64 {
-	b.Helper()
-	cfg := cell.DefaultConfig()
-	cfg.Mem.Interleave = interleave
-	cfg.MFC.Window = window
-	sys := cell.New(cfg)
-	const volume = 1 << 20
-	var last sim.Time
-	for i := 0; i < 4; i++ {
-		i := i
-		base := sys.Alloc(volume, 1<<16)
-		sys.SPEs[i].Run("mem", func(ctx *spe.Context) {
-			for off := int64(0); off < volume; off += 16384 {
-				ctx.Get(int(off)%(128<<10), base+off, 16384, 0)
-			}
-			ctx.WaitTagMask(1)
-			if e := ctx.Decrementer(); e > last {
-				last = e
-			}
-		})
-	}
-	sys.Run()
-	return sys.GBps(4*volume, last)
-}
-
-// BenchmarkAblationWindow shows that a single SPE's ~10 GB/s memory limit
-// is the MFC's outstanding-transfer window times line size over round-trip
-// latency: quadrupling the window lifts the ceiling.
-func BenchmarkAblationWindow(b *testing.B) {
-	var w16, w64 float64
-	for i := 0; i < b.N; i++ {
-		w16 = singleSPEGet(b, 16)
-		w64 = singleSPEGet(b, 64)
-	}
-	b.ReportMetric(w16, "window16-GB/s")
-	b.ReportMetric(w64, "window64-GB/s")
-}
-
-func singleSPEGet(b *testing.B, window int) float64 {
-	b.Helper()
-	cfg := cell.DefaultConfig()
-	cfg.MFC.Window = window
-	sys := cell.New(cfg)
-	const volume = 1 << 20
-	base := sys.Alloc(volume, 1<<16)
-	var cycles sim.Time
-	sys.SPEs[0].Run("mem", func(ctx *spe.Context) {
-		start := ctx.Decrementer()
-		for off := int64(0); off < volume; off += 16384 {
-			ctx.Get(int(off)%(128<<10), base+off, 16384, 0)
-		}
-		ctx.WaitTagMask(1)
-		cycles = ctx.Decrementer() - start
-	})
-	sys.Run()
-	return sys.GBps(volume, cycles)
-}
-
-// BenchmarkAblationPrefetch shows the L2 stream prefetcher is what makes
-// PPE memory reads match L2 reads (Figure 6's surprising equality).
-func BenchmarkAblationPrefetch(b *testing.B) {
-	var on, off float64
-	for i := 0; i < b.N; i++ {
-		on = ppeMemLoad(b, cell.DefaultConfig().PPE.PrefetchDepth)
-		off = ppeMemLoad(b, 0)
-	}
-	b.ReportMetric(on, "prefetchOn-GB/s")
-	b.ReportMetric(off, "prefetchOff-GB/s")
-}
-
-func ppeMemLoad(b *testing.B, depth int) float64 {
-	b.Helper()
-	cfg := cell.DefaultConfig()
-	cfg.PPE.PrefetchDepth = depth
-	sys := cell.New(cfg)
-	const volume = 1 << 20
-	base := sys.Alloc(volume, 128)
-	var cycles sim.Time
-	sys.PPE.Spawn(0, "load", func(t *ppe.Thread) {
-		start := t.Now()
-		t.StreamLoad(base, volume, 8)
-		cycles = t.Now() - start
-	})
-	sys.Run()
-	return sys.GBps(volume, cycles)
-}
-
-// BenchmarkAblationRingGap isolates the EIB arbitration-efficiency model:
-// with no switching gap the rings pack perfectly and the couples
-// experiment overshoots the measured 95 GB/s.
-func BenchmarkAblationRingGap(b *testing.B) {
-	var ideal, real float64
-	for i := 0; i < b.N; i++ {
-		ideal = couplesOnce(b, 0)
-		real = couplesOnce(b, cell.DefaultConfig().EIB.RingDeadCycles)
-	}
-	b.ReportMetric(ideal, "idealArbiter-GB/s")
-	b.ReportMetric(real, "realArbiter-GB/s")
-}
-
-func couplesOnce(b *testing.B, gap sim.Time) float64 {
-	b.Helper()
-	// Average across layouts: the arbitration gap only matters on
-	// placements whose transfer paths collide.
-	const seeds = 6
-	sum := 0.0
-	for seed := int64(1); seed <= seeds; seed++ {
-		cfg := cell.DefaultConfig()
-		cfg.EIB.RingDeadCycles = gap
-		cfg.Layout = cell.RandomLayout(seed)
-		sys := cell.New(cfg)
-		const volume = 1 << 20
-		var last sim.Time
-		for c := 0; c < 4; c++ {
-			active, passive := 2*c, 2*c+1
-			peer := sys.LSEA(passive, 0)
-			sys.SPEs[active].Run("couple", func(ctx *spe.Context) {
-				i := 0
-				for off := int64(0); off < volume; off += 16384 {
-					slot := i % 8
-					ctx.Get(slot*16384, peer+int64(slot*16384), 16384, 0)
-					ctx.Put(128<<10+slot*16384, peer+int64(slot*16384), 16384, 1)
-					i++
-				}
-				ctx.WaitTagMask(3)
-				if e := ctx.Decrementer(); e > last {
-					last = e
-				}
-			})
-		}
-		sys.Run()
-		sum += sys.GBps(8*volume, last)
-	}
-	return sum / seeds
 }
 
 // --- Extensions (the paper's §5 future work) ---

@@ -710,7 +710,7 @@ themselves (explicit phase program / config variant, quick volumes).`,
 			"equal to the host float32 reference.",
 	},
 	{
-		Title:  "## Ablations (`go test -bench=Ablation`)",
+		Title:  "## Ablations (`go test ./internal/conformance -run 'TestClaims/abl/'`)",
 		Header: []string{"Rule from §5", "off", "on"},
 		Claims: []Claim{
 			{
