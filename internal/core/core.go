@@ -191,7 +191,7 @@ func (p Params) Curves(labels []string, specs ...SweepSpec) ([]Curve, error) {
 // sweep is Sweep naming a failed point by its curve label when labels
 // is set, by its scenario otherwise.
 func (p Params) sweep(labels []string, specs []SweepSpec) ([][]SweepResult, error) {
-	specs = append([]SweepSpec(nil), specs...)
+	specs = append([]SweepSpec(nil), specs...) // fill in a copy, not the caller's slice
 	for i := range specs {
 		spec := &specs[i]
 		if spec.Seeds == nil {

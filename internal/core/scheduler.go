@@ -645,6 +645,9 @@ func (j *Job) skip(n int) {
 }
 
 func (j *Job) finish() {
+	// Free the admission slot before the consumer can see the stream
+	// end, so a caller that drained this job may submit the next at once.
+	j.sched.release(j.ID)
 	close(j.results)
 	j.cancel() // release the context's resources
 	// A finished job — every point delivered or deliberately skipped —
@@ -654,7 +657,6 @@ func (j *Job) finish() {
 	if jr := j.sched.opts.Journal; jr != nil && j.jid != "" {
 		jr.AppendDone(j.jid)
 	}
-	j.sched.release(j.ID)
 }
 
 // pointKey canonicalizes everything that determines a grid point's result
