@@ -11,7 +11,7 @@ import "cellbe/internal/cell"
 
 // CrossChip measures pair bandwidth (simultaneous GET+PUT, delayed sync)
 // against an on-chip partner and a second-chip partner, across element
-// sizes.
+// sizes (the Chunks restriction, or every DMA size).
 func CrossChip(p Params) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -23,6 +23,6 @@ func CrossChip(p Params) (*Result, error) {
 		YLabel: "GB/s",
 	}
 	return res.withCurves(p.Curves([]string{"on-chip partner", "cross-chip partner"},
-		SweepSpec{Scenario: "pair", Chunks: ChunkSizes},
-		SweepSpec{Scenario: "pair", Chunks: ChunkSizes, figure: cell.PairFigure{Remote: true}}))
+		SweepSpec{Scenario: "pair", Chunks: p.chunkSizes()},
+		SweepSpec{Scenario: "pair", Chunks: p.chunkSizes(), figure: cell.PairFigure{Remote: true}}))
 }

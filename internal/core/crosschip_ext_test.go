@@ -29,6 +29,22 @@ func TestCrossChipLimitedByIOIF(t *testing.T) {
 	}
 }
 
+// TestCrossChipHonoursChunks: the element-size axis of both curves obeys
+// Params.Chunks, as every sweep-backed figure does.
+func TestCrossChipHonoursChunks(t *testing.T) {
+	p := tinyParams()
+	p.Chunks = []int{4096}
+	res, err := CrossChip(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range res.Curves {
+		if len(c.Points) != 1 || c.Points[0].X != 4096 {
+			t.Errorf("%q: points %+v, want only x=4096", c.Label, c.Points)
+		}
+	}
+}
+
 func TestRemoteLSDataRoundTrip(t *testing.T) {
 	p := fastParams()
 	sys := testSystem(p)

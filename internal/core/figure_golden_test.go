@@ -28,7 +28,7 @@ func TestFigureGoldens(t *testing.T) {
 		"spe-couples-list":  "9ce5fb9c6839a59160e72d5352ff6a78b43a1bb408989b20910169a8a84a94f4",
 		"spe-cycle":         "50ae8dbf9223735b8e4eb00768ad75ad3fe37ccae3925626f24c3228bf1dd2b1",
 		"spe-cycle-list":    "a5a68a97f4a14793f64083ec5219d3a4d12526f62b4340d8c3195a5d03f1e8ac",
-		"cross-chip":        "5aad22d0011b1aa84c1bc9befa7bcb6fa0b8ad0c895d528dad4feac29d957dd0",
+		"cross-chip":        "612509e0dc155780f5dab4fc6ec725ae4dbc91ed12cf80d216ec048143c08030", // both curves at speParams.Chunks
 	}
 	speParams := DefaultParams()
 	speParams.Runs = 2
