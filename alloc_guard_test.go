@@ -8,8 +8,6 @@ package cellbe
 // regression cannot hide until the next manual benchmark pass.
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"cellbe/internal/cell"
@@ -21,19 +19,7 @@ func TestEIBSaturatedAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full saturated run: skipped in -short mode")
 	}
-	data, err := os.ReadFile("BENCH_eib.json")
-	if err != nil {
-		t.Skipf("no baseline: %v (regenerate with go test -bench 'EIBSaturated|Sweep' -benchmem .)", err)
-	}
-	var all map[string]map[string]float64
-	if err := json.Unmarshal(data, &all); err != nil {
-		t.Fatalf("unparsable BENCH_eib.json: %v", err)
-	}
-	baseline, ok := all["EIBSaturated"]["allocs/op"]
-	if !ok {
-		t.Skip("baseline has no EIBSaturated allocs/op entry")
-	}
-
+	baseline := benchBaseline(t, "EIBSaturated", "allocs/op")
 	sc := saturatedScenario()
 	perOp := testing.AllocsPerRun(1, func() {
 		cfg := cell.DefaultConfig()
@@ -62,19 +48,7 @@ func TestEIBSaturatedAllocGuard(t *testing.T) {
 // nothing, so even a single new allocation on a per-event path trips this
 // immediately (an op fires ~2k events).
 func TestEngineAllocGuard(t *testing.T) {
-	data, err := os.ReadFile("BENCH_eib.json")
-	if err != nil {
-		t.Skipf("no baseline: %v (regenerate with go test ./internal/sim -bench Engine)", err)
-	}
-	var all map[string]map[string]float64
-	if err := json.Unmarshal(data, &all); err != nil {
-		t.Fatalf("unparsable BENCH_eib.json: %v", err)
-	}
-	baseline, ok := all["Engine"]["allocs/op"]
-	if !ok {
-		t.Skip("baseline has no Engine allocs/op entry")
-	}
-
+	baseline := benchBaseline(t, "Engine", "allocs/op")
 	// Warm until the wheel reaches steady state. Bucket backings are
 	// allocated on first touch and retained, and the churn's far events walk
 	// a new higher-level bucket index every op, so it takes a full 64-index
@@ -156,5 +130,27 @@ func TestMemPathAllocGuard(t *testing.T) {
 				t.Fatalf("%.3f allocs per bank access, limit %.2f: the memory path allocates per access", perAccess, c.limit)
 			}
 		})
+	}
+}
+
+// TestWorkloadsAllocGuard holds one call of the workloads experiment at
+// the paper-figures benchmark's parameters to the heap bytes the
+// BENCH_eib.json Workloads row recorded, plus 25% and 2 MiB. Its gups and
+// md points scatter writes over simulated RAM, which the carcasses of the
+// figure's arena keep across boots one 128-byte line at a time: storage
+// at 64 KiB pages, rebuilt on every boot, allocated ~249 MiB per call.
+func TestWorkloadsAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure run: skipped in -short mode")
+	}
+	baseline := benchBaseline(t, "Workloads", "bytes/call")
+	// The first call of a process also fills the local-store pool, which
+	// the benchmark's calls find primed.
+	runWorkloads(t)
+	bytes, allocs := runWorkloads(t)
+	t.Logf("%.1f MiB, %.0f allocs per call (baseline %.1f MiB)", bytes/(1<<20), allocs, baseline/(1<<20))
+	if limit := baseline*1.25 + 2<<20; bytes > limit {
+		t.Fatalf("one workloads call allocates %.1f MiB, baseline %.1f MiB (limit %.1f MiB): RAM storage or a per-point path allocates again",
+			bytes/(1<<20), baseline/(1<<20), limit/(1<<20))
 	}
 }

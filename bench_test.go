@@ -11,10 +11,12 @@ package cellbe
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
@@ -201,17 +203,18 @@ var benchJSONMu sync.Mutex
 
 // recordBenchBaseline merges the given metrics for one benchmark into
 // BENCH_eib.json, the checked-against perf baseline for the EIB hot path.
+// Rows hold numbers and, for machine context, strings.
 // Regenerate it with: go test -bench 'EIBSaturated|Sweep' -benchmem .
-func recordBenchBaseline(b *testing.B, name string, metrics map[string]float64) {
+func recordBenchBaseline(b *testing.B, name string, metrics map[string]any) {
 	b.Helper()
 	benchJSONMu.Lock()
 	defer benchJSONMu.Unlock()
 	const path = "BENCH_eib.json"
-	all := map[string]map[string]float64{}
+	all := map[string]map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &all); err != nil {
 			b.Logf("ignoring unparsable %s: %v", path, err)
-			all = map[string]map[string]float64{}
+			all = map[string]map[string]any{}
 		}
 	}
 	all[name] = metrics
@@ -265,7 +268,7 @@ func BenchmarkEIBSaturated(b *testing.B) {
 		sys.Run()
 	})
 	b.ReportMetric(perOp/float64(transfers), "allocs/transfer")
-	recordBenchBaseline(b, "EIBSaturated", map[string]float64{
+	recordBenchBaseline(b, "EIBSaturated", map[string]any{
 		"cycles":          float64(cycles),
 		"transfers":       float64(transfers),
 		"allocs/op":       perOp,
@@ -299,7 +302,7 @@ func BenchmarkSweep(b *testing.B) {
 	if elapsed > 0 {
 		b.ReportMetric(points*float64(b.N)/elapsed, "points/s")
 	}
-	recordBenchBaseline(b, "Sweep", map[string]float64{
+	recordBenchBaseline(b, "Sweep", map[string]any{
 		"points":  points,
 		"ns/op":   elapsed * 1e9 / float64(b.N),
 		"point/s": points * float64(b.N) / elapsed,
@@ -350,7 +353,7 @@ func BenchmarkSweepWarm(b *testing.B) {
 	}
 	perPoint := testing.AllocsPerRun(1, func() { runGrid() }) / points
 	b.ReportMetric(perPoint, "allocs/point")
-	recordBenchBaseline(b, "SweepWarm", map[string]float64{
+	recordBenchBaseline(b, "SweepWarm", map[string]any{
 		"points":       points,
 		"point/s":      total / elapsed,
 		"allocs/point": perPoint,
@@ -362,7 +365,7 @@ func BenchmarkSweepWarm(b *testing.B) {
 // copy at L2 sizing — per XDR bank access: wall time and allocations, the
 // figures the pooled line-access, fill and write-completion records moved.
 func BenchmarkMemPath(b *testing.B) {
-	metrics := map[string]float64{"gomaxprocs": float64(runtime.GOMAXPROCS(0))}
+	metrics := map[string]any{"gomaxprocs": runtime.GOMAXPROCS(0)}
 	for _, c := range memPathCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var accesses int64
@@ -381,6 +384,70 @@ func BenchmarkMemPath(b *testing.B) {
 		})
 	}
 	recordBenchBaseline(b, "MemPath", metrics)
+}
+
+// workloadsParams are the figure parameters of the paper-figures
+// benchmark (perfbench's figureParams at layout base 1): 2 layouts,
+// 256 KiB per SPE, 64 KiB of PPE traffic.
+func workloadsParams() core.Params {
+	p := core.DefaultParams()
+	p.Runs = 2
+	p.BytesPerSPE = 256 << 10
+	p.PPEBytes = 64 << 10
+	p.Elems = []int{16}
+	p.Chunks = []int{256, 2048, 16384}
+	return p
+}
+
+// runWorkloads runs one call of the workloads experiment at
+// workloadsParams and returns its heap bytes and allocations, every
+// goroutine it starts included.
+func runWorkloads(tb testing.TB) (bytes, allocs float64) {
+	tb.Helper()
+	e, err := core.Lookup("workloads")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := e.Run(workloadsParams()); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
+}
+
+// BenchmarkWorkloads measures one call of the workloads experiment, the
+// largest allocator of the paper-figures benchmark (its gups and md
+// points scatter writes over simulated RAM). The Workloads row records
+// heap bytes and allocations per call (TestWorkloadsAllocGuard holds the
+// bytes), the fastest call's wall time with the calls' spread
+// (max-min)/min, and the machine. Record it with:
+// go test -run xxx -bench 'Workloads$' -benchtime 5x .
+func BenchmarkWorkloads(b *testing.B) {
+	var bytes, allocs float64
+	fastest, slowest := time.Duration(math.MaxInt64), time.Duration(0)
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		by, al := runWorkloads(b)
+		d := time.Since(start)
+		bytes, allocs = bytes+by, allocs+al
+		fastest, slowest = min(fastest, d), max(slowest, d)
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(bytes/n, "B/call")
+	b.ReportMetric(allocs/n, "allocs/call")
+	recordBenchBaseline(b, "Workloads", map[string]any{
+		"calls":          b.N,
+		"bytes/call":     bytes / n,
+		"allocs/call":    allocs / n,
+		"ns/call min":    fastest.Nanoseconds(),
+		"ns/call spread": float64(slowest-fastest) / float64(fastest),
+		"goarch":         runtime.GOARCH,
+		"gomaxprocs":     runtime.GOMAXPROCS(0),
+		"go":             runtime.Version(),
+	})
 }
 
 // --- Extensions (the paper's §5 future work) ---

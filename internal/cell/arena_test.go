@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -242,6 +243,67 @@ func TestArenaMixedHistory(t *testing.T) {
 	}
 	if got, want := a.Recycled(), int64(2*len(scenarios)); got != want {
 		t.Errorf("Recycled() = %d, want %d", got, want)
+	}
+}
+
+// TestArenaRAMAfterGUPS: the carcass keeps its RAM storage across boots,
+// so a carcass whose gups point scattered non-zero lines over the table
+// must boot mem put and get points that match a fresh New bit for bit:
+// install results, statistics, counters, every local store and every
+// RAM byte the gups table spans, which holds both points' buffers.
+func TestArenaRAMAfterGUPS(t *testing.T) {
+	var a Arena
+	defer a.Release()
+	gups := Scenario{Kind: "gups", SPEs: 8, Chunk: 8, Volume: 16 << 10, Op: "both"}
+	sys, _, err := a.Boot(DefaultConfig(), gups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range sys.SPEs {
+		for i, ls := 0, sp.LS(); i < len(ls); i++ {
+			ls[i] = byte(i%251) | 1 // the scatters write non-zero bytes
+		}
+	}
+	if err := sys.RunChecked(0); err != nil {
+		t.Fatal(err)
+	}
+	span := make([]byte, gupsRegionBytes)
+	sys.Mem.RAM().Read(0, span)
+	if bytes.Count(span, []byte{0}) == len(span) {
+		t.Fatal("gups left the table all zero: the carcass carries nothing to leak")
+	}
+	a.Retire(sys)
+	for _, op := range []string{"put", "get"} {
+		sc := Scenario{Kind: "mem", SPEs: 4, Chunk: 4096, Volume: 64 << 10, Op: op}
+		warm, wantN, err := a.Boot(DefaultConfig(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm != sys {
+			t.Fatalf("mem %s: boot did not reuse the gups carcass", op)
+		}
+		cold := New(DefaultConfig())
+		coldN, err := sc.Install(cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c, w := runErr(cold), runErr(warm); c != "" || w != "" || coldN != wantN {
+			t.Fatalf("mem %s: cold %q (%d B), warm %q (%d B)", op, c, coldN, w, wantN)
+		}
+		assertIdentical(t, "mem "+op, cold, warm)
+		for i := range cold.SPEs {
+			if !bytes.Equal(cold.SPEs[i].LS(), warm.SPEs[i].LS()) {
+				t.Errorf("mem %s: SPE%d local store differs from a fresh system", op, i)
+			}
+		}
+		want, got := make([]byte, gupsRegionBytes), make([]byte, gupsRegionBytes)
+		cold.Mem.RAM().Read(0, want)
+		warm.Mem.RAM().Read(0, got)
+		if !bytes.Equal(want, got) {
+			t.Errorf("mem %s: RAM differs from a fresh system's", op)
+		}
+		cold.Release()
+		a.Retire(warm)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"cellbe/internal/ppe"
 	"cellbe/internal/sim"
 	"cellbe/internal/spe"
+	"cellbe/internal/xdr"
 )
 
 func TestDefaultSystemWiring(t *testing.T) {
@@ -149,6 +150,37 @@ func TestDMASPEToSPE(t *testing.T) {
 	s.Run()
 	if !bytes.Equal(dst.LS()[2048:2048+1024], src.LS()[:1024]) {
 		t.Fatal("SPE-to-SPE GET payload mismatch")
+	}
+}
+
+// TestRAMMaterializesWrittenLines pins what a scattered-write point
+// costs in RAM storage, at the workloads figure's gups and md points:
+// the RAM materializes one block per line written, so it holds at most
+// one line per bank write request (each moves min(chunk, 128) bytes
+// within one line), and these scattered patterns, whose writes seldom
+// share a line, hold more than one line per two requests. At 64 KiB
+// pages the gups point touched 256 pages, 16 MiB for 128 KiB written.
+func TestRAMMaterializesWrittenLines(t *testing.T) {
+	for _, sc := range []Scenario{
+		{Kind: "gups", SPEs: 8, Chunk: 8, Volume: 16 << 10, Op: "both"},
+		{Kind: "md", SPEs: 8, Chunk: 512, Volume: 128 << 10},
+	} {
+		sys := New(DefaultConfig())
+		if _, err := sc.Install(sys); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunChecked(0); err != nil {
+			t.Fatal(err)
+		}
+		written := sys.Mem.BankStats(0).WriteBytes + sys.Mem.BankStats(1).WriteBytes
+		requests := int(written) / min(sc.Chunk, xdr.LineBytes)
+		touched := sys.Mem.RAM().TouchedPages()
+		t.Logf("%s: %d blocks for %d write requests (%d B)", sc.Kind, touched, requests, written)
+		if touched > requests || 2*touched <= requests {
+			t.Errorf("%s: %d blocks materialized for %d write requests, want in (%d, %d]",
+				sc.Kind, touched, requests, requests/2, requests)
+		}
+		sys.Release()
 	}
 }
 

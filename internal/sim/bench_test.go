@@ -29,7 +29,7 @@ func BenchmarkEngine(b *testing.B) {
 		b.ReportMetric(float64(fired)/elapsed, "events/s")
 	}
 	allocs := testing.AllocsPerRun(1, func() { EventChurn(e, ChurnRounds) })
-	recordBaseline(b, "Engine", map[string]float64{
+	recordBaseline(b, "Engine", map[string]any{
 		"events/op": perRun,
 		"events/s":  float64(fired) / elapsed,
 		"allocs/op": allocs,
@@ -58,7 +58,7 @@ func BenchmarkProcessHandoff(b *testing.B) {
 		Spawn(e, "spawn", func(p *Process) { p.Wait(1) })
 		e.Run()
 	})
-	recordBaseline(b, "ProcessHandoff", map[string]float64{
+	recordBaseline(b, "ProcessHandoff", map[string]any{
 		"ns/handoff":   nsPerHandoff,
 		"allocs/spawn": allocs,
 		"gomaxprocs":   float64(runtime.GOMAXPROCS(0)),
@@ -67,15 +67,16 @@ func BenchmarkProcessHandoff(b *testing.B) {
 
 // recordBaseline merges one named entry into the repository-root
 // BENCH_eib.json (the same file the root-package benchmarks maintain; this
-// package can't share their helper, so the merge is reimplemented).
-func recordBaseline(b *testing.B, name string, metrics map[string]float64) {
+// package can't share their helper, so the merge is reimplemented). Rows
+// hold numbers and, for machine context, strings.
+func recordBaseline(b *testing.B, name string, metrics map[string]any) {
 	b.Helper()
 	const path = "../../BENCH_eib.json"
-	all := map[string]map[string]float64{}
+	all := map[string]map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &all); err != nil {
 			b.Logf("ignoring unparsable %s: %v", path, err)
-			all = map[string]map[string]float64{}
+			all = map[string]map[string]any{}
 		}
 	}
 	all[name] = metrics

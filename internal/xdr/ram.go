@@ -2,42 +2,85 @@ package xdr
 
 import "fmt"
 
-// RAM is sparse byte-addressable storage: pages are allocated on first
-// touch so a 512 MB address space costs only what the workload touches.
-// It carries the *contents* of memory; all timing lives in Memory.
+// RAM is sparse byte-addressable storage. Its unit is one block (Memory
+// uses LineBytes): a block takes the next free slot of the storage chunks
+// on its first write, so a 512 MB address space costs only the lines a run
+// writes. Slot tables, one per tableBlocks blocks so that their index stays
+// small enough to cache, map each block to its slot. Reset forgets every
+// block but keeps the chunks and the emptied tables, so a recycled system
+// reuses the last run's storage. RAM carries the *contents* of memory; all
+// timing lives in Memory.
 type RAM struct {
-	total    int64
-	pageSize int64
-	pages    map[int64][]byte
+	total, block int64
+	perChunk     int               // slots per chunk
+	tables       map[int64][]int32 // slot+1 of each block of a table's span, 0 if unwritten
+	spare        [][]int32         // tables emptied by Reset
+	chunks       [][]byte          // slot storage
+	used         int               // slots handed out since the last Reset
 }
 
-// NewRAM returns storage for total bytes, paged at pageSize.
-func NewRAM(total, pageSize int64) *RAM {
-	if total <= 0 || pageSize <= 0 || total%pageSize != 0 {
-		panic(fmt.Sprintf("xdr: bad RAM geometry total=%d page=%d", total, pageSize))
+const (
+	tableBlocks = 512      // blocks per slot table
+	chunkBytes  = 64 << 10 // storage chunk size, or one block if larger
+)
+
+// NewRAM returns storage for total bytes, materialized block bytes at a
+// time.
+func NewRAM(total, block int64) *RAM {
+	if total <= 0 || block <= 0 || total%block != 0 {
+		panic(fmt.Sprintf("xdr: bad RAM geometry total=%d block=%d", total, block))
 	}
-	return &RAM{total: total, pageSize: pageSize, pages: make(map[int64][]byte)}
+	return &RAM{total: total, block: block, perChunk: max(1, int(chunkBytes/block)), tables: make(map[int64][]int32)}
 }
 
 // Size returns the address-space size in bytes.
 func (r *RAM) Size() int64 { return r.total }
 
-// Reset drops every materialized page, so all memory reads as zero again.
-// The map is retained (emptied) for reuse.
+// Reset forgets every materialized block, so all memory reads as zero
+// again. The storage chunks and the emptied slot tables are kept for
+// reuse.
 func (r *RAM) Reset() {
-	clear(r.pages)
+	for _, t := range r.tables {
+		clear(t)
+		r.spare = append(r.spare, t)
+	}
+	clear(r.tables)
+	r.used = 0
 }
 
-// TouchedPages returns how many pages have been materialized.
-func (r *RAM) TouchedPages() int { return len(r.pages) }
+// TouchedPages returns how many blocks have been materialized.
+func (r *RAM) TouchedPages() int { return r.used }
 
-func (r *RAM) page(idx int64, create bool) []byte {
-	p, ok := r.pages[idx]
-	if !ok && create {
-		p = make([]byte, r.pageSize)
-		r.pages[idx] = p
+// slot returns block idx's storage: nil if it was never written and
+// create is false, else its slot (a new slot is zeroed).
+func (r *RAM) slot(idx int64, create bool) []byte {
+	t := r.tables[idx/tableBlocks]
+	if t == nil && create {
+		if n := len(r.spare); n > 0 {
+			t, r.spare = r.spare[n-1], r.spare[:n-1]
+		} else {
+			t = make([]int32, tableBlocks)
+		}
+		r.tables[idx/tableBlocks] = t
 	}
-	return p
+	if t == nil || t[idx%tableBlocks] == 0 && !create {
+		return nil
+	}
+	e, b := &t[idx%tableBlocks], int(r.block)
+	fresh := *e == 0
+	if fresh {
+		if r.used == len(r.chunks)*r.perChunk {
+			r.chunks = append(r.chunks, make([]byte, r.perChunk*b))
+		}
+		r.used++
+		*e = int32(r.used)
+	}
+	k := int(*e) - 1
+	s := r.chunks[k/r.perChunk][k%r.perChunk*b:][:b]
+	if fresh {
+		clear(s) // a kept slot holds an earlier run's bytes
+	}
+	return s
 }
 
 func (r *RAM) check(addr int64, n int) {
@@ -51,17 +94,12 @@ func (r *RAM) check(addr int64, n int) {
 func (r *RAM) Read(addr int64, dst []byte) {
 	r.check(addr, len(dst))
 	for len(dst) > 0 {
-		idx, off := addr/r.pageSize, addr%r.pageSize
-		n := int(r.pageSize - off)
-		if n > len(dst) {
-			n = len(dst)
-		}
-		if p := r.page(idx, false); p != nil {
-			copy(dst[:n], p[off:])
+		idx, off := addr/r.block, addr%r.block
+		n := min(int(r.block-off), len(dst))
+		if s := r.slot(idx, false); s != nil {
+			copy(dst[:n], s[off:])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		addr += int64(n)
@@ -72,12 +110,9 @@ func (r *RAM) Read(addr int64, dst []byte) {
 func (r *RAM) Write(addr int64, src []byte) {
 	r.check(addr, len(src))
 	for len(src) > 0 {
-		idx, off := addr/r.pageSize, addr%r.pageSize
-		n := int(r.pageSize - off)
-		if n > len(src) {
-			n = len(src)
-		}
-		copy(r.page(idx, true)[off:], src[:n])
+		idx, off := addr/r.block, addr%r.block
+		n := min(int(r.block-off), len(src))
+		copy(r.slot(idx, true)[off:], src[:n])
 		src = src[n:]
 		addr += int64(n)
 	}

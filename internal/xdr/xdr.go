@@ -168,12 +168,14 @@ func (m *Memory) SetPerf(pc *perfctr.Counters) {
 
 // Reset returns the memory system to the state New(eng, bus, cfg) would
 // build, keeping both banks' server records (with their queue capacity)
-// and the RAM's page map. Attachments (faults, tracer) are cleared as on
-// a fresh Memory; the counter block is left for the assembling layer to
-// re-point. Part of the warm-system recycling path.
+// and the RAM's line storage (emptied; rebuilt only when TotalBytes
+// changes, since PageBytes sets nothing but bank interleave).
+// Attachments (faults, tracer) are cleared as on a fresh Memory; the
+// counter block is left for the assembling layer to re-point. Part of the
+// warm-system recycling path.
 func (m *Memory) Reset(cfg Config) {
-	if cfg.TotalBytes != m.cfg.TotalBytes || cfg.PageBytes != m.cfg.PageBytes {
-		m.ram = NewRAM(cfg.TotalBytes, cfg.PageBytes)
+	if cfg.TotalBytes != m.cfg.TotalBytes {
+		m.ram = NewRAM(cfg.TotalBytes, LineBytes)
 	} else {
 		m.ram.Reset()
 	}
@@ -195,7 +197,7 @@ func (m *Memory) Reset(cfg Config) {
 
 // New builds the memory system on the given bus.
 func New(eng *sim.Engine, bus *eib.EIB, cfg Config) *Memory {
-	m := &Memory{eng: eng, bus: bus, cfg: cfg, ram: NewRAM(cfg.TotalBytes, cfg.PageBytes)}
+	m := &Memory{eng: eng, bus: bus, cfg: cfg, ram: NewRAM(cfg.TotalBytes, LineBytes)}
 	own := new([perfctr.NumBanks]perfctr.BankCounters)
 	for i := range m.banks {
 		b := &bank{srv: sim.NewServer(eng), cfg: &m.cfg, perf: &own[i]}

@@ -71,6 +71,41 @@ func TestRAMOutOfRangePanics(t *testing.T) {
 	r.Write((1<<20)-4, make([]byte, 8))
 }
 
+// TestRAMResetZeroesReusedBlocks: after Reset, blocks written elsewhere
+// take the slots the earlier run filled, and every byte of the earlier
+// writes, a partly filled block's included, reads as zero.
+func TestRAMResetZeroesReusedBlocks(t *testing.T) {
+	for _, block := range []int64{LineBytes, 4 << 10, 64 << 10} {
+		r := NewRAM(1<<20, block)
+		full := bytes.Repeat([]byte{0xa5}, int(2*block))
+		r.Write(0, full)                       // two whole blocks
+		r.Write(5*block+3, []byte{1, 2, 3, 4}) // a partly filled block
+		r.Reset()
+		if r.TouchedPages() != 0 {
+			t.Fatalf("block %d: %d blocks survive Reset", block, r.TouchedPages())
+		}
+		r.Write(9*block, []byte{7})          // reuses the first slot
+		r.Write(10*block+block-1, []byte{8}) // the second
+		r.Write(11*block, []byte{9})         // the third
+		got := make([]byte, 12*block)
+		r.Read(0, got)
+		for i, b := range got {
+			want := byte(0)
+			switch int64(i) {
+			case 9 * block:
+				want = 7
+			case 10*block + block - 1:
+				want = 8
+			case 11 * block:
+				want = 9
+			}
+			if b != want {
+				t.Fatalf("block %d: byte %#x reads %#x after Reset, want %#x", block, i, b, want)
+			}
+		}
+	}
+}
+
 // Property: writes then reads of arbitrary payloads at arbitrary offsets
 // round-trip.
 func TestRAMRoundTripProperty(t *testing.T) {
@@ -310,24 +345,68 @@ func TestRefreshStealsBandwidth(t *testing.T) {
 	}
 }
 
-// FuzzRAM round-trips random writes through the sparse page store.
+// FuzzRAM drives the block store with a program of writes, reads and
+// Resets against a reference model (a plain map of the bytes written
+// since the last Reset), at line-sized and 64 KiB blocks: every read,
+// and every byte the program touched at the end, must match the model.
 func FuzzRAM(f *testing.F) {
 	f.Add(int64(0), []byte("seed"))
 	f.Add(int64(65530), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) // page crossing
-	f.Fuzz(func(t *testing.T, addr int64, payload []byte) {
-		if len(payload) == 0 || len(payload) > 1<<16 {
+	// Write, Reset, write a partial line elsewhere, read that whole line.
+	f.Add(int64(120), []byte{2, 10, 200, 0, 0, 0, 3, 20, 50, 1, 20, 255})
+	f.Fuzz(func(t *testing.T, addr int64, prog []byte) {
+		if len(prog) == 0 || len(prog) > 1<<16 {
 			return
 		}
-		r := NewRAM(1<<20, 64<<10)
+		const total = 1 << 20
 		if addr < 0 {
 			addr = -addr
 		}
-		addr %= 1<<20 - int64(len(payload))
-		r.Write(addr, payload)
-		got := make([]byte, len(payload))
-		r.Read(addr, got)
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round trip mismatch at %#x", addr)
+		addr %= total - int64(len(prog))
+		for _, block := range []int64{LineBytes, 64 << 10} {
+			r := NewRAM(total, block)
+			model := map[int64]byte{}
+			touched := map[int64]bool{}
+			// The first write is the whole program at addr, so plain
+			// round trips stay covered; then each 3-byte step is an
+			// op (write, read or Reset), an offset and a length.
+			r.Write(addr, prog)
+			for i, b := range prog {
+				model[addr+int64(i)] = b
+				touched[addr+int64(i)] = true
+			}
+			for p := prog; len(p) >= 3; p = p[3:] {
+				at := (addr + int64(p[1])*97) % (total - 256)
+				n := int(p[2]) + 1
+				switch p[0] % 4 {
+				case 0:
+					r.Reset()
+					clear(model)
+				case 1:
+					got := make([]byte, n)
+					r.Read(at, got)
+					for i, b := range got {
+						if b != model[at+int64(i)] {
+							t.Fatalf("block %d: read %#x reads %#x, model %#x", block, at+int64(i), b, model[at+int64(i)])
+						}
+					}
+				default:
+					src := make([]byte, n)
+					for i := range src {
+						src[i] = p[0] ^ byte(i)
+						model[at+int64(i)] = src[i]
+						touched[at+int64(i)] = true
+					}
+					r.Write(at, src)
+				}
+			}
+			for a := range touched {
+				var got [1]byte
+				r.Read(a, got[:])
+				if got[0] != model[a] {
+					t.Fatalf("block %d: byte %#x reads %#x, model %#x", block, a, got[0], model[a])
+				}
+			}
 		}
 	})
 }

@@ -24,11 +24,11 @@ func benchBaseline(t *testing.T, bench, metric string) float64 {
 	if err != nil {
 		t.Skipf("no baseline: %v", err)
 	}
-	var all map[string]map[string]float64
+	var all map[string]map[string]any
 	if err := json.Unmarshal(data, &all); err != nil {
 		t.Fatalf("unparsable BENCH_eib.json: %v", err)
 	}
-	v, ok := all[bench][metric]
+	v, ok := all[bench][metric].(float64)
 	if !ok {
 		t.Skipf("baseline has no %s %s entry", bench, metric)
 	}
