@@ -157,6 +157,11 @@ func (c Config) Validate() error {
 			seen[p] = true
 		}
 	}
+	// RAM stores whole lines, and bank placement divides by the page size.
+	if m := c.Mem; m.TotalBytes <= 0 || m.TotalBytes%xdr.LineBytes != 0 || m.PageBytes <= 0 {
+		return fmt.Errorf("cell: Mem.TotalBytes %d must be a positive multiple of %d and Mem.PageBytes %d positive",
+			m.TotalBytes, xdr.LineBytes, m.PageBytes)
+	}
 	if c.LSSpan < spe.LocalStoreBytes || c.LSBase < c.Mem.TotalBytes {
 		return fmt.Errorf("cell: LS mapping overlaps RAM")
 	}

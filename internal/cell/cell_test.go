@@ -321,9 +321,10 @@ func TestConfigAndLayoutAccessors(t *testing.T) {
 	}
 }
 
-// TestConfigValidateEIB: ring counts the counter block cannot hold, and
-// non-positive bus geometry, are rejected up front instead of panicking
-// at the first grant or inside eib.New.
+// TestConfigValidateEIB: ring counts the counter block cannot hold,
+// non-positive bus geometry and memory geometry the RAM or the bank
+// placement cannot use are rejected up front instead of panicking at the
+// first grant, inside eib.New or at the first memory access.
 func TestConfigValidateEIB(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -336,6 +337,9 @@ func TestConfigValidateEIB(t *testing.T) {
 		{"three rings per direction", func(c *Config) { c.EIB.RingsPerDirection = 3 }, false},
 		{"zero bus period", func(c *Config) { c.EIB.BusPeriod = 0 }, false},
 		{"zero beat bytes", func(c *Config) { c.EIB.BeatBytes = 0 }, false},
+		{"zero page size", func(c *Config) { c.Mem.PageBytes = 0 }, false},
+		{"memory not whole lines", func(c *Config) { c.Mem.TotalBytes += 64 }, false},
+		{"zero memory", func(c *Config) { c.Mem.TotalBytes = 0 }, false},
 	} {
 		cfg := DefaultConfig()
 		tc.edit(&cfg)

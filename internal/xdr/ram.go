@@ -55,7 +55,10 @@ func (r *RAM) TouchedPages() int { return r.used }
 // create is false, else its slot (a new slot is zeroed).
 func (r *RAM) slot(idx int64, create bool) []byte {
 	t := r.tables[idx/tableBlocks]
-	if t == nil && create {
+	if t == nil {
+		if !create {
+			return nil
+		}
 		if n := len(r.spare); n > 0 {
 			t, r.spare = r.spare[n-1], r.spare[:n-1]
 		} else {
@@ -63,19 +66,19 @@ func (r *RAM) slot(idx int64, create bool) []byte {
 		}
 		r.tables[idx/tableBlocks] = t
 	}
-	if t == nil || t[idx%tableBlocks] == 0 && !create {
-		return nil
-	}
-	e, b := &t[idx%tableBlocks], int(r.block)
+	e := &t[idx%tableBlocks]
 	fresh := *e == 0
 	if fresh {
+		if !create {
+			return nil
+		}
 		if r.used == len(r.chunks)*r.perChunk {
-			r.chunks = append(r.chunks, make([]byte, r.perChunk*b))
+			r.chunks = append(r.chunks, make([]byte, r.perChunk*int(r.block)))
 		}
 		r.used++
 		*e = int32(r.used)
 	}
-	k := int(*e) - 1
+	k, b := int(*e)-1, int(r.block)
 	s := r.chunks[k/r.perChunk][k%r.perChunk*b:][:b]
 	if fresh {
 		clear(s) // a kept slot holds an earlier run's bytes
