@@ -135,10 +135,12 @@ func TestMemPathAllocGuard(t *testing.T) {
 
 // TestWorkloadsAllocGuard holds one call of the workloads experiment at
 // the paper-figures benchmark's parameters to the heap bytes the
-// BENCH_eib.json Workloads row recorded, plus 25% and 2 MiB. Its gups and
-// md points scatter writes over simulated RAM, which the carcasses of the
-// figure's arena keep across boots one 128-byte line at a time: storage
-// at 64 KiB pages, rebuilt on every boot, allocated ~249 MiB per call.
+// BENCH_eib.json Workloads row recorded, plus 25% and 2 MiB; both run at
+// workloadsProcs, so the bound holds on a machine of any size. Its gups
+// and md points scatter writes over simulated RAM, which the carcasses of
+// the figure's arena keep across boots one 128-byte line at a time:
+// storage at 64 KiB pages, rebuilt on every boot, allocated ~249 MiB per
+// call.
 func TestWorkloadsAllocGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure run: skipped in -short mode")

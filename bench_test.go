@@ -399,15 +399,22 @@ func workloadsParams() core.Params {
 	return p
 }
 
+// workloadsProcs is the GOMAXPROCS a workloads call runs at. The figure
+// starts one worker per GOMAXPROCS, and each worker cold-boots its own
+// carcass, so bytes per call grow with it; pinning it lets the Workloads
+// row and TestWorkloadsAllocGuard measure the same thing on any machine.
+const workloadsProcs = 2
+
 // runWorkloads runs one call of the workloads experiment at
-// workloadsParams and returns its heap bytes and allocations, every
-// goroutine it starts included.
+// workloadsParams and workloadsProcs and returns its heap bytes and
+// allocations, every goroutine it starts included.
 func runWorkloads(tb testing.TB) (bytes, allocs float64) {
 	tb.Helper()
 	e, err := core.Lookup("workloads")
 	if err != nil {
 		tb.Fatal(err)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workloadsProcs))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := e.Run(workloadsParams()); err != nil {
@@ -445,7 +452,7 @@ func BenchmarkWorkloads(b *testing.B) {
 		"ns/call min":    fastest.Nanoseconds(),
 		"ns/call spread": float64(slowest-fastest) / float64(fastest),
 		"goarch":         runtime.GOARCH,
-		"gomaxprocs":     runtime.GOMAXPROCS(0),
+		"gomaxprocs":     workloadsProcs,
 		"go":             runtime.Version(),
 	})
 }

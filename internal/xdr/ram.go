@@ -7,9 +7,9 @@ import "fmt"
 // on its first write, so a 512 MB address space costs only the lines a run
 // writes. Slot tables, one per tableBlocks blocks so that their index stays
 // small enough to cache, map each block to its slot. Reset forgets every
-// block but keeps the chunks and the emptied tables, so a recycled system
-// reuses the last run's storage. RAM carries the *contents* of memory; all
-// timing lives in Memory.
+// block but keeps up to keepBytes of chunks and of emptied tables, so a
+// recycled system reuses the last run's storage without pinning a large
+// run's. RAM carries the *contents* of memory; all timing lives in Memory.
 type RAM struct {
 	total, block int64
 	perChunk     int               // slots per chunk
@@ -22,29 +22,40 @@ type RAM struct {
 const (
 	tableBlocks = 512      // blocks per slot table
 	chunkBytes  = 64 << 10 // storage chunk size, or one block if larger
+	keepBytes   = 4 << 20  // chunks, and slot tables, that Reset keeps
 )
 
 // NewRAM returns storage for total bytes, materialized block bytes at a
 // time.
 func NewRAM(total, block int64) *RAM {
-	if total <= 0 || block <= 0 || total%block != 0 {
-		panic(fmt.Sprintf("xdr: bad RAM geometry total=%d block=%d", total, block))
-	}
-	return &RAM{total: total, block: block, perChunk: max(1, int(chunkBytes/block)), tables: make(map[int64][]int32)}
+	r := &RAM{block: block, perChunk: max(1, int(chunkBytes/max(block, 1))), tables: make(map[int64][]int32)}
+	r.Reset(total)
+	return r
 }
 
 // Size returns the address-space size in bytes.
 func (r *RAM) Size() int64 { return r.total }
 
 // Reset forgets every materialized block, so all memory reads as zero
-// again. The storage chunks and the emptied slot tables are kept for
-// reuse.
-func (r *RAM) Reset() {
+// again, and resizes the address space to total bytes. Up to keepBytes of
+// storage chunks and as much of emptied slot tables are kept for reuse;
+// the rest is released, so one large run does not pin its storage.
+func (r *RAM) Reset(total int64) {
+	if total <= 0 || r.block <= 0 || total%r.block != 0 {
+		panic(fmt.Sprintf("xdr: bad RAM geometry total=%d block=%d", total, r.block))
+	}
+	r.total = total
 	for _, t := range r.tables {
 		clear(t)
 		r.spare = append(r.spare, t)
 	}
 	clear(r.tables)
+	keep := min(len(r.spare), keepBytes/(4*tableBlocks))
+	clear(r.spare[keep:])
+	r.spare = r.spare[:keep]
+	keep = min(len(r.chunks), keepBytes/(r.perChunk*int(r.block)))
+	clear(r.chunks[keep:])
+	r.chunks = r.chunks[:keep]
 	r.used = 0
 }
 

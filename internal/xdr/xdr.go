@@ -168,17 +168,12 @@ func (m *Memory) SetPerf(pc *perfctr.Counters) {
 
 // Reset returns the memory system to the state New(eng, bus, cfg) would
 // build, keeping both banks' server records (with their queue capacity)
-// and the RAM's line storage (emptied; rebuilt only when TotalBytes
-// changes, since PageBytes sets nothing but bank interleave).
+// and the RAM's line storage (emptied and sized to TotalBytes).
 // Attachments (faults, tracer) are cleared as on a fresh Memory; the
 // counter block is left for the assembling layer to re-point. Part of the
 // warm-system recycling path.
 func (m *Memory) Reset(cfg Config) {
-	if cfg.TotalBytes != m.cfg.TotalBytes {
-		m.ram = NewRAM(cfg.TotalBytes, LineBytes)
-	} else {
-		m.ram.Reset()
-	}
+	m.ram.Reset(cfg.TotalBytes)
 	m.cfg = cfg
 	for i, b := range m.banks {
 		b.srv.Reset()

@@ -80,7 +80,7 @@ func TestRAMResetZeroesReusedBlocks(t *testing.T) {
 		full := bytes.Repeat([]byte{0xa5}, int(2*block))
 		r.Write(0, full)                       // two whole blocks
 		r.Write(5*block+3, []byte{1, 2, 3, 4}) // a partly filled block
-		r.Reset()
+		r.Reset(1 << 20)
 		if r.TouchedPages() != 0 {
 			t.Fatalf("block %d: %d blocks survive Reset", block, r.TouchedPages())
 		}
@@ -104,6 +104,53 @@ func TestRAMResetZeroesReusedBlocks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRAMResetReleasesUnusedStorage: Reset keeps at most keepBytes of
+// storage chunks and of slot tables, so a one-off large run's storage is
+// released at the next Reset instead of being pinned for good, while a
+// run that fits reuses what is kept.
+func TestRAMResetReleasesUnusedStorage(t *testing.T) {
+	const total = 512 << 20
+	keepChunks, keepTables := keepBytes/chunkBytes, keepBytes/(4*tableBlocks)
+	r := NewRAM(total, LineBytes)
+	r.Write(0, make([]byte, 16<<20)) // 256 chunks
+	for a := int64(0); a < total; a += tableBlocks * LineBytes {
+		r.Write(a, []byte{1}) // 8192 tables
+	}
+	r.Reset(total)
+	if len(r.chunks) != keepChunks || len(r.spare) != keepTables {
+		t.Fatalf("after a large run Reset keeps %d chunks, %d tables; want %d, %d",
+			len(r.chunks), len(r.spare), keepChunks, keepTables)
+	}
+	r.Write(32<<20, make([]byte, 100<<10)) // 800 lines: 13 chunks, 2 tables
+	r.Reset(total)
+	if len(r.chunks) != keepChunks || len(r.spare) != keepTables {
+		t.Fatalf("a run that fits grew the kept storage to %d chunks, %d tables", len(r.chunks), len(r.spare))
+	}
+}
+
+// TestRAMResetResizes: Reset sizes the address space anew, and a size
+// that is not a positive multiple of the block panics.
+func TestRAMResetResizes(t *testing.T) {
+	r := NewRAM(1<<20, LineBytes)
+	r.Write(0, []byte{1})
+	r.Reset(2 << 20)
+	if r.Size() != 2<<20 {
+		t.Fatalf("Size %d after Reset(2 MiB)", r.Size())
+	}
+	r.Write(2<<20-1, []byte{2}) // out of range before the resize
+	got := []byte{9}
+	r.Read(0, got)
+	if got[0] != 0 {
+		t.Fatalf("byte 0 reads %d after Reset", got[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset to a size that is not a multiple of the block should panic")
+		}
+	}()
+	r.Reset(1<<20 + 1)
 }
 
 // Property: writes then reads of arbitrary payloads at arbitrary offsets
@@ -380,7 +427,7 @@ func FuzzRAM(f *testing.F) {
 				n := int(p[2]) + 1
 				switch p[0] % 4 {
 				case 0:
-					r.Reset()
+					r.Reset(total)
 					clear(model)
 				case 1:
 					got := make([]byte, n)
