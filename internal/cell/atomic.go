@@ -45,7 +45,7 @@ func lineOf(ea int64) int64 { return ea &^ (xdr.LineBytes - 1) }
 const atomicLatency sim.Time = 20
 
 // ReadLocked implements mfc.AtomicFabric: a line read plus a reservation.
-func (f *fabric) ReadLocked(owner int, ea int64, earliest sim.Time, dst []byte, done func(end sim.Time)) {
+func (f *fabric) ReadLocked(owner int, ea int64, earliest sim.Time, dst []byte, done sim.Callee) {
 	sys := f.sys
 	if _, _, isLS := sys.resolveLS(ea); isLS {
 		panic(fmt.Sprintf("cell: atomics require a main-memory EA, got LS address %#x", ea))
@@ -53,7 +53,7 @@ func (f *fabric) ReadLocked(owner int, ea int64, earliest sim.Time, dst []byte, 
 	sys.Mem.Read(f.ramp, ea, xdr.LineBytes, earliest, dst, sim.CalleeFunc(func(end sim.Time) {
 		sys.resv.place(owner, lineOf(ea))
 		fin := end + atomicLatency
-		sys.Eng.AtCall(fin, done, fin)
+		sys.Eng.AtCallee(fin, done, fin)
 	}))
 }
 

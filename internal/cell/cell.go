@@ -526,7 +526,7 @@ type fabric struct {
 // pktDone is a pooled completion record for one DMA packet routed to a
 // local-store target: the context the fabric's per-packet closures used
 // to capture, made reusable so the LS-to-LS packet hot path schedules
-// through eib.TransferCB (see sim.Callee) without allocating. Records
+// through eib.Transfer (see sim.Callee) without allocating. Records
 // recycle through a free list on System — the engine is single-threaded,
 // so no locking — and are released before the completion callback runs,
 // ready for the MFC pump's immediate next packet.
@@ -587,7 +587,7 @@ func (f *fabric) ReadEA(ea int64, n int, earliest sim.Time, dst []byte, done sim
 		ready := sys.Bus.Command(earliest)
 		p := sys.getPkt()
 		p.target, p.buf, p.off, p.n, p.write, p.done = target, dst, off, n, false, done
-		sys.Bus.TransferCB(target.Ramp(), f.ramp, n, ready, p)
+		sys.Bus.Transfer(target.Ramp(), f.ramp, n, ready, p)
 		return
 	}
 	sys.Mem.Read(f.ramp, ea, n, earliest, dst, done)
@@ -604,7 +604,7 @@ func (f *fabric) WriteEA(ea int64, n int, earliest sim.Time, src []byte, done si
 		ready := sys.Bus.Command(earliest)
 		p := sys.getPkt()
 		p.target, p.buf, p.off, p.n, p.write, p.done = target, src, off, n, true, done
-		sys.Bus.TransferCB(f.ramp, target.Ramp(), n, ready, p)
+		sys.Bus.Transfer(f.ramp, target.Ramp(), n, ready, p)
 		return
 	}
 	sys.writeMem(f.ramp, ea, n, earliest, src, done)

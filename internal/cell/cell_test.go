@@ -297,7 +297,7 @@ func TestProxyDMAFromPPESide(t *testing.T) {
 	}
 	s.Mem.RAM().Write(addr, payload)
 	done := false
-	err := s.SPEs[3].MFC().EnqueueProxy(mfc.Cmd{Kind: mfc.Get, Tag: 0, LSAddr: 0, EA: addr, Size: 1024}, func() { done = true })
+	err := s.SPEs[3].MFC().EnqueueProxy(mfc.Cmd{Kind: mfc.Get, Tag: 0, LSAddr: 0, EA: addr, Size: 1024}, sim.CalleeFunc(func(sim.Time) { done = true }))
 	if err != nil {
 		t.Fatal(err)
 	}

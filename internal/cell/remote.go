@@ -100,12 +100,12 @@ func (f *fabric) readRemote(remote, off int, n int, earliest sim.Time, dst []byt
 	sys.Eng.At(ready, func() {
 		rc.linkFrom.Request(dur, sim.CalleeFunc(func(sim.Time) {
 			start := sys.Eng.Now() + rc.latency
-			sys.Bus.Transfer(eib.RampIOIF0, f.ramp, n, start, func(end sim.Time) {
+			sys.Bus.Transfer(eib.RampIOIF0, f.ramp, n, start, sim.CalleeFunc(func(end sim.Time) {
 				if dst != nil {
 					copy(dst, rc.ls[remote][off:off+n])
 				}
 				done.Call(end)
-			})
+			}))
 		}))
 	})
 }
@@ -117,7 +117,7 @@ func (f *fabric) writeRemote(remote, off int, n int, earliest sim.Time, src []by
 	rc := sys.remote()
 	ready := sys.Bus.Command(earliest)
 	dur := rc.service * sim.Time((n+xdr.LineBytes-1)/xdr.LineBytes)
-	sys.Bus.Transfer(f.ramp, eib.RampIOIF0, n, ready, func(xferEnd sim.Time) {
+	sys.Bus.Transfer(f.ramp, eib.RampIOIF0, n, ready, sim.CalleeFunc(func(sim.Time) {
 		rc.linkTo.Request(dur, sim.CalleeFunc(func(sim.Time) {
 			end := sys.Eng.Now() + rc.latency
 			sys.Eng.At(end, func() {
@@ -127,5 +127,5 @@ func (f *fabric) writeRemote(remote, off int, n int, earliest sim.Time, src []by
 				done.Call(end)
 			})
 		}))
-	})
+	}))
 }

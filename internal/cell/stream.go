@@ -41,10 +41,10 @@ type lane struct {
 // into three kinds of step, each firing exactly the engine events of the
 // coroutine call it replaces:
 //   - issue one element or list command, plain or fenced — the issue
-//     charge, Enqueue and, on a full queue, an OnSpaceCB wake that retries
+//     charge, Enqueue and, on a full queue, an OnSpace wake that retries
 //     the same command (spe.Context.enqueue);
 //   - fence on tag groups — the status-read charge, a completion poll and,
-//     if still busy, a WaitTagsCB wake (spe.Context.WaitTagMask);
+//     if still busy, a WaitTags wake (spe.Context.WaitTagMask);
 //   - compute — a plain delay, continuing inline for zero cycles
 //     (sim.Process.Wait).
 //
@@ -169,7 +169,7 @@ func (d *dmaStream) step() {
 			if !d.dma.TagsComplete(d.mask) {
 				d.note = noteTagWait
 				d.wake.armed = true
-				d.dma.WaitTagsCB(d.mask, &d.wake)
+				d.dma.WaitTags(d.mask, &d.wake)
 				return
 			}
 		}
@@ -382,7 +382,7 @@ func (d *dmaStream) offer() bool {
 	}
 	d.note = noteDMAQfull
 	d.wake.armed = true
-	d.dma.OnSpaceCB(&d.wake)
+	d.dma.OnSpace(&d.wake)
 	return false
 }
 

@@ -500,28 +500,18 @@ func (e *EIB) portsFit(src, dst RampID, start, dur sim.Time, oIdx, iIdx int) (si
 }
 
 // Transfer schedules a data-ring transfer of the given size from src to
-// dst, starting no earlier than earliest. done is invoked at the simulated
-// time the last beat arrives at dst. Transfers between a ramp and itself
-// (LS-to-LS within one SPE, handled locally) complete after the pure beat
-// time without touching the rings.
-func (e *EIB) Transfer(src, dst RampID, bytes int, earliest sim.Time, done func(end sim.Time)) {
+// dst, starting no earlier than earliest. done.Call(end) fires at the
+// simulated time the last beat arrives at dst; per-packet hot paths pass
+// a pooled completion record. Transfers between a ramp and itself (LS-to-LS
+// within one SPE, handled locally) complete after the pure beat time
+// without touching the rings.
+func (e *EIB) Transfer(src, dst RampID, bytes int, earliest sim.Time, done sim.Callee) {
 	end := e.transfer(src, dst, bytes, earliest)
-	e.eng.AtCall(end, done, end)
-}
-
-// TransferCB is Transfer with a prebound completion record in place of the
-// callback: cb.Call(end) fires at the same simulated time, in the same
-// event order, as Transfer's done(end) would (the completion event is
-// sequenced at the same program point either way). It exists for per-packet
-// hot paths that pool their completion records to avoid closure allocation.
-func (e *EIB) TransferCB(src, dst RampID, bytes int, earliest sim.Time, cb sim.Callee) {
-	end := e.transfer(src, dst, bytes, earliest)
-	e.eng.AtCallee(end, cb, end)
+	e.eng.AtCallee(end, done, end)
 }
 
 // transfer books the transfer on the timetable and returns the completion
-// time; the exported wrappers differ only in how they schedule the
-// completion callback.
+// time.
 func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
 	if bytes <= 0 {
 		panic("eib: transfer of zero bytes")

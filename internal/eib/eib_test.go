@@ -59,7 +59,7 @@ func TestSingleTransferTiming(t *testing.T) {
 	var end sim.Time
 	// 128 bytes = 8 beats = 16 CPU cycles on the segments, plus 1 hop
 	// (2 cycles) of pipeline drain: PPE -> SPE1 is 1 hop clockwise.
-	bus.Transfer(RampPPE, RampSPE1, 128, 0, func(e sim.Time) { end = e })
+	bus.Transfer(RampPPE, RampSPE1, 128, 0, sim.CalleeFunc(func(e sim.Time) { end = e }))
 	eng.Run()
 	if end != 16+2 {
 		t.Fatalf("end = %d, want 18", end)
@@ -69,7 +69,7 @@ func TestSingleTransferTiming(t *testing.T) {
 func TestTransferEarliest(t *testing.T) {
 	eng, bus := newEIB()
 	var end sim.Time
-	bus.Transfer(RampPPE, RampSPE1, 16, 100, func(e sim.Time) { end = e })
+	bus.Transfer(RampPPE, RampSPE1, 16, 100, sim.CalleeFunc(func(e sim.Time) { end = e }))
 	eng.Run()
 	if end != 100+2+2 {
 		t.Fatalf("end = %d, want 104", end)
@@ -80,8 +80,8 @@ func TestOppositeDirectionsDontConflict(t *testing.T) {
 	eng, bus := newEIB()
 	var e1, e2 sim.Time
 	// SPE0(10) -> SPE1(1): clockwise. SPE1 -> SPE0: counterclockwise.
-	bus.Transfer(RampSPE0, RampSPE1, 128, 0, func(e sim.Time) { e1 = e })
-	bus.Transfer(RampSPE1, RampSPE0, 128, 0, func(e sim.Time) { e2 = e })
+	bus.Transfer(RampSPE0, RampSPE1, 128, 0, sim.CalleeFunc(func(e sim.Time) { e1 = e }))
+	bus.Transfer(RampSPE1, RampSPE0, 128, 0, sim.CalleeFunc(func(e sim.Time) { e2 = e }))
 	eng.Run()
 	want := sim.Time(16 + 3*2)
 	if e1 != want || e2 != want {
@@ -94,8 +94,8 @@ func TestTwoRingsPerDirection(t *testing.T) {
 	var ends [2]sim.Time
 	// Two same-direction transfers sharing segment 11 but with distinct
 	// ports ride the two clockwise rings concurrently.
-	bus.Transfer(RampMIC, RampSPE1, 128, 0, func(e sim.Time) { ends[0] = e }) // segs 11,0
-	bus.Transfer(RampSPE0, RampPPE, 128, 0, func(e sim.Time) { ends[1] = e }) // segs 10,11
+	bus.Transfer(RampMIC, RampSPE1, 128, 0, sim.CalleeFunc(func(e sim.Time) { ends[0] = e })) // segs 11,0
+	bus.Transfer(RampSPE0, RampPPE, 128, 0, sim.CalleeFunc(func(e sim.Time) { ends[1] = e })) // segs 10,11
 	eng.Run()
 	if ends[0] != 16+2*2 || ends[1] != 16+2*2 {
 		t.Fatalf("ends %v, want 20 each (concurrent on two rings)", ends)
@@ -109,7 +109,7 @@ func TestSameSourceSerializesOnOutPort(t *testing.T) {
 	// the single 16B/bus-cycle out port serializes them.
 	for i := range ends {
 		i := i
-		bus.Transfer(RampPPE, RampSPE1, 128, 0, func(e sim.Time) { ends[i] = e })
+		bus.Transfer(RampPPE, RampSPE1, 128, 0, sim.CalleeFunc(func(e sim.Time) { ends[i] = e }))
 	}
 	eng.Run()
 	want := [3]sim.Time{18, 34, 50}
@@ -123,8 +123,8 @@ func TestSourcePortSerializes(t *testing.T) {
 	var e1, e2 sim.Time
 	// Same source, different destinations and even different directions:
 	// the single 16B/bus-cycle out port serializes them.
-	bus.Transfer(RampPPE, RampSPE1, 128, 0, func(e sim.Time) { e1 = e })
-	bus.Transfer(RampPPE, RampMIC, 128, 0, func(e sim.Time) { e2 = e })
+	bus.Transfer(RampPPE, RampSPE1, 128, 0, sim.CalleeFunc(func(e sim.Time) { e1 = e }))
+	bus.Transfer(RampPPE, RampMIC, 128, 0, sim.CalleeFunc(func(e sim.Time) { e2 = e }))
 	eng.Run()
 	if e1 != 18 {
 		t.Fatalf("first end %d, want 18", e1)
@@ -137,8 +137,8 @@ func TestSourcePortSerializes(t *testing.T) {
 func TestDestPortSerializes(t *testing.T) {
 	eng, bus := newEIB()
 	var e1, e2 sim.Time
-	bus.Transfer(RampSPE1, RampPPE, 128, 0, func(e sim.Time) { e1 = e })
-	bus.Transfer(RampMIC, RampPPE, 128, 0, func(e sim.Time) { e2 = e })
+	bus.Transfer(RampSPE1, RampPPE, 128, 0, sim.CalleeFunc(func(e sim.Time) { e1 = e }))
+	bus.Transfer(RampMIC, RampPPE, 128, 0, sim.CalleeFunc(func(e sim.Time) { e2 = e }))
 	eng.Run()
 	if e1 != 18 {
 		t.Fatalf("first end %d, want 18", e1)
@@ -159,7 +159,7 @@ func TestSegmentConflictSameDirection(t *testing.T) {
 	dsts := []RampID{RampSPE1, RampPPE, RampSPE3}
 	for i := range srcs {
 		i := i
-		bus.Transfer(srcs[i], dsts[i], 128, 0, func(e sim.Time) { ends[i] = e })
+		bus.Transfer(srcs[i], dsts[i], 128, 0, sim.CalleeFunc(func(e sim.Time) { ends[i] = e }))
 	}
 	eng.Run()
 	// Two clockwise rings fit two of them; the third is pushed out.
@@ -179,7 +179,7 @@ func TestHalfRingRule(t *testing.T) {
 	// PPE(0) -> IOIF1(5): 5 hops clockwise only. Check it completes and
 	// the counterclockwise rings stay unused.
 	done := false
-	bus.Transfer(RampPPE, RampIOIF1, 16, 0, func(sim.Time) { done = true })
+	bus.Transfer(RampPPE, RampIOIF1, 16, 0, sim.CalleeFunc(func(sim.Time) { done = true }))
 	eng.Run()
 	if !done {
 		t.Fatal("transfer did not complete")
@@ -196,7 +196,7 @@ func TestHalfRingRule(t *testing.T) {
 func TestLocalTransferBypassesRings(t *testing.T) {
 	eng, bus := newEIB()
 	var end sim.Time
-	bus.Transfer(RampSPE0, RampSPE0, 128, 0, func(e sim.Time) { end = e })
+	bus.Transfer(RampSPE0, RampSPE0, 128, 0, sim.CalleeFunc(func(e sim.Time) { end = e }))
 	eng.Run()
 	if end != 16 {
 		t.Fatalf("local transfer end %d, want 16", end)
@@ -239,7 +239,7 @@ func TestSustainedBandwidthSinglePair(t *testing.T) {
 		if i == n {
 			return
 		}
-		bus.Transfer(RampSPE0, RampSPE1, 128, 0, func(e sim.Time) { last = e })
+		bus.Transfer(RampSPE0, RampSPE1, 128, 0, sim.CalleeFunc(func(e sim.Time) { last = e }))
 		issue(i + 1)
 	}
 	issue(0)
@@ -253,8 +253,8 @@ func TestSustainedBandwidthSinglePair(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	eng, bus := newEIB()
-	bus.Transfer(RampPPE, RampSPE1, 128, 0, func(sim.Time) {})
-	bus.Transfer(RampPPE, RampSPE1, 64, 0, func(sim.Time) {})
+	bus.Transfer(RampPPE, RampSPE1, 128, 0, sim.CalleeFunc(func(sim.Time) {}))
+	bus.Transfer(RampPPE, RampSPE1, 64, 0, sim.CalleeFunc(func(sim.Time) {}))
 	eng.Run()
 	st := bus.Stats()
 	if st.Transfers != 2 || st.Bytes != 192 {
@@ -272,7 +272,7 @@ func TestZeroByteTransferPanics(t *testing.T) {
 			t.Fatal("zero-byte transfer should panic")
 		}
 	}()
-	bus.Transfer(RampPPE, RampSPE1, 0, 0, func(sim.Time) {})
+	bus.Transfer(RampPPE, RampSPE1, 0, 0, sim.CalleeFunc(func(sim.Time) {}))
 }
 
 // Property: for any src/dst pair, hops clockwise + hops counterclockwise
@@ -302,7 +302,7 @@ func TestTransferLowerBoundProperty(t *testing.T) {
 		bytes := int(sz%2048) + 1
 		eng, bus := newEIB()
 		var end sim.Time
-		bus.Transfer(src, dst, bytes, sim.Time(early), func(e sim.Time) { end = e })
+		bus.Transfer(src, dst, bytes, sim.Time(early), sim.CalleeFunc(func(e sim.Time) { end = e }))
 		eng.Run()
 		beats := sim.Time((bytes + 15) / 16)
 		min := sim.Time(early) + beats*2
@@ -319,7 +319,7 @@ func TestTransferTrace(t *testing.T) {
 	cfg.TraceCapacity = 3
 	bus := New(eng, cfg)
 	for i := 0; i < 5; i++ {
-		bus.Transfer(RampPPE, RampSPE1, 128*(i+1), 0, func(sim.Time) {})
+		bus.Transfer(RampPPE, RampSPE1, 128*(i+1), 0, sim.CalleeFunc(func(sim.Time) {}))
 	}
 	eng.Run()
 	tr := bus.Trace()
@@ -342,7 +342,7 @@ func TestTransferTrace(t *testing.T) {
 
 func TestTraceDisabledByDefault(t *testing.T) {
 	eng, bus := newEIB()
-	bus.Transfer(RampPPE, RampSPE1, 128, 0, func(sim.Time) {})
+	bus.Transfer(RampPPE, RampSPE1, 128, 0, sim.CalleeFunc(func(sim.Time) {}))
 	eng.Run()
 	if len(bus.Trace()) != 0 {
 		t.Fatal("trace must be off by default")

@@ -21,7 +21,7 @@ type AtomicFabric interface {
 	Fabric
 	// ReadLocked reads the 128-byte line at ea and places a reservation
 	// for owner.
-	ReadLocked(owner int, ea int64, earliest sim.Time, dst []byte, done func(end sim.Time))
+	ReadLocked(owner int, ea int64, earliest sim.Time, dst []byte, done sim.Callee)
 	// CondWrite writes the line back iff owner's reservation on ea still
 	// holds, reporting success.
 	CondWrite(owner int, ea int64, earliest sim.Time, src []byte, done func(end sim.Time, ok bool))
@@ -37,7 +37,7 @@ func (m *MFC) SupportsAtomics() bool {
 // GetLLAR performs an atomic load-and-reserve of the 128-byte line at ea
 // into lsAddr. owner identifies the reserving SPE. done fires at
 // completion. Panics if the fabric has no atomic support.
-func (m *MFC) GetLLAR(owner int, lsAddr int, ea int64, done func()) {
+func (m *MFC) GetLLAR(owner int, lsAddr int, ea int64, done sim.Callee) {
 	af := m.fabric.(AtomicFabric)
 	if ea%LineBytes != 0 || lsAddr%LineBytes != 0 {
 		panic("mfc: getllar requires line alignment")
@@ -46,9 +46,7 @@ func (m *MFC) GetLLAR(owner int, lsAddr int, ea int64, done func()) {
 	if m.taint != nil {
 		m.taint(lsAddr, lsAddr+LineBytes)
 	}
-	af.ReadLocked(owner, ea, m.eng.Now(), m.ls[lsAddr:lsAddr+LineBytes], func(end sim.Time) {
-		done()
-	})
+	af.ReadLocked(owner, ea, m.eng.Now(), m.ls[lsAddr:lsAddr+LineBytes], done)
 }
 
 // PutLLC performs a conditional store of the line at lsAddr to ea; ok is

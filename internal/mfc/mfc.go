@@ -189,7 +189,7 @@ type cmdState struct {
 	// (plain stores, kept up to date whether or not a tracer is attached)
 	issued      sim.Time
 	firstPacket sim.Time
-	done        func()
+	done        sim.Callee
 	// m backlinks to the owning MFC: the command state itself is the
 	// per-packet completion Callee (a 16 KB command issues up to 128
 	// line-sized packets, and allocating a fresh closure for each was a
@@ -266,11 +266,8 @@ type MFC struct {
 	// packet completes. The two must match at teardown (CheckConservation).
 	tagRequested [NumTags]int64
 	tagDelivered [NumTags]int64
-	tagWaiters   []*tagWaiter
-	spaceSubs    []spaceSub
-	// spaceSpare is the drained spaceSubs backing, kept so the next
-	// registration round reuses it instead of growing a fresh slice.
-	spaceSpare []spaceSub
+	tagWaiters   []tagWaiter
+	spaceSubs    []sim.Callee
 
 	// freeCmds pools completed cmdStates for reuse by enqueue: command
 	// records churn at DMA rate (one per command, every run), so the
@@ -288,20 +285,11 @@ type MFC struct {
 	occLast sim.Time
 }
 
-// tagWaiter and spaceSub carry either a plain callback or a prebound
-// Callee; exactly one is set. The SPU channel interface registers Callees
-// (reusable process wake records); plain funcs remain for tests and
-// ad-hoc drivers.
+// tagWaiter is one WaitTags subscription: cb fires once every tag group
+// in mask is idle.
 type tagWaiter struct {
-	mask  uint32
-	fired bool
-	fn    func()
-	cb    sim.Callee
-}
-
-type spaceSub struct {
-	fn func()
-	cb sim.Callee
+	mask uint32
+	cb   sim.Callee
 }
 
 // New returns an MFC moving data between ls (the SPE's local store) and
@@ -481,16 +469,16 @@ func checkSize(size int) error {
 // ErrQueueFull when all slots are busy (the caller — the SPU channel
 // interface — stalls and retries via OnSpace). done, if non-nil, fires
 // when the command completes.
-func (m *MFC) Enqueue(c Cmd, done func()) error {
+func (m *MFC) Enqueue(c Cmd, done sim.Callee) error {
 	return m.enqueue(c, done, false)
 }
 
 // EnqueueProxy places a command on the PPE-side proxy queue.
-func (m *MFC) EnqueueProxy(c Cmd, done func()) error {
+func (m *MFC) EnqueueProxy(c Cmd, done sim.Callee) error {
 	return m.enqueue(c, done, true)
 }
 
-func (m *MFC) enqueue(c Cmd, done func(), proxy bool) error {
+func (m *MFC) enqueue(c Cmd, done sim.Callee, proxy bool) error {
 	if err := m.validate(&c); err != nil {
 		return err
 	}
@@ -551,25 +539,15 @@ func payloadBytes(c *Cmd) int64 {
 	return total
 }
 
-// OnSpace registers fn to run once, the next time a queue slot frees.
-func (m *MFC) OnSpace(fn func()) { m.spaceSubs = append(m.spaceSubs, spaceSub{fn: fn}) }
+// OnSpace registers cb to fire once, the next time a queue slot frees.
+// The SPU channel interface registers its reusable wake record, so
+// registration allocates nothing.
+func (m *MFC) OnSpace(cb sim.Callee) { m.spaceSubs = append(m.spaceSubs, cb) }
 
-// OnSpaceCB is OnSpace with a prebound Callee target (the SPU channel
-// interface's reusable wake record): registration allocates nothing.
-func (m *MFC) OnSpaceCB(cb sim.Callee) { m.spaceSubs = append(m.spaceSubs, spaceSub{cb: cb}) }
-
-// WaitTags registers fn to run when every tag group in mask has no
-// incomplete commands. If already true, fn is scheduled immediately.
-func (m *MFC) WaitTags(mask uint32, fn func()) {
-	w := &tagWaiter{mask: mask, fn: fn}
-	m.tagWaiters = append(m.tagWaiters, w)
-	m.checkTagWaiters()
-}
-
-// WaitTagsCB is WaitTags with a prebound Callee target.
-func (m *MFC) WaitTagsCB(mask uint32, cb sim.Callee) {
-	w := &tagWaiter{mask: mask, cb: cb}
-	m.tagWaiters = append(m.tagWaiters, w)
+// WaitTags registers cb to fire when every tag group in mask has no
+// incomplete commands. If already true, cb is scheduled immediately.
+func (m *MFC) WaitTags(mask uint32, cb sim.Callee) {
+	m.tagWaiters = append(m.tagWaiters, tagWaiter{mask: mask, cb: cb})
 	m.checkTagWaiters()
 }
 
@@ -583,20 +561,19 @@ func (m *MFC) TagsComplete(mask uint32) bool {
 	return true
 }
 
+// checkTagWaiters posts every waiter whose tag groups are idle and keeps
+// the rest, in order. Posting is asynchronous, so no waiter registers
+// while the pass runs.
 func (m *MFC) checkTagWaiters() {
 	kept := m.tagWaiters[:0]
 	for _, w := range m.tagWaiters {
-		if !w.fired && m.TagsComplete(w.mask) {
-			w.fired = true
-			if w.cb != nil {
-				m.eng.PostCallee(w.cb, m.eng.Now())
-			} else {
-				m.eng.Post(w.fn)
-			}
-		} else if !w.fired {
+		if m.TagsComplete(w.mask) {
+			m.eng.PostCallee(w.cb, m.eng.Now())
+		} else {
 			kept = append(kept, w)
 		}
 	}
+	clear(m.tagWaiters[len(kept):])
 	m.tagWaiters = kept
 }
 
@@ -782,24 +759,15 @@ func (m *MFC) complete(st *cmdState) {
 	}
 	m.checkTagWaiters()
 	if st.done != nil {
-		m.eng.Post(st.done)
+		m.eng.PostCallee(st.done, m.eng.Now())
 	}
-	if len(m.spaceSubs) > 0 {
-		// Swap in the spare backing before posting: a posted callback may
-		// re-register, and it must land in the next round's slice, not
-		// the one being drained.
-		subs := m.spaceSubs
-		m.spaceSubs = m.spaceSpare[:0]
-		for _, s := range subs {
-			if s.cb != nil {
-				m.eng.PostCallee(s.cb, m.eng.Now())
-			} else {
-				m.eng.Post(s.fn)
-			}
-		}
-		clear(subs)
-		m.spaceSpare = subs[:0]
+	// Posting is asynchronous, so no subscriber re-registers while the
+	// drained list is still being walked.
+	for _, cb := range m.spaceSubs {
+		m.eng.PostCallee(cb, m.eng.Now())
 	}
+	clear(m.spaceSubs)
+	m.spaceSubs = m.spaceSubs[:0]
 	// The last packet has retired and every reference above is by value:
 	// the record can be recycled for a future enqueue.
 	*st = cmdState{}

@@ -78,7 +78,7 @@ func TestGetMovesData(t *testing.T) {
 	eng, fab, m, ls := newMFC(100)
 	fill(fab.mem[4096:4096+1024], 3)
 	done := false
-	err := m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 4096, Size: 1024}, func() { done = true })
+	err := m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 4096, Size: 1024}, sim.CalleeFunc(func(sim.Time) { done = true }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestOnSpaceFires(t *testing.T) {
 		m.Enqueue(Cmd{Kind: Get, Tag: 0, LSAddr: 0, EA: 0, Size: 128}, nil)
 	}
 	freed := false
-	m.OnSpace(func() { freed = true })
+	m.OnSpace(sim.CalleeFunc(func(sim.Time) { freed = true }))
 	eng.Run()
 	if !freed {
 		t.Fatal("OnSpace never fired")
@@ -208,15 +208,15 @@ func TestWaitTagsMask(t *testing.T) {
 	var order []int
 	m.Enqueue(Cmd{Kind: Get, Tag: 3, LSAddr: 0, EA: 0, Size: 16384}, nil)
 	m.Enqueue(Cmd{Kind: Get, Tag: 5, LSAddr: 16384, EA: 16384, Size: 128}, nil)
-	m.WaitTags(1<<5, func() { order = append(order, 5) })
-	m.WaitTags(1<<3|1<<5, func() { order = append(order, 35) })
+	m.WaitTags(1<<5, sim.CalleeFunc(func(sim.Time) { order = append(order, 5) }))
+	m.WaitTags(1<<3|1<<5, sim.CalleeFunc(func(sim.Time) { order = append(order, 35) }))
 	eng.Run()
 	if len(order) != 2 || order[0] != 5 || order[1] != 35 {
 		t.Fatalf("wait order %v, want [5 35]", order)
 	}
 	// Waiting on idle tags fires immediately.
 	fired := false
-	m.WaitTags(1<<7, func() { fired = true })
+	m.WaitTags(1<<7, sim.CalleeFunc(func(sim.Time) { fired = true }))
 	eng.Run()
 	if !fired {
 		t.Fatal("wait on idle tag must fire")
@@ -241,8 +241,8 @@ func TestFenceOrdersSameTagOnly(t *testing.T) {
 	eng, _, m, _ := newMFC(500)
 	var completions []int
 	// Tag 1: slow big GET. Tag 2: fenced GET (does not wait for tag 1).
-	m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 0, Size: 16384}, func() { completions = append(completions, 1) })
-	m.Enqueue(Cmd{Kind: Get, Tag: 2, LSAddr: 16384, EA: 16384, Size: 128, Fence: true}, func() { completions = append(completions, 2) })
+	m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 0, Size: 16384}, sim.CalleeFunc(func(sim.Time) { completions = append(completions, 1) }))
+	m.Enqueue(Cmd{Kind: Get, Tag: 2, LSAddr: 16384, EA: 16384, Size: 128, Fence: true}, sim.CalleeFunc(func(sim.Time) { completions = append(completions, 2) }))
 	eng.Run()
 	if len(completions) != 2 || completions[0] != 2 {
 		t.Fatalf("fenced other-tag command should finish first: %v", completions)
@@ -250,8 +250,8 @@ func TestFenceOrdersSameTagOnly(t *testing.T) {
 
 	// Same tag: the fence must hold it back.
 	completions = nil
-	m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 0, Size: 16384}, func() { completions = append(completions, 1) })
-	m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 16384, EA: 16384, Size: 128, Fence: true}, func() { completions = append(completions, 2) })
+	m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 0, EA: 0, Size: 16384}, sim.CalleeFunc(func(sim.Time) { completions = append(completions, 1) }))
+	m.Enqueue(Cmd{Kind: Get, Tag: 1, LSAddr: 16384, EA: 16384, Size: 128, Fence: true}, sim.CalleeFunc(func(sim.Time) { completions = append(completions, 2) }))
 	eng.Run()
 	if len(completions) != 2 || completions[0] != 1 {
 		t.Fatalf("fenced same-tag command must wait: %v", completions)
@@ -297,7 +297,7 @@ func TestProxyQueueIndependent(t *testing.T) {
 	eng, fab, m, ls := newMFC(100)
 	fill(fab.mem[0:128], 7)
 	done := false
-	if err := m.EnqueueProxy(Cmd{Kind: Get, Tag: 0, LSAddr: 0, EA: 0, Size: 128}, func() { done = true }); err != nil {
+	if err := m.EnqueueProxy(Cmd{Kind: Get, Tag: 0, LSAddr: 0, EA: 0, Size: 128}, sim.CalleeFunc(func(sim.Time) { done = true })); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -363,8 +363,8 @@ func TestPerCommandSetupCostDominatesSmall(t *testing.T) {
 	run := func(n, size int) sim.Time {
 		eng, _, m, _ := newMFC(1)
 		issued := 0
-		var next func()
-		next = func() {
+		var next sim.CalleeFunc
+		next = func(sim.Time) {
 			for issued < n {
 				err := m.Enqueue(Cmd{Kind: Get, Tag: 0, LSAddr: issued * size % (1 << 18), EA: int64(issued * size), Size: size}, nil)
 				if errors.Is(err, ErrQueueFull) {
@@ -377,7 +377,7 @@ func TestPerCommandSetupCostDominatesSmall(t *testing.T) {
 				issued++
 			}
 		}
-		next()
+		next(0)
 		eng.Run()
 		return eng.Now()
 	}

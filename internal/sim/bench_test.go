@@ -39,7 +39,7 @@ func BenchmarkEngine(b *testing.B) {
 // BenchmarkProcessHandoff measures the engine/process hand-off: one op is
 // one Wait(1) round trip, engine to body and back, on a single long-lived
 // process. It records ns/handoff, the allocations of one spawn-and-finish
-// cycle (allocs/spawn) and GOMAXPROCS as the "ProcessHandoff" entry of
+// cycle (allocs/spawn) and the machine as the "ProcessHandoff" entry of
 // BENCH_eib.json.
 func BenchmarkProcessHandoff(b *testing.B) {
 	e := NewEngine()
@@ -61,16 +61,18 @@ func BenchmarkProcessHandoff(b *testing.B) {
 	recordBaseline(b, "ProcessHandoff", map[string]any{
 		"ns/handoff":   nsPerHandoff,
 		"allocs/spawn": allocs,
-		"gomaxprocs":   float64(runtime.GOMAXPROCS(0)),
 	})
 }
 
 // recordBaseline merges one named entry into the repository-root
 // BENCH_eib.json (the same file the root-package benchmarks maintain; this
 // package can't share their helper, so the merge is reimplemented). Rows
-// hold numbers and, for machine context, strings.
+// hold numbers and, for machine context, strings: goarch, gomaxprocs and
+// go (the Go version).
 func recordBaseline(b *testing.B, name string, metrics map[string]any) {
 	b.Helper()
+	metrics["goarch"], metrics["go"] = runtime.GOARCH, runtime.Version()
+	metrics["gomaxprocs"] = runtime.GOMAXPROCS(0)
 	const path = "../../BENCH_eib.json"
 	all := map[string]map[string]any{}
 	if data, err := os.ReadFile(path); err == nil {

@@ -26,7 +26,7 @@ const ChurnRounds = 64
 // comparable across runs and machines.
 func EventChurn(e *Engine, rounds int) int64 {
 	before := e.Fired()
-	sink := func(Time) {}
+	sink := CalleeFunc(func(Time) {})
 	Spawn(e, "churn-worker", func(p *Process) {
 		for i := 0; i < rounds*4; i++ {
 			p.Wait(25)
@@ -35,13 +35,13 @@ func EventChurn(e *Engine, rounds int) int64 {
 	for r := 0; r < rounds; r++ {
 		base := e.Now()
 		for i := 0; i < 8; i++ {
-			e.AtCall(base, sink, 0)
+			e.AtCallee(base, sink, 0)
 		}
 		for i := 0; i < 16; i++ {
-			e.AtCall(base+Time(1+(i*7)%60), sink, 0)
+			e.AtCallee(base+Time(1+(i*7)%60), sink, 0)
 		}
-		e.AtCall(base+900, sink, 0)
-		e.AtCall(base+50000, sink, 0)
+		e.AtCallee(base+900, sink, 0)
+		e.AtCallee(base+50000, sink, 0)
 		e.RunUntil(base + 100)
 	}
 	e.Run()

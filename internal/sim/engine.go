@@ -23,29 +23,26 @@ type Time int64
 // Forever is a time later than any event a simulation will ever schedule.
 const Forever Time = 1<<62 - 1
 
-// event is one scheduled callback. Exactly one of fn, tfn, cb or proc is
-// set: tfn carries a pre-bound Time argument so hot paths can schedule a
-// completion callback without wrapping it in a fresh closure (see AtCall),
-// cb is an interface target for pooled completion records (see AtCallee),
-// and proc is a pre-bound process activation so a Process.Wait never
-// materializes a method-value closure (see Spawn/Wait). daemon events (see
-// AtDaemon) never keep the simulation alive on their own.
+// event is one scheduled callback: cb.Call(targ), or, when cb is nil,
+// the pre-bound activation of proc, so a Process.Wait never goes through
+// an interface or materializes a method-value closure (see Spawn/Wait).
+// daemon events (see AtDaemon) never keep the simulation alive on their
+// own.
 type event struct {
 	at     Time
 	seq    int64
-	fn     func()
-	tfn    func(Time)
 	cb     Callee
 	targ   Time
 	proc   *Process
 	daemon bool
 }
 
-// Callee is a prebound event target dispatched through an interface.
-// Completion records that carry more context than AtCall's single Time
-// argument (a DMA packet's copy parameters, say) implement it so hot
-// paths can pool and reuse them: scheduling stores the two-word interface
-// value in the event record, where a closure would allocate per event.
+// Callee is the one way to be called back when something completes: an
+// event target dispatched through an interface, given the Time argument
+// its scheduler chose. Completion records that carry context (a DMA
+// packet's copy parameters, say) implement it so hot paths can pool and
+// reuse them: scheduling stores the two-word interface value in the event
+// record, where a closure would allocate per event.
 type Callee interface {
 	Call(at Time)
 }
@@ -57,6 +54,13 @@ type CalleeFunc func(at Time)
 
 // Call invokes f(at).
 func (f CalleeFunc) Call(at Time) { f(at) }
+
+// thunk is a closure without arguments stored as a Callee: At, Post,
+// AtDaemon and Signal.OnFire keep their closure signatures on top of it.
+// Converting a func value to an interface allocates nothing.
+type thunk func()
+
+func (f thunk) Call(Time) { f() }
 
 // Timing-wheel geometry: wheelLevels levels of wheelSize buckets each.
 // Level L buckets are 64^L cycles wide, so 11 levels of 64 cover the full
@@ -368,51 +372,23 @@ func (e *Engine) rewind() {
 	}
 }
 
-// Schedule arranges for fn to run after d cycles. A negative delay panics:
-// models must not schedule into the past.
-func (e *Engine) Schedule(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: schedule %d cycles into the past", -d))
-	}
-	e.seq++
-	e.insert(event{at: e.now + d, seq: e.seq, fn: fn})
-}
-
 // Post arranges for fn to run at the current simulated time, after every
-// event already scheduled for it. It is the same-cycle dispatch path —
-// equivalent to Schedule(0, fn) — used by wakeups and completion
-// notifications (signal fires, mailbox and tag-group releases), which
-// join the live batch directly and never touch the wheel.
+// event already scheduled for it. It is the closure form of PostCallee,
+// the same-cycle dispatch path: the event joins the live batch directly
+// and never touches the wheel.
 func (e *Engine) Post(fn func()) {
-	e.seq++
-	e.insert(event{at: e.now, seq: e.seq, fn: fn})
+	e.PostCallee(thunk(fn), 0)
 }
 
-// At arranges for fn to run at absolute time t (>= Now).
+// At arranges for fn to run at absolute time t (>= Now). It is the
+// closure form of AtCallee.
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	e.seq++
-	e.insert(event{at: t, seq: e.seq, fn: fn})
-}
-
-// AtCall arranges for fn(arg) to run at absolute time t (>= Now). It is
-// the allocation-free form of At(t, func() { fn(arg) }) for completion
-// callbacks that take the completion time: the argument rides in the event
-// record instead of a closure.
-func (e *Engine) AtCall(t Time, fn func(Time), arg Time) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
-	}
-	e.seq++
-	e.insert(event{at: t, seq: e.seq, tfn: fn, targ: arg})
+	e.AtCallee(t, thunk(fn), 0)
 }
 
 // AtCallee arranges for cb.Call(arg) to run at absolute time t (>= Now).
-// It is to AtCall what a prebound record is to a closure: cb is typically
-// a pooled object carrying the context a per-event closure would have
-// captured, so scheduling it allocates nothing.
+// cb is typically a pooled object carrying the context a per-event
+// closure would have captured, so scheduling it allocates nothing.
 func (e *Engine) AtCallee(t Time, cb Callee, arg Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, e.now))
@@ -422,10 +398,10 @@ func (e *Engine) AtCallee(t Time, cb Callee, arg Time) {
 }
 
 // PostCallee arranges for cb.Call(arg) to run at the current simulated
-// time, after every event already scheduled for it. It is to Post what
-// AtCallee is to At: the prebound-record form of the same-cycle dispatch
-// path, used by completion notifications whose target is a reusable
-// record rather than a closure.
+// time, after every event already scheduled for it. It is the same-cycle
+// dispatch path used by wakeups and completion notifications (signal
+// fires, mailbox and tag-group releases), which join the live batch
+// directly and never touch the wheel.
 func (e *Engine) PostCallee(cb Callee, arg Time) {
 	e.seq++
 	e.insert(event{at: e.now, seq: e.seq, cb: cb, targ: arg})
@@ -442,7 +418,7 @@ func (e *Engine) AtDaemon(t Time, fn func()) {
 	}
 	e.seq++
 	e.ndaemon++
-	e.insert(event{at: t, seq: e.seq, fn: fn, daemon: true})
+	e.insert(event{at: t, seq: e.seq, cb: thunk(fn), daemon: true})
 }
 
 // EveryDaemon arranges for fn to run every interval cycles as a daemon
@@ -465,10 +441,9 @@ func (e *Engine) EveryDaemon(interval Time, fn func()) {
 	e.AtDaemon(e.now+interval, tick)
 }
 
-// scheduleProc arranges for p to be activated after d cycles. It is the
-// pre-bound form of Schedule(d, p.activate): the process pointer rides in
-// the event record, so blocking a process never allocates a method-value
-// closure.
+// scheduleProc arranges for p to be activated after d cycles. The process
+// pointer rides in the event record, so blocking a process never
+// allocates a method-value closure.
 func (e *Engine) scheduleProc(d Time, p *Process) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: schedule %d cycles into the past", -d))
@@ -493,14 +468,9 @@ func (e *Engine) Step() bool {
 		e.nfired++
 	}
 	e.now = ev.at
-	switch {
-	case ev.fn != nil:
-		ev.fn()
-	case ev.tfn != nil:
-		ev.tfn(ev.targ)
-	case ev.cb != nil:
+	if ev.cb != nil {
 		ev.cb.Call(ev.targ)
-	default:
+	} else {
 		ev.proc.activate()
 	}
 	return true

@@ -12,10 +12,10 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10, func() { got = append(got, 2) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(10, func() { got = append(got, 3) }) // same time: scheduling order
-	e.Schedule(20, func() { got = append(got, 4) })
+	e.At(10, func() { got = append(got, 2) })
+	e.At(5, func() { got = append(got, 1) })
+	e.At(10, func() { got = append(got, 3) }) // same time: scheduling order
+	e.At(20, func() { got = append(got, 4) })
 	e.Run()
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
@@ -38,10 +38,10 @@ func TestEngineNestedScheduling(t *testing.T) {
 	tick = func() {
 		ticks = append(ticks, e.Now())
 		if e.Now() < 50 {
-			e.Schedule(10, tick)
+			e.At(e.Now()+10, tick)
 		}
 	}
-	e.Schedule(0, tick)
+	e.At(0, tick)
 	e.Run()
 	if len(ticks) != 6 {
 		t.Fatalf("got %d ticks, want 6: %v", len(ticks), ticks)
@@ -56,8 +56,8 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(10, func() { fired++ })
-	e.Schedule(30, func() { fired++ })
+	e.At(10, func() { fired++ })
+	e.At(30, func() { fired++ })
 	more := e.RunUntil(20)
 	if !more {
 		t.Fatal("RunUntil(20) should report remaining events")
@@ -83,7 +83,7 @@ func TestEngineSchedulePastPanics(t *testing.T) {
 			t.Fatal("scheduling into the past should panic")
 		}
 	}()
-	e.Schedule(-1, func() {})
+	e.At(e.Now()-1, func() {})
 }
 
 func TestEngineStepEmpty(t *testing.T) {
@@ -184,7 +184,7 @@ func TestProcessSignal(t *testing.T) {
 		p.WaitSignal(s)
 		wokeAt = p.Now()
 	})
-	e.Schedule(42, s.Fire)
+	e.At(42, s.Fire)
 	e.Run()
 	if wokeAt != 42 {
 		t.Fatalf("woke at %d, want 42", wokeAt)
@@ -213,18 +213,61 @@ func TestSignalDoubleFirePanics(t *testing.T) {
 	s.Fire()
 }
 
-func TestProcessWaitFunc(t *testing.T) {
+func TestProcessWaitCallee(t *testing.T) {
 	e := NewEngine()
-	var wake func()
+	var wake Callee
 	var wokeAt Time = -1
 	Spawn(e, "w", func(p *Process) {
-		p.WaitFunc(func(w func()) { wake = w })
+		p.WaitCallee(func(cb Callee) { wake = cb })
 		wokeAt = p.Now()
 	})
-	e.Schedule(9, func() { wake() })
+	e.At(9, func() { wake.Call(e.Now()) })
 	e.Run()
 	if wokeAt != 9 {
 		t.Fatalf("woke at %d, want 9", wokeAt)
+	}
+}
+
+// TestWakeRecordDoubleFirePanics: a wake record fired twice for one wait
+// is a subscriber bug, and the only check that catches it for mailbox,
+// signal-register and atomic waits.
+func TestWakeRecordDoubleFirePanics(t *testing.T) {
+	e := NewEngine()
+	var wake Callee
+	var wokeAt Time = -1
+	Spawn(e, "w", func(p *Process) {
+		p.WaitCallee(func(cb Callee) { wake = cb })
+		wokeAt = p.Now()
+	})
+	var got interface{}
+	e.At(5, func() {
+		wake.Call(e.Now())
+		defer func() { got = recover() }()
+		wake.Call(e.Now())
+	})
+	e.Run()
+	if got != "sim: WakeRecord fired while unarmed" {
+		t.Fatalf("second fire recovered %v, want the unarmed-record panic", got)
+	}
+	if wokeAt != 5 {
+		t.Fatalf("woke at %d, want 5 (once, from the first fire)", wokeAt)
+	}
+}
+
+// TestWaitCalleeWhileArmedPanics: a process cannot wait on a second
+// subscription while its wake record is still armed for the first.
+func TestWaitCalleeWhileArmedPanics(t *testing.T) {
+	e := NewEngine()
+	var got interface{}
+	Spawn(e, "w", func(p *Process) {
+		defer func() { got = recover() }()
+		p.WaitCallee(func(Callee) {
+			p.WaitCallee(func(Callee) { t.Error("nested WaitCallee armed its subscriber") })
+		})
+	})
+	e.Run()
+	if got != "sim: WaitCallee while already armed" {
+		t.Fatalf("nested WaitCallee recovered %v, want the armed-record panic", got)
 	}
 }
 
@@ -440,7 +483,7 @@ func TestServerLateArrival(t *testing.T) {
 	s := NewServer(e)
 	var ends []Time
 	s.Request(10, CalleeFunc(func(Time) { ends = append(ends, e.Now()) }))
-	e.Schedule(25, func() {
+	e.At(25, func() {
 		s.Request(5, CalleeFunc(func(Time) { ends = append(ends, e.Now()) }))
 	})
 	e.Run()
@@ -530,7 +573,7 @@ func TestSignalOnFireAndFired(t *testing.T) {
 	}
 	calls := 0
 	s.OnFire(func() { calls++ })
-	e.Schedule(10, s.Fire)
+	e.At(10, s.Fire)
 	e.Run()
 	if calls != 1 || !s.Fired() {
 		t.Fatalf("OnFire calls=%d fired=%v", calls, s.Fired())
@@ -601,7 +644,7 @@ func TestFIFOMatchesSlice(t *testing.T) {
 
 func TestAtBeforeNowPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.At(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
@@ -611,15 +654,15 @@ func TestAtBeforeNowPanics(t *testing.T) {
 	e.At(5, func() {})
 }
 
-func TestAtCallOrderAndArgument(t *testing.T) {
+func TestAtCalleeOrderAndArgument(t *testing.T) {
 	e := NewEngine()
 	var got []Time
-	rec := func(at Time) { got = append(got, at) }
-	// AtCall events interleave with At events in (time, seq) order, and
+	rec := CalleeFunc(func(at Time) { got = append(got, at) })
+	// AtCallee events interleave with At events in (time, seq) order, and
 	// each receives the argument bound at scheduling time.
-	e.AtCall(20, rec, 20)
+	e.AtCallee(20, rec, 20)
 	e.At(10, func() { got = append(got, 10) })
-	e.AtCall(10, rec, -10) // same timestamp: fires after, in schedule order
+	e.AtCallee(10, rec, -10) // same timestamp: fires after, in schedule order
 	e.Run()
 	if len(got) != 3 || got[0] != 10 || got[1] != -10 || got[2] != 20 {
 		t.Fatalf("fired %v, want [10 -10 20]", got)
@@ -629,16 +672,16 @@ func TestAtCallOrderAndArgument(t *testing.T) {
 	}
 }
 
-func TestAtCallBeforeNowPanics(t *testing.T) {
+func TestAtCalleeBeforeNowPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.At(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AtCall before now should panic")
+			t.Fatal("AtCallee before now should panic")
 		}
 	}()
-	e.AtCall(5, func(Time) {}, 5)
+	e.AtCallee(5, CalleeFunc(func(Time) {}), 5)
 }
 
 // TestEngineSteadyStateAllocFree pins the tentpole property of the event
@@ -657,11 +700,11 @@ func TestAtCallBeforeNowPanics(t *testing.T) {
 //     A 256-event run must therefore average well under one allocation.
 func TestEngineSteadyStateAllocFree(t *testing.T) {
 	e := NewEngine()
-	fn := func(Time) {}
+	fn := CalleeFunc(func(Time) {})
 	churn := func() {
 		base := e.Now()
 		for i := 0; i < 256; i++ {
-			e.AtCall(base+Time(i%16), fn, 0)
+			e.AtCallee(base+Time(i%16), fn, 0)
 		}
 		e.Run()
 	}
@@ -675,7 +718,7 @@ func TestEngineSteadyStateAllocFree(t *testing.T) {
 	}
 	samecycle := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 256; i++ {
-			e.AtCall(e.Now(), fn, 0)
+			e.AtCallee(e.Now(), fn, 0)
 		}
 		e.Run()
 	})

@@ -187,35 +187,20 @@ func (p *Process) WaitSignal(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.subs = append(s.subs, waiter{proc: p})
+	s.subs = append(s.subs, (*activation)(p))
 	p.park()
 }
 
-// WaitFunc blocks the process until wake is invoked. It hands the caller a
-// wake function that is safe to call exactly once from any engine event.
-func (p *Process) WaitFunc(arm func(wake func())) {
-	woken := false
-	arm(func() {
-		if woken {
-			panic("sim: WaitFunc wake called twice")
-		}
-		woken = true
-		p.eng.scheduleProc(0, p)
-	})
-	p.park()
-}
-
-// WakeRecord is a process's reusable one-shot wake target: the Callee
-// counterpart of the closure WaitFunc hands out. Each process owns at most
-// one record, re-armed on every WaitCallee, so blocking on a Callee-based
-// subscription never allocates.
+// WakeRecord is a process's reusable one-shot wake target. Each process
+// owns at most one record, re-armed on every WaitCallee, so blocking on a
+// Callee-based subscription never allocates.
 type WakeRecord struct {
 	p     *Process
 	armed bool
 }
 
-// Call wakes the parked process. Firing an unarmed record panics, the
-// WaitFunc double-wake discipline.
+// Call wakes the parked process. Firing an unarmed record panics: a
+// record fired twice for one wait is a subscriber bug.
 func (w *WakeRecord) Call(Time) {
 	if !w.armed {
 		panic("sim: WakeRecord fired while unarmed")
@@ -224,10 +209,9 @@ func (w *WakeRecord) Call(Time) {
 	w.p.eng.scheduleProc(0, w.p)
 }
 
-// WaitCallee blocks the process until the handed Callee is called. It is
-// WaitFunc with a reusable wake record instead of a fresh closure: arm
-// registers the record with exactly one subscriber, which must Call it
-// exactly once from an engine event.
+// WaitCallee blocks the process until the handed Callee is called: arm
+// registers the process's wake record with exactly one subscriber, which
+// must Call it exactly once from an engine event.
 func (p *Process) WaitCallee(arm func(cb Callee)) {
 	if p.wake == nil {
 		p.wake = &WakeRecord{p: p}
@@ -240,20 +224,19 @@ func (p *Process) WaitCallee(arm func(cb Callee)) {
 	p.park()
 }
 
-// waiter is one Signal subscriber: either a plain callback or a pre-bound
-// process activation (which avoids materializing a method-value closure
-// per blocked process).
-type waiter struct {
-	fn   func()
-	proc *Process
-}
+// activation is a Process viewed as a Signal subscriber that activates
+// it directly: converting the pointer allocates nothing, where the method
+// value p.activate would allocate a closure per blocked process.
+type activation Process
+
+func (a *activation) Call(Time) { (*Process)(a).activate() }
 
 // Signal is a one-shot broadcast: processes and callbacks wait on it, and
 // Fire releases all of them at the current simulated time.
 type Signal struct {
 	eng   *Engine
 	fired bool
-	subs  []waiter
+	subs  []Callee
 }
 
 // NewSignal returns an unfired signal bound to eng.
@@ -290,12 +273,8 @@ func (d *signalDrain) Call(Time) { (*Signal)(d).drain() }
 func (s *Signal) drain() {
 	subs := s.subs
 	s.subs = nil
-	for _, w := range subs {
-		if w.proc != nil {
-			w.proc.activate()
-		} else {
-			w.fn()
-		}
+	for _, cb := range subs {
+		cb.Call(s.eng.now)
 	}
 }
 
@@ -306,5 +285,5 @@ func (s *Signal) OnFire(fn func()) {
 		s.eng.Post(fn)
 		return
 	}
-	s.subs = append(s.subs, waiter{fn: fn})
+	s.subs = append(s.subs, thunk(fn))
 }

@@ -18,8 +18,8 @@ const atomicScratch = LocalStoreBytes - 128
 // a reservation. Blocks until the line arrives.
 func (c *Context) GetLLAR(lsAddr int, ea int64) {
 	c.issueCost()
-	c.WaitFunc(func(wake func()) {
-		c.spe.dma.GetLLAR(c.spe.index, lsAddr, ea, wake)
+	c.WaitCallee(func(cb sim.Callee) {
+		c.spe.dma.GetLLAR(c.spe.index, lsAddr, ea, cb)
 	})
 }
 
@@ -28,10 +28,10 @@ func (c *Context) GetLLAR(lsAddr int, ea int64) {
 func (c *Context) PutLLC(lsAddr int, ea int64) bool {
 	c.issueCost()
 	var ok bool
-	c.WaitFunc(func(wake func()) {
+	c.WaitCallee(func(cb sim.Callee) {
 		c.spe.dma.PutLLC(c.spe.index, lsAddr, ea, func(success bool) {
 			ok = success
-			wake()
+			cb.Call(c.Now())
 		})
 	})
 	return ok

@@ -21,7 +21,7 @@ const SNROffset = LocalStoreBytes
 type snr struct {
 	value   uint32
 	pending bool
-	waiters []func()
+	waiters []sim.Callee
 }
 
 // WriteSignal ORs v into signal register reg (0 or 1). It is the
@@ -30,18 +30,14 @@ func (s *SPE) WriteSignal(reg int, v uint32) {
 	r := &s.snrs[reg]
 	r.value |= v
 	r.pending = true
-	ws := r.waiters
-	r.waiters = nil
-	for _, w := range ws {
-		s.eng.Post(w)
-	}
+	wakeAll(s.eng, &r.waiters)
 }
 
 // readSignal returns and clears the register once it has a value.
 func (s *SPE) readSignal(p *sim.Process, reg int) uint32 {
 	r := &s.snrs[reg]
 	for !r.pending {
-		p.WaitFunc(func(wake func()) { r.waiters = append(r.waiters, wake) })
+		p.WaitCallee(func(cb sim.Callee) { r.waiters = append(r.waiters, cb) })
 	}
 	v := r.value
 	r.value = 0

@@ -293,7 +293,7 @@ func (c *Context) enqueue(cmd mfc.Cmd) {
 		if err != mfc.ErrQueueFull {
 			panic(&CommandError{SPE: c.spe.index, Err: err})
 		}
-		c.WaitCallee(c.spe.dma.OnSpaceCB)
+		c.WaitCallee(c.spe.dma.OnSpace)
 	}
 }
 
@@ -348,7 +348,7 @@ func (c *Context) WaitTagMask(mask uint32) {
 	if c.spe.dma.TagsComplete(mask) {
 		return
 	}
-	c.WaitCallee(func(cb sim.Callee) { c.spe.dma.WaitTagsCB(mask, cb) })
+	c.WaitCallee(func(cb sim.Callee) { c.spe.dma.WaitTags(mask, cb) })
 }
 
 // LSOp selects a local store streaming operation.
@@ -392,8 +392,8 @@ type Mailbox struct {
 	eng     *sim.Engine
 	cap     int
 	queue   []uint32
-	readers []func()
-	writers []func()
+	readers []sim.Callee
+	writers []sim.Callee
 }
 
 // NewMailbox returns a mailbox holding up to capacity entries.
@@ -421,7 +421,7 @@ func (m *Mailbox) TryWrite(v uint32) bool {
 		return false
 	}
 	m.queue = append(m.queue, v)
-	m.wakeAll(&m.readers)
+	wakeAll(m.eng, &m.readers)
 	return true
 }
 
@@ -432,16 +432,19 @@ func (m *Mailbox) TryRead() (uint32, bool) {
 	}
 	v := m.queue[0]
 	m.queue = m.queue[1:]
-	m.wakeAll(&m.writers)
+	wakeAll(m.eng, &m.writers)
 	return v, true
 }
 
-func (m *Mailbox) wakeAll(subs *[]func()) {
-	list := *subs
-	*subs = nil
-	for _, fn := range list {
-		m.eng.Post(fn)
+// wakeAll posts every waiter in *subs, in order, and empties the list,
+// keeping its backing. Posting is asynchronous, so no waiter registers
+// while the loop runs.
+func wakeAll(eng *sim.Engine, subs *[]sim.Callee) {
+	for _, cb := range *subs {
+		eng.PostCallee(cb, eng.Now())
 	}
+	clear(*subs)
+	*subs = (*subs)[:0]
 }
 
 // Read blocks the process until a message is available.
@@ -450,7 +453,7 @@ func (m *Mailbox) Read(p *sim.Process) uint32 {
 		if v, ok := m.TryRead(); ok {
 			return v
 		}
-		p.WaitFunc(func(wake func()) { m.readers = append(m.readers, wake) })
+		p.WaitCallee(func(cb sim.Callee) { m.readers = append(m.readers, cb) })
 	}
 }
 
@@ -460,7 +463,7 @@ func (m *Mailbox) Write(p *sim.Process, v uint32) {
 		if m.TryWrite(v) {
 			return
 		}
-		p.WaitFunc(func(wake func()) { m.writers = append(m.writers, wake) })
+		p.WaitCallee(func(cb sim.Callee) { m.writers = append(m.writers, cb) })
 	}
 }
 

@@ -355,7 +355,7 @@ func TestWriteMailboxBlocksAtCapacityOne(t *testing.T) {
 		ctx.WriteMailbox(2) // blocks until drained
 		wrote = append(wrote, ctx.Decrementer())
 	})
-	eng.Schedule(500, func() { s.Outbox.TryRead() })
+	eng.At(500, func() { s.Outbox.TryRead() })
 	eng.Run()
 	if len(wrote) != 2 || wrote[1] < 500 {
 		t.Fatalf("second outbox write at %v, want blocked until 500", wrote)

@@ -415,11 +415,11 @@ func (op *memOp) Call(at sim.Time) {
 	case phase == phaseCommand && op.kind == opRead:
 		bk.occupy(opRead, now, op)
 	case phase == phaseCommand:
-		m.bus.TransferCB(op.requestor, op.ramp, op.n, now, op)
+		m.bus.Transfer(op.requestor, op.ramp, op.n, now, op)
 	case phase == phaseSecond && op.kind == opRead:
 		op.bankDone(at)
 		bk.perf.ReadBytes += uint64(op.n)
-		m.bus.TransferCB(op.ramp, op.requestor, op.n, now+op.lat, op)
+		m.bus.Transfer(op.ramp, op.requestor, op.n, now+op.lat, op)
 	case phase == phaseSecond:
 		bk.occupy(opWrite, now, op)
 	case op.kind == opRead:
