@@ -203,10 +203,16 @@ var benchJSONMu sync.Mutex
 
 // recordBenchBaseline merges the given metrics for one benchmark into
 // BENCH_eib.json, the checked-against perf baseline for the EIB hot path.
-// Rows hold numbers and, for machine context, strings.
+// Rows hold numbers and, for machine context, strings: every row records
+// goarch, go (the Go version) and gomaxprocs, which a row that pins
+// GOMAXPROCS for its measurement (Workloads) sets itself.
 // Regenerate it with: go test -bench 'EIBSaturated|Sweep' -benchmem .
 func recordBenchBaseline(b *testing.B, name string, metrics map[string]any) {
 	b.Helper()
+	metrics["goarch"], metrics["go"] = runtime.GOARCH, runtime.Version()
+	if _, ok := metrics["gomaxprocs"]; !ok {
+		metrics["gomaxprocs"] = runtime.GOMAXPROCS(0)
+	}
 	benchJSONMu.Lock()
 	defer benchJSONMu.Unlock()
 	const path = "BENCH_eib.json"
@@ -365,7 +371,7 @@ func BenchmarkSweepWarm(b *testing.B) {
 // copy at L2 sizing — per XDR bank access: wall time and allocations, the
 // figures the pooled line-access, fill and write-completion records moved.
 func BenchmarkMemPath(b *testing.B) {
-	metrics := map[string]any{"gomaxprocs": runtime.GOMAXPROCS(0)}
+	metrics := map[string]any{}
 	for _, c := range memPathCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var accesses int64
@@ -451,9 +457,7 @@ func BenchmarkWorkloads(b *testing.B) {
 		"allocs/call":    allocs / n,
 		"ns/call min":    fastest.Nanoseconds(),
 		"ns/call spread": float64(slowest-fastest) / float64(fastest),
-		"goarch":         runtime.GOARCH,
 		"gomaxprocs":     workloadsProcs,
-		"go":             runtime.Version(),
 	})
 }
 
