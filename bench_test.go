@@ -10,8 +10,12 @@ package cellbe
 // go test ./internal/conformance -run 'TestClaims/abl/'.
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sync"
@@ -20,6 +24,8 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
+	"cellbe/internal/journal"
+	"cellbe/internal/serve"
 	"cellbe/internal/sim"
 )
 
@@ -363,6 +369,67 @@ func BenchmarkSweepWarm(b *testing.B) {
 		"points":       points,
 		"point/s":      total / elapsed,
 		"allocs/point": perPoint,
+	})
+}
+
+// BenchmarkServeHit measures a memo-cache hit end to end through the
+// serving layer: a one-point sweep, already simulated once, posted over
+// loopback HTTP to an in-process serve.New whose scheduler journals to a
+// real directory, with the clock stopped after the NDJSON trailer. Each
+// iteration is a round of serveHitRound requests; the ServeHit row
+// records the fastest round's ns/request with the rounds' spread
+// (max-min)/min, and the journal fsyncs per request. Record it with:
+// go test -run xxx -bench 'ServeHit$' -benchtime 10x .
+func BenchmarkServeHit(b *testing.B) {
+	const serveHitRound = 200
+	jr, _, err := journal.Open(b.TempDir(), journal.Options{SyncEvery: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer jr.Close()
+	sched := core.NewScheduler(core.SchedOptions{Workers: 2, CachePoints: 4096, Journal: jr})
+	defer sched.Close()
+	ts := httptest.NewServer(serve.New(serve.Options{Sched: sched, Journal: jr}))
+	defer ts.Close()
+	body := []byte(`{"scenario":"pair","spes":2,"chunks":[4096],"seeds":[1],"volume":65536}`)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("sweep request: status %d, %v", resp.StatusCode, err)
+		}
+	}
+	post() // the miss that warms the cache
+	syncs0 := jr.Health().Syncs
+	fastest, slowest := time.Duration(math.MaxInt64), time.Duration(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		for range serveHitRound {
+			post()
+		}
+		d := time.Since(start)
+		fastest, slowest = min(fastest, d), max(slowest, d)
+	}
+	b.StopTimer()
+	requests := float64(b.N * serveHitRound)
+	if st := sched.CacheStats(); st.Hits != int64(requests) || st.Simulations != 1 {
+		b.Fatalf("cache stats %+v, want %d hits and the one warming simulation", st, int64(requests))
+	}
+	syncs := float64(jr.Health().Syncs-syncs0) / requests
+	perRequest := float64(fastest.Nanoseconds()) / serveHitRound
+	b.ReportMetric(perRequest, "ns/request")
+	b.ReportMetric(syncs, "syncs/request")
+	recordBenchBaseline(b, "ServeHit", map[string]any{
+		"rounds":                b.N,
+		"requests/round":        serveHitRound,
+		"ns/request min":        perRequest,
+		"ns/request spread":     float64(slowest-fastest) / float64(fastest),
+		"journal syncs/request": syncs,
 	})
 }
 

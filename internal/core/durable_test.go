@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -347,8 +349,6 @@ func TestSchedulerJournalAndResume(t *testing.T) {
 	}
 
 	// The resumed job finished, so a third boot has nothing to resume.
-	// The journal closes after the scheduler (SchedOptions.Journal): the
-	// results channel closes before the worker appends the done record.
 	s2.Close()
 	jr2.Close()
 	jr3, st3, err := journal.Open(dir, journal.Options{})
@@ -388,5 +388,147 @@ func TestWarmCacheRejectsBadRecords(t *testing.T) {
 	}
 	if st := s.CacheStats(); st.Entries != 1 {
 		t.Fatalf("cache entries = %d, want 1", st.Entries)
+	}
+}
+
+// replayCopy replays a copy of the journal in dir, as a process that
+// crashed at this instant would find it, and leaves the live journal
+// untouched (Open compacts the file it replays).
+func replayCopy(t *testing.T, dir string) *journal.State {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, journal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir()
+	if err := os.WriteFile(filepath.Join(cp, journal.FileName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jr, st, err := journal.Open(cp, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	return st
+}
+
+// journalSize is the journal file's size in bytes.
+func journalSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, journal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestDrainedJobIsSealed: the done record is on disk before the results
+// channel closes, so a consumer that drained a journaled job finds it
+// sealed even if the process dies before Scheduler.Close.
+func TestDrainedJobIsSealed(t *testing.T) {
+	dir := t.TempDir()
+	// A slow disk: writing the done record takes 20 ms, so a stream that
+	// ended before the record was written would be replayed without it.
+	slowDone := func(op string) error {
+		if op == "done" {
+			time.Sleep(20 * time.Millisecond)
+		}
+		return nil
+	}
+	jr, _, err := journal.Open(dir, journal.Options{SyncEvery: 8, WriteErr: slowDone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	s := NewScheduler(SchedOptions{Workers: 2, CachePoints: 64, Journal: jr})
+	defer s.Close()
+	spec := sweepSpec(0)
+	spec.Chunks, spec.Seeds = []int{1024}, []int64{0, 1}
+	job, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainJob(job); len(got) != 2 {
+		t.Fatalf("job delivered %d points, want 2", len(got))
+	}
+	st := replayCopy(t, dir)
+	if n := len(st.Incomplete()); n != 0 {
+		t.Fatalf("a drained job replays as incomplete (%d jobs): its done record is not on disk", n)
+	}
+	if len(st.Points) != 2 {
+		t.Fatalf("replay holds %d points, want 2", len(st.Points))
+	}
+}
+
+// TestCachedJobAppendsNothing: a job the memo cache answers whole has no
+// work to protect, so it writes no journal record and reports no
+// JournalID; a replay afterwards resubmits nothing. A resumed job whose
+// points are all warm is sealed with its done record instead.
+func TestCachedJobAppendsNothing(t *testing.T) {
+	dir := t.TempDir()
+	jr, _, err := journal.Open(dir, journal.Options{SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewScheduler(SchedOptions{Workers: 1, CachePoints: 64, Journal: jr})
+	spec := sweepSpec(0)
+	spec.Chunks, spec.Seeds = []int{1024}, []int64{0, 1}
+	job, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainJob(job)
+	size := journalSize(t, dir)
+
+	job, err = s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := job.Status(); st.State != JobDone || st.Cached != 2 || st.JournalID != "" {
+		t.Fatalf("cached job on return from Submit: %+v, want done, 2 cached, no JournalID", st)
+	}
+	drainJob(job)
+	if got := journalSize(t, dir); got != size {
+		t.Fatalf("cached job grew the journal from %d to %d bytes, want no record", size, got)
+	}
+	if n := len(replayCopy(t, dir).Incomplete()); n != 0 {
+		t.Fatalf("replay after the cached job resubmits %d jobs, want 0", n)
+	}
+	s.Close()
+
+	// A crash left a job record with no done record, whose points the
+	// first job's records already hold. Its resume is answered whole from
+	// the warm cache, and finishing it appends the done record.
+	raw, err := MarshalSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jid, err := jr.AppendJob(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr.Close()
+	jr2, st, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr2.Close()
+	if n := len(st.Incomplete()); n != 1 {
+		t.Fatalf("journal replayed %d incomplete jobs, want 1", n)
+	}
+	s2 := NewScheduler(SchedOptions{Workers: 1, CachePoints: 64, Journal: jr2})
+	defer s2.Close()
+	rs := s2.Resume(context.Background(), st)
+	if len(rs.Jobs) != 1 || rs.WarmedPoints != 2 {
+		t.Fatalf("resume stats %+v, want 2 warmed points / 1 job", rs)
+	}
+	if st := rs.Jobs[0].Status(); st.State != JobDone || st.Cached != 2 || st.JournalID != jid {
+		t.Fatalf("warm resumed job on return from Resume: %+v, want done, 2 cached, JournalID %s", st, jid)
+	}
+	if sims := s2.CacheStats().Simulations; sims != 0 {
+		t.Fatalf("warm resume simulated %d points, want 0", sims)
+	}
+	if n := len(replayCopy(t, dir).Incomplete()); n != 0 {
+		t.Fatalf("the warm resumed job replays as incomplete (%d jobs): it was not sealed", n)
 	}
 }

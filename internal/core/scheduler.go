@@ -43,9 +43,10 @@ type SchedOptions struct {
 	// before the oldest are pruned; <= 0 defaults to 256.
 	KeepJobs int
 	// BeforePoint, when set, runs on the worker goroutine before every
-	// grid point (cache hits included). It exists for tests that need to
-	// gate or observe worker progress deterministically; production
-	// callers leave it nil.
+	// grid point a worker takes: the misses of the admission cache lookup
+	// (the worker's own lookup may still hit). It exists for tests that
+	// need to gate or observe worker progress deterministically;
+	// production callers leave it nil.
 	BeforePoint func(chunk int, seed int64)
 	// Journal, when set, makes jobs durable: submissions and per-point
 	// completions are appended to the write-ahead journal, and a restart
@@ -124,7 +125,7 @@ type Scheduler struct {
 
 type pointTask struct {
 	job *Job
-	idx int
+	pt  gridPoint
 }
 
 // NewScheduler starts the worker pool and returns the scheduler. Callers
@@ -192,6 +193,12 @@ func (s *Scheduler) Submit(ctx context.Context, spec SweepSpec) (*Job, error) {
 }
 
 // SubmitWith is Submit with explicit SubmitOptions (the resume path).
+//
+// Admission resolves the memo cache once per grid point: hits are
+// delivered before SubmitWith returns, and only misses reach the worker
+// pool. A job the cache answers whole is finished on return; it takes no
+// worker and writes no journal record, since it has no work a crash
+// could lose (a resumed one is sealed with its done record).
 func (s *Scheduler) SubmitWith(ctx context.Context, spec SweepSpec, opts SubmitOptions) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -223,16 +230,27 @@ func (s *Scheduler) SubmitWith(ctx context.Context, spec SweepSpec, opts SubmitO
 	s.nextID++
 	id := fmt.Sprintf("job-%d", s.nextID)
 	jctx, cancel := context.WithCancel(ctx)
+	// Private jobs bypass the cache both ways: a memoized hit would skip
+	// the simulation the hook observes, and a hook-retained System must
+	// not be recorded as a reusable result. They bypass the journal for
+	// the same reason: a journaled result must be replayable.
 	j := &Job{
-		ID:      id,
-		seq:     s.nextID,
-		sched:   s,
-		spec:    spec,
-		grid:    grid,
-		resumed: opts.Resumed,
-		ctx:     jctx,
-		cancel:  cancel,
-		results: make(chan PointResult, len(grid)),
+		ID:        id,
+		seq:       s.nextID,
+		sched:     s,
+		spec:      spec,
+		grid:      grid,
+		cacheable: s.cache != nil && !spec.private(),
+		journaled: s.opts.Journal != nil && !spec.private(),
+		resumed:   opts.Resumed,
+		ctx:       jctx,
+		cancel:    cancel,
+		results:   make(chan PointResult, len(grid)),
+	}
+	if j.journaled {
+		// A resumed job the cache answers whole finishes with its last
+		// hit, which seals this record.
+		j.jid = opts.JournalID
 	}
 	s.jobs[id] = j
 	// Register the feeder before releasing the lock: Close checks the
@@ -243,23 +261,50 @@ func (s *Scheduler) SubmitWith(ctx context.Context, spec SweepSpec, opts SubmitO
 	s.pending.Add(int64(len(grid)))
 	s.mu.Unlock()
 
-	// Journal the submission before any point can run, so a crash right
+	misses := s.resolve(j)
+	if len(misses) == 0 {
+		s.feedWG.Done() // no feeder: the job finished with its last hit
+		return j, nil
+	}
+	// Journal the submission before any miss can run, so a crash right
 	// after admission still resumes the job. A journal failure degrades
 	// to an unjournaled job (sticky in journal Health / readiness)
 	// rather than rejecting the request: durability is best-effort,
 	// availability is not.
-	if jr := s.opts.Journal; jr != nil && !spec.private() {
-		if opts.JournalID != "" {
-			j.jid = opts.JournalID
-		} else if raw, err := MarshalSpec(spec); err == nil {
-			if jid, err := jr.AppendJob(raw); err == nil {
+	if j.journaled && j.jid == "" {
+		if raw, err := MarshalSpec(spec); err == nil {
+			if jid, err := s.opts.Journal.AppendJob(raw); err == nil {
+				j.mu.Lock()
 				j.jid = jid
+				j.mu.Unlock()
 			}
 		}
 	}
-
-	go s.feed(j)
+	go s.feed(j, misses)
 	return j, nil
+}
+
+// resolve keys the job's grid points and looks each up in the memo
+// cache once: it delivers the hits and returns the misses the worker
+// pool must run. A miss is not counted here: the worker looks it up
+// again, and that lookup decides it.
+func (s *Scheduler) resolve(j *Job) (misses []gridPoint) {
+	if !j.cacheable && !j.journaled {
+		return j.grid
+	}
+	for i := range j.grid {
+		pt := &j.grid[i]
+		pt.key = pointKey(&j.spec, pt.chunk, pt.seed)
+		if j.cacheable {
+			if r, ok := s.cache.get(pt.key, false); ok {
+				r.Cached = true
+				j.deliver(r)
+				continue
+			}
+		}
+		misses = append(misses, *pt)
+	}
+	return misses
 }
 
 // Job returns a submitted job by ID (finished jobs stay queryable until
@@ -333,15 +378,15 @@ func (s *Scheduler) Jobs() []*Job {
 	return out
 }
 
-// feed pushes the job's grid points to the worker pool, abandoning the
+// feed pushes the job's cache misses to the worker pool, abandoning the
 // unfed tail as skipped if the job is cancelled first.
-func (s *Scheduler) feed(j *Job) {
+func (s *Scheduler) feed(j *Job, misses []gridPoint) {
 	defer s.feedWG.Done()
-	for i := range j.grid {
+	for i, pt := range misses {
 		select {
-		case s.tasks <- pointTask{job: j, idx: i}:
+		case s.tasks <- pointTask{job: j, pt: pt}:
 		case <-j.ctx.Done():
-			j.skip(len(j.grid) - i)
+			j.skip(len(misses) - i)
 			return
 		}
 	}
@@ -355,8 +400,7 @@ func (s *Scheduler) worker() {
 }
 
 func (s *Scheduler) runTask(t pointTask) {
-	j := t.job
-	pt := j.grid[t.idx]
+	j, pt := t.job, t.pt
 	if j.ctx.Err() != nil {
 		j.skip(1)
 		return
@@ -369,36 +413,27 @@ func (s *Scheduler) runTask(t pointTask) {
 			return
 		}
 	}
-	// Private jobs bypass the cache both ways: a memoized hit would skip
-	// the simulation the hook observes, and a hook-retained System must
-	// not be recorded as a reusable result. They bypass the journal for
-	// the same reason: a journaled result must be replayable.
-	cacheable := s.cache != nil && !j.spec.private()
-	journaled := s.opts.Journal != nil && !j.spec.private()
-	var key [sha256.Size]byte
-	if cacheable || journaled {
-		key = pointKey(&j.spec, pt.chunk, pt.seed)
-	}
-	if cacheable {
-		if r, ok := s.cache.get(key); ok {
-			// Cache hits are not re-journaled: the record that warmed
-			// the cache (or produced it in a prior job) is already on
-			// disk, or was compacted away — in which case a resume
-			// simply re-simulates the point.
+	if j.cacheable {
+		// The admission lookup missed, but a twin point (in this job or
+		// another) may have run since. Cache hits are not re-journaled:
+		// the record that warmed the cache (or produced it in a prior
+		// job) is already on disk, or was compacted away — in which case
+		// a resume simply re-simulates the point.
+		if r, ok := s.cache.get(pt.key, true); ok {
 			r.Cached = true
 			j.deliver(r)
 			return
 		}
 	}
 	res := s.simulate(j, pt)
-	if cacheable {
-		s.cache.put(key, res)
+	if j.cacheable {
+		s.cache.put(pt.key, res)
 	}
-	if journaled {
+	if j.journaled {
 		// An append failure is absorbed: the result is already bound for
 		// the client, and the journal's sticky Health error flips
 		// readiness until appends succeed again.
-		s.opts.Journal.AppendPoint(j.jid, hex.EncodeToString(key[:]), resultRecord(res.SweepResult))
+		s.opts.Journal.AppendPoint(j.jid, hex.EncodeToString(pt.key[:]), resultRecord(res.SweepResult))
 	}
 	j.deliver(res)
 }
@@ -471,6 +506,7 @@ func (s *Scheduler) release(id string) {
 type gridPoint struct {
 	chunk int
 	seed  int64
+	key   [sha256.Size]byte // pointKey, set at admission for cached or journaled jobs
 }
 
 // JobState enumerates a job's lifecycle for status reporting.
@@ -502,7 +538,8 @@ type JobStatus struct {
 	// a restart.
 	Resumed bool `json:"resumed,omitempty"`
 	// JournalID is the job's durable identity in the write-ahead journal
-	// (stable across restarts, unlike ID); empty when journaling is off.
+	// (stable across restarts, unlike ID); empty when journaling is off
+	// or the memo cache answered the whole job at admission.
 	JournalID string `json:"journal_id,omitempty"`
 }
 
@@ -516,6 +553,9 @@ type Job struct {
 	grid    []gridPoint
 	jid     string // write-ahead journal id; empty when unjournaled
 	resumed bool
+
+	cacheable bool // the memo cache answers and records its points
+	journaled bool // its simulated points are appended to the journal
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -594,6 +634,7 @@ func (j *Job) deliver(r PointResult) {
 		j.sched.perfMu.Unlock()
 	}
 	j.mu.Lock()
+	j.started = true
 	j.delivered++
 	if r.Err != nil {
 		j.failed++
@@ -648,15 +689,16 @@ func (j *Job) finish() {
 	// Free the admission slot before the consumer can see the stream
 	// end, so a caller that drained this job may submit the next at once.
 	j.sched.release(j.ID)
-	close(j.results)
-	j.cancel() // release the context's resources
 	// A finished job — every point delivered or deliberately skipped —
 	// will never need resuming: seal it in the journal so the next boot
 	// does not resurrect it. (A crash is precisely the absence of this
-	// record.) The append fsyncs before returning.
+	// record.) The append fsyncs before returning, and the stream ends
+	// only after it, so a consumer that drained the job finds it sealed.
 	if jr := j.sched.opts.Journal; jr != nil && j.jid != "" {
 		jr.AppendDone(j.jid)
 	}
+	close(j.results)
+	j.cancel() // release the context's resources
 }
 
 // pointKey canonicalizes everything that determines a grid point's result
@@ -691,7 +733,8 @@ func pointKey(spec *SweepSpec, chunk int, seed int64) [sha256.Size]byte {
 	return sha256.Sum256(b)
 }
 
-// CacheStats are the result-cache counters.
+// CacheStats are the result-cache counters. Hits and Misses count each
+// grid point of a cached job once, by the lookup that decided it.
 type CacheStats struct {
 	Entries   int   `json:"entries"`
 	Capacity  int   `json:"capacity"`
@@ -728,12 +771,17 @@ func newPointCache(capacity int) *pointCache {
 	}
 }
 
-func (c *pointCache) get(key [sha256.Size]byte) (PointResult, bool) {
+// get looks key up and counts a hit. A miss is counted only when
+// countMiss is set: a lookup that does not decide the point leaves its
+// miss to the one that does.
+func (c *pointCache) get(key [sha256.Size]byte, countMiss bool) (PointResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		if countMiss {
+			c.misses++
+		}
 		return PointResult{}, false
 	}
 	c.hits++

@@ -463,3 +463,119 @@ func TestPointKeyFigureKnobs(t *testing.T) {
 		t.Error("specs that differ only in SyncEvery share a point key")
 	}
 }
+
+// TestCacheHitsSkipTheQueue: the memo cache is resolved at admission, so
+// a fully cached job finishes while the only worker is held by a miss,
+// and a partly cached job sends only its misses to the worker pool.
+// Every point counts once in CacheStats.
+func TestCacheHitsSkipTheQueue(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		seen  []gridPoint
+		gated bool
+	)
+	entered := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	s := NewScheduler(SchedOptions{
+		Workers:     1,
+		CachePoints: 64,
+		BeforePoint: func(chunk int, seed int64) {
+			mu.Lock()
+			seen = append(seen, gridPoint{chunk: chunk, seed: seed})
+			block := gated
+			mu.Unlock()
+			if block {
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				<-gate
+			}
+		},
+	})
+	defer s.Close()
+	releaseAll := sync.OnceFunc(func() { close(gate) })
+	defer releaseAll() // before Close, which waits for the held worker
+	spec := sweepSpec(0)
+	spec.Chunks, spec.Seeds = []int{1024}, []int64{0, 1}
+	drainJob(mustSubmit(t, s, spec)) // 2 misses warm the cache
+
+	mu.Lock()
+	gated = true
+	mu.Unlock()
+	miss := spec
+	miss.Seeds = []int64{7}
+	blocked := mustSubmit(t, s, miss)
+	<-entered // the only worker is held by the miss
+
+	cached := mustSubmit(t, s, spec)
+	if st := cached.Status(); st.State != JobDone || st.Cached != 2 {
+		t.Fatalf("cached job on return from Submit: %+v, want done with 2 cached", st)
+	}
+	n := 0
+	for r := range cached.Results() { // closed already: this cannot block
+		if !r.Cached {
+			t.Errorf("point chunk=%d seed=%d not marked Cached", r.Chunk, r.Seed)
+		}
+		n++
+	}
+	if n != 2 {
+		t.Fatalf("cached job delivered %d points, want 2", n)
+	}
+	mu.Lock()
+	gated = false
+	mu.Unlock()
+	releaseAll()
+	drainJob(blocked)
+
+	mu.Lock()
+	seen = nil
+	mu.Unlock()
+	sims := s.CacheStats().Simulations
+	partial := spec
+	partial.Seeds = []int64{0, 1, 2, 3}
+	if st := drainJob(mustSubmit(t, s, partial)); len(st) != 4 {
+		t.Fatalf("partly cached job delivered %d points, want 4", len(st))
+	}
+	mu.Lock()
+	got := append([]gridPoint(nil), seen...)
+	mu.Unlock()
+	sort.Slice(got, func(i, k int) bool { return got[i].seed < got[k].seed })
+	if len(got) != 2 || got[0].seed != 2 || got[1].seed != 3 {
+		t.Fatalf("workers took %+v, want exactly the misses seed 2 and 3", got)
+	}
+	if d := s.CacheStats().Simulations - sims; d != 2 {
+		t.Fatalf("partly cached job simulated %d points, want 2", d)
+	}
+	// Misses: 2 + 1 + 2; hits: 2 + 2. A miss the admission lookup leaves
+	// to the worker is counted once, by the worker.
+	if st := s.CacheStats(); st.Hits != 4 || st.Misses != 5 {
+		t.Fatalf("cache stats %+v, want 4 hits / 5 misses", st)
+	}
+}
+
+// TestDuplicatePointHitsItsTwin: a point repeated in one grid misses at
+// admission with its twin, and its worker's lookup hits once the twin
+// has run.
+func TestDuplicatePointHitsItsTwin(t *testing.T) {
+	s := NewScheduler(SchedOptions{Workers: 1, CachePoints: 64})
+	defer s.Close()
+	spec := sweepSpec(0)
+	spec.Chunks, spec.Seeds = []int{1024}, []int64{5, 5}
+	got := drainJob(mustSubmit(t, s, spec))
+	if len(got) != 2 || got[0].Cached == got[1].Cached {
+		t.Fatalf("duplicate point results %+v, want one simulated and one cached", got)
+	}
+	if st := s.CacheStats(); st.Simulations != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats %+v, want 1 simulation / 1 hit / 1 miss", st)
+	}
+}
+
+func mustSubmit(t *testing.T, s *Scheduler, spec SweepSpec) *Job {
+	t.Helper()
+	j, err := s.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
