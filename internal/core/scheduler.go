@@ -694,11 +694,19 @@ func (j *Job) finish() {
 	// does not resurrect it. (A crash is precisely the absence of this
 	// record.) The append fsyncs before returning, and the stream ends
 	// only after it, so a consumer that drained the job finds it sealed.
-	if jr := j.sched.opts.Journal; jr != nil && j.jid != "" {
+	jr := j.sched.opts.Journal
+	sealed := jr != nil && j.jid != ""
+	if sealed {
 		jr.AppendDone(j.jid)
 	}
 	close(j.results)
 	j.cancel() // release the context's resources
+	// Compaction is housekeeping, not durability, and its cost grows
+	// with the file: it runs after the stream ends, off the consumer's
+	// path.
+	if sealed {
+		jr.CompactIfDue()
+	}
 }
 
 // pointKey canonicalizes everything that determines a grid point's result

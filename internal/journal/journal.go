@@ -370,8 +370,9 @@ func (j *Journal) AppendPoint(jid, key string, res PointRecord) error {
 }
 
 // AppendDone records that every point of job jid was delivered; the
-// record fsyncs immediately. When enough of the file is garbage, a
-// compaction pass rewrites it in place (atomic rename).
+// record fsyncs immediately. It does not compact: CompactIfDue does, so
+// a caller can seal a job before it releases the job's consumer and
+// tidy the file after.
 func (j *Journal) AppendDone(jid string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -380,8 +381,16 @@ func (j *Journal) AppendDone(jid string) error {
 		return err
 	}
 	j.apply(rec)
-	// Auto-compact once most of the file is dead weight: done jobs'
-	// records, superseded points, and warm points beyond the cap.
+	return nil
+}
+
+// CompactIfDue rewrites the file in place (atomic rename), as Compact
+// does, once most of it is dead weight: done jobs' records, superseded
+// points, and warm points beyond the KeepPoints cap. Otherwise it does
+// nothing. Its cost grows with the file.
+func (j *Journal) CompactIfDue() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	garbage := j.garbage
 	if excess := len(j.points) - j.opts.keepPoints(); excess > 0 {
 		garbage += excess

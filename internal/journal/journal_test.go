@@ -91,6 +91,50 @@ func TestJournalDoneCompacts(t *testing.T) {
 	}
 }
 
+// TestJournalCompactIfDue: AppendDone only seals; CompactIfDue rewrites
+// the file once done jobs' records outweigh the live ones, and not
+// before.
+func TestJournalCompactIfDue(t *testing.T) {
+	dir := t.TempDir()
+	j, _ := mustOpen(t, dir, Options{})
+	defer j.Close()
+	path := filepath.Join(dir, FileName)
+	count := func(typ string) int {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(data), `"t":"`+typ+`"`)
+	}
+	seal := func(i int) {
+		jid, _ := j.AppendJob(json.RawMessage(`{}`))
+		j.AppendPoint(jid, fmt.Sprintf("k%d", i), pt(1024, int64(i)))
+		if err := j.AppendDone(jid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seal(0)
+	if err := j.CompactIfDue(); err != nil {
+		t.Fatal(err)
+	}
+	if count("done") != 1 {
+		t.Fatal("CompactIfDue compacted a file that is mostly live records")
+	}
+	for i := 1; i < 40; i++ { // 80 dead job/done records against 40 points
+		seal(i)
+	}
+	if count("done") != 40 {
+		t.Fatalf("AppendDone compacted: %d done records left, want 40", count("done"))
+	}
+	if err := j.CompactIfDue(); err != nil {
+		t.Fatal(err)
+	}
+	if count("job") != 0 || count("done") != 0 || count("point") != 40 {
+		t.Fatalf("after CompactIfDue: %d job, %d done, %d point records; want 0, 0, 40",
+			count("job"), count("done"), count("point"))
+	}
+}
+
 // TestJournalBatchedSyncAndCrash: with SyncEvery=3, the unsynced tail of
 // a batch dies with a crash — and only that tail.
 func TestJournalBatchedSyncAndCrash(t *testing.T) {
