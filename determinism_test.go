@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cellbe/internal/cell"
+	"cellbe/internal/ppe"
 )
 
 // determinismSignature runs a scenario at a fixed layout seed and folds
@@ -114,5 +115,99 @@ func TestSchedulerDeterminismRepeatable(t *testing.T) {
 	b := determinismSignature(t, sc, 7)
 	if a != b {
 		t.Fatalf("back-to-back runs diverged:\n%s\n%s", a, b)
+	}
+}
+
+// ppeCase is one PPE run of TestPPEDeterminism: op on threads SMT threads
+// over private buf-byte buffers, passes passes each (the first a warm-up),
+// on a PPE configured by tweak.
+type ppeCase struct {
+	name    string
+	op      ppe.Op
+	threads int
+	buf     int64
+	elem    int
+	passes  int
+	tweak   func(*ppe.Config)
+	golden  string
+}
+
+// ppeSignature runs c on a fresh system and folds the end time, the
+// events fired, every pass's end (thread:pass@cycle, in the order they
+// happened) and the PPE counters into a comparable string.
+func ppeSignature(t *testing.T, c ppeCase) string {
+	t.Helper()
+	cfg := cell.DefaultConfig()
+	if c.tweak != nil {
+		c.tweak(&cfg.PPE)
+	}
+	sys := cell.New(cfg)
+	var laps []string
+	for th := 0; th < c.threads; th++ {
+		src, dst := sys.Alloc(c.buf, 128), sys.Alloc(c.buf, 128)
+		sys.PPE.Spawn(th, fmt.Sprintf("ppe%d", th), func(t *ppe.Thread) {
+			for pass := 0; pass < c.passes; pass++ {
+				switch c.op {
+				case ppe.Load:
+					t.StreamLoad(src, c.buf, c.elem)
+				case ppe.Store:
+					t.StreamStore(src, c.buf, c.elem)
+				case ppe.Copy:
+					t.StreamCopy(src, dst, c.buf, c.elem)
+				}
+				laps = append(laps, fmt.Sprintf("%d:%d@%d", th, pass, t.Now()))
+			}
+		})
+	}
+	if err := sys.RunChecked(0); err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return fmt.Sprintf("now=%d fired=%d laps=%v stats=%+v",
+		sys.Eng.Now(), sys.Eng.Fired(), laps, sys.PPE.Stats())
+}
+
+// TestPPEDeterminism pins the PPE model's event stream: load, store and
+// copy on one and two threads over L1-, L2- and memory-sized buffers,
+// plus runs without the prefetcher and with a one-line RFO window. Any
+// change to how threads are driven must fire the same events at the same
+// cycles.
+func TestPPEDeterminism(t *testing.T) {
+	noPrefetch := func(c *ppe.Config) { c.PrefetchDepth = 0 }
+	rfo1 := func(c *ppe.Config) { c.RFOWindow = 1 }
+	cases := []ppeCase{
+		{name: "load-1t-l1", op: ppe.Load, threads: 1, buf: 16 << 10, elem: 8, passes: 3,
+			golden: "now=25844 fired=923 laps=[0:0@17652 0:1@21748 0:2@25844] stats={Loads:6144 Stores:0 L1Misses:128 L2Misses:136 Prefetches:135 RFOs:0 Writebacks:0 StoreChunks:0}"},
+		{name: "store-2t-l1", op: ppe.Store, threads: 2, buf: 8 << 10, elem: 16, passes: 3,
+			golden: "now=18161 fired=1292 laps=[0:0@8602 1:0@8618 0:1@13240 1:1@13277 0:2@17976 1:2@18013] stats={Loads:0 Stores:3072 L1Misses:0 L2Misses:128 Prefetches:0 RFOs:128 Writebacks:0 StoreChunks:3072}"},
+		{name: "copy-1t-l1", op: ppe.Copy, threads: 1, buf: 8 << 10, elem: 1, passes: 2,
+			golden: "now=39740 fired=580 laps=[0:0@23316 0:1@39700] stats={Loads:16384 Stores:16384 L1Misses:64 L2Misses:128 Prefetches:63 RFOs:64 Writebacks:0 StoreChunks:1024}"},
+		{name: "load-2t-l2", op: ppe.Load, threads: 2, buf: 128 << 10, elem: 8, passes: 2,
+			golden: "now=336882 fired=14391 laps=[0:0@168660 1:0@168978 0:1@336596 1:1@336882] stats={Loads:65536 Stores:0 L1Misses:4096 L2Misses:2064 Prefetches:2061 RFOs:0 Writebacks:0 StoreChunks:0}"},
+		{name: "store-1t-l2", op: ppe.Store, threads: 1, buf: 128 << 10, elem: 16, passes: 2,
+			golden: "now=168546 fired=7503 laps=[0:0@127538 0:1@168466] stats={Loads:0 Stores:16384 L1Misses:0 L2Misses:1024 Prefetches:0 RFOs:1024 Writebacks:0 StoreChunks:16384}"},
+		{name: "copy-2t-l2", op: ppe.Copy, threads: 2, buf: 64 << 10, elem: 8, passes: 2,
+			golden: "now=280125 fired=10435 laps=[0:0@133878 1:0@152725 0:1@266998 1:1@280085] stats={Loads:32768 Stores:32768 L1Misses:2048 L2Misses:2048 Prefetches:1021 RFOs:1024 Writebacks:0 StoreChunks:16384}"},
+		{name: "load-1t-mem", op: ppe.Load, threads: 1, buf: 1 << 20, elem: 16, passes: 2,
+			golden: "now=2164816 fired=81973 laps=[0:0@1082100 0:1@2164200] stats={Loads:131072 Stores:0 L1Misses:16384 L2Misses:16400 Prefetches:16398 RFOs:0 Writebacks:0 StoreChunks:0}"},
+		{name: "store-2t-mem", op: ppe.Store, threads: 2, buf: 512 << 10, elem: 8, passes: 2,
+			golden: "now=1495706 fired=122810 laps=[0:0@700429 1:0@749251 0:1@1402565 1:1@1495190] stats={Loads:0 Stores:262144 L1Misses:0 L2Misses:16384 Prefetches:0 RFOs:16384 Writebacks:12288 StoreChunks:131072}"},
+		{name: "copy-1t-mem", op: ppe.Copy, threads: 1, buf: 512 << 10, elem: 16, passes: 2,
+			golden: "now=1617511 fired=93390 laps=[0:0@807906 0:1@1616855] stats={Loads:65536 Stores:65536 L1Misses:8192 L2Misses:16392 Prefetches:8206 RFOs:8184 Writebacks:6144 StoreChunks:65536}"},
+		{name: "load-2t-mem-noprefetch", op: ppe.Load, threads: 2, buf: 512 << 10, elem: 8, passes: 2, tweak: noPrefetch,
+			golden: "now=4373919 fired=98306 laps=[0:0@2047585 1:0@2193167 0:1@4095725 1:1@4373919] stats={Loads:262144 Stores:0 L1Misses:16384 L2Misses:16384 Prefetches:0 RFOs:0 Writebacks:0 StoreChunks:0}"},
+		{name: "copy-2t-mem-rfo1", op: ppe.Copy, threads: 2, buf: 512 << 10, elem: 16, passes: 2, tweak: rfo1,
+			golden: "now=2695822 fired=198559 laps=[0:0@1346113 1:0@1347676 0:1@2693094 1:1@2695024] stats={Loads:131072 Stores:131072 L1Misses:16384 L2Misses:32784 Prefetches:16411 RFOs:16368 Writebacks:14344 StoreChunks:131072}"},
+		{name: "store-1t-l2-noprefetch-rfo1", op: ppe.Store, threads: 1, buf: 128 << 10, elem: 8, passes: 2,
+			tweak:  func(c *ppe.Config) { noPrefetch(c); rfo1(c) },
+			golden: "now=249096 fired=5634 laps=[0:0@199904 0:1@249056] stats={Loads:0 Stores:32768 L1Misses:0 L2Misses:1024 Prefetches:0 RFOs:1024 Writebacks:0 StoreChunks:16384}"},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			if got := ppeSignature(t, c); got != c.golden {
+				t.Errorf("PPE run diverged\n got: %s\nwant: %s", got, c.golden)
+			}
+		})
 	}
 }
