@@ -95,7 +95,7 @@ func memPathCases() []memPathCase {
 			buf := int64(sys.PPE.Config().L2Bytes) / 2
 			for th := 0; th < 2; th++ {
 				src, dst := sys.Alloc(buf, 128), sys.Alloc(buf, 128)
-				sys.PPE.Spawn(th, "copy", func(t *ppe.Thread) { t.StreamCopy(src, dst, buf, 8) })
+				sys.PPE.Run(th, []ppe.Pass{{Op: ppe.Copy, Src: src, Dst: dst, Bytes: buf, Elem: 8}}, nil)
 			}
 			if err := sys.RunChecked(0); err != nil {
 				tb.Fatal(err)

@@ -55,8 +55,8 @@ type (
 	SPUContext = spe.Context
 	// Mailbox is a bounded 32-bit message queue.
 	Mailbox = spe.Mailbox
-	// PPEThread is one PPU SMT hardware thread running a kernel.
-	PPEThread = ppe.Thread
+	// PPEPass is one load/store/copy sweep of a PPU thread (see PPE.Run).
+	PPEPass = ppe.Pass
 	// DMAList is a list-DMA element (effective address + size).
 	DMAList = mfc.ListElem
 	// RampID is a physical position on the EIB ring.
@@ -99,6 +99,9 @@ const (
 	// Forwarding moves producer-consumer intermediates LS-to-LS.
 	Forwarding = task.Forwarding
 )
+
+// PPU stream pass kinds (PPEPass.Op).
+const PPELoad, PPEStore, PPECopy = ppe.Load, ppe.Store, ppe.Copy
 
 // NewTaskRuntime builds a task runtime over the given logical SPE workers.
 func NewTaskRuntime(sys *System, workers []int, policy TaskPolicy) *TaskRuntime {

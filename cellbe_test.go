@@ -91,10 +91,10 @@ func TestPublicPPEThread(t *testing.T) {
 	sys := NewSystem(DefaultConfig())
 	buf := sys.Alloc(1<<20, 128)
 	var cycles Time
-	sys.PPE.Spawn(0, "k", func(th *PPEThread) {
-		start := th.Now()
-		th.StreamLoad(buf, 1<<20, 8)
-		cycles = th.Now() - start
+	sys.PPE.Run(0, []PPEPass{{Op: PPELoad, Src: buf, Bytes: 1 << 20, Elem: 8}}, func(pass int, at Time) {
+		if pass == 0 {
+			cycles = at
+		}
 	})
 	sys.Run()
 	if cycles <= 0 {

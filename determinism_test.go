@@ -14,6 +14,7 @@ import (
 
 	"cellbe/internal/cell"
 	"cellbe/internal/ppe"
+	"cellbe/internal/sim"
 )
 
 // determinismSignature runs a scenario at a fixed layout seed and folds
@@ -145,17 +146,13 @@ func ppeSignature(t *testing.T, c ppeCase) string {
 	var laps []string
 	for th := 0; th < c.threads; th++ {
 		src, dst := sys.Alloc(c.buf, 128), sys.Alloc(c.buf, 128)
-		sys.PPE.Spawn(th, fmt.Sprintf("ppe%d", th), func(t *ppe.Thread) {
-			for pass := 0; pass < c.passes; pass++ {
-				switch c.op {
-				case ppe.Load:
-					t.StreamLoad(src, c.buf, c.elem)
-				case ppe.Store:
-					t.StreamStore(src, c.buf, c.elem)
-				case ppe.Copy:
-					t.StreamCopy(src, dst, c.buf, c.elem)
-				}
-				laps = append(laps, fmt.Sprintf("%d:%d@%d", th, pass, t.Now()))
+		passes := make([]ppe.Pass, c.passes)
+		for i := range passes {
+			passes[i] = ppe.Pass{Op: c.op, Src: src, Dst: dst, Bytes: c.buf, Elem: c.elem}
+		}
+		sys.PPE.Run(th, passes, func(pass int, at sim.Time) {
+			if pass < c.passes {
+				laps = append(laps, fmt.Sprintf("%d:%d@%d", th, pass, at))
 			}
 		})
 	}

@@ -164,14 +164,14 @@ func TestSnapshotCloneMatchesCold(t *testing.T) {
 	}
 }
 
-// installKernels spawns a coroutine-kernel run by hand on a bare system,
+// installKernels starts a kernel run by hand on a bare system,
 // the way the experiment harness does: a PPE copy on both SMT threads and
 // an SPE kernel streaming a buffer through its local store and back out.
 func installKernels(sys *System) {
 	const n = 16 << 10
 	for th := 0; th < 2; th++ {
 		src, dst := sys.Alloc(n, 128), sys.Alloc(n, 128)
-		sys.PPE.Spawn(th, fmt.Sprintf("ppe%d", th), func(t *ppe.Thread) { t.StreamCopy(src, dst, n, 16) })
+		sys.PPE.Run(th, []ppe.Pass{{Op: ppe.Copy, Src: src, Dst: dst, Bytes: n, Elem: 16}}, nil)
 	}
 	in, out := sys.Alloc(n, 128), sys.Alloc(n, 128)
 	sys.SPEs[3].Run("kernel", func(ctx *spe.Context) {

@@ -228,9 +228,7 @@ func TestLayoutChangesRamps(t *testing.T) {
 func TestPPEKernelRunsOverEIB(t *testing.T) {
 	s := New(DefaultConfig())
 	addr := s.Alloc(1<<20, 128)
-	s.PPE.Spawn(0, "stream", func(th *ppe.Thread) {
-		th.StreamLoad(addr, 1<<20, 8)
-	})
+	s.PPE.Run(0, []ppe.Pass{{Op: ppe.Load, Src: addr, Bytes: 1 << 20, Elem: 8}}, nil)
 	s.Run()
 	if s.PPE.Stats().L2Misses == 0 {
 		t.Fatal("a 1MB stream must miss L2")
@@ -253,10 +251,10 @@ func TestNoiseInjection(t *testing.T) {
 		s := New(cfg)
 		addr := s.Alloc(1<<20, 128)
 		var cycles int64
-		s.PPE.Spawn(0, "stream", func(th *ppe.Thread) {
-			start := th.Now()
-			th.StreamLoad(addr, 1<<20, 8)
-			cycles = int64(th.Now() - start)
+		s.PPE.Run(0, []ppe.Pass{{Op: ppe.Load, Src: addr, Bytes: 1 << 20, Elem: 8}}, func(pass int, at sim.Time) {
+			if pass == 0 {
+				cycles = int64(at)
+			}
 		})
 		s.Run()
 		return cycles

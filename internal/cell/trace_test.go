@@ -176,9 +176,7 @@ func TestPPEStreamEmitsFills(t *testing.T) {
 	tr := trace.New(1<<16, trace.MaskAll)
 	sys.SetTracer(tr)
 	base := sys.Alloc(1<<16, 128)
-	sys.PPE.Spawn(0, "load", func(th *ppe.Thread) {
-		th.StreamLoad(base, 1<<16, 8)
-	})
+	sys.PPE.Run(0, []ppe.Pass{{Op: ppe.Load, Src: base, Bytes: 1 << 16, Elem: 8}}, nil)
 	if err := sys.RunChecked(0); err != nil {
 		t.Fatal(err)
 	}

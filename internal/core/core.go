@@ -11,7 +11,7 @@
 // each curve as a SweepSpec job on one Scheduler (Params.Curves), the
 // path cellbench -sweep, cellsim and cellserve take: SPE figure points
 // are cell.Scenario grid points, and the PPE, local-store and
-// application-kernel figures carry coroutine kernels in the spec
+// application-kernel figures carry hand-installed kernels in the spec
 // (Params.kernelFigure). Every point boots from the scheduler's
 // cell.Arena, finishes under the watchdog (System.RunChecked) and carries
 // a perf-counter rollup; figures report min/max/median/average curves.

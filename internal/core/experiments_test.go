@@ -256,7 +256,7 @@ func TestPipelineMovesData(t *testing.T) {
 	pl := NewPipeline(sys, 0, 4, src, dst, volume)
 	pl.Start()
 	sys.Run()
-	if !pl.Done().Fired() {
+	if !pl.Done() {
 		t.Fatal("pipeline did not complete")
 	}
 	got := make([]byte, volume)

@@ -86,24 +86,18 @@ func ppeKernel(sys *cell.System, op ppe.Op, threads, elem int, buf int64) func()
 	for th := 0; th < threads; th++ {
 		src := sys.Alloc(buf, 128)
 		dst := sys.Alloc(buf, 128)
-		sys.PPE.Spawn(th, fmt.Sprintf("ppe%d", th), func(t *ppe.Thread) {
-			lap := func() {
-				switch op {
-				case ppe.Load:
-					t.StreamLoad(src, buf, elem)
-				case ppe.Store:
-					t.StreamStore(src, buf, elem)
-				case ppe.Copy:
-					t.StreamCopy(src, dst, buf, elem)
-				}
-			}
-			lap() // warm-up
-			start := t.Now()
-			for i := int64(0); i < laps; i++ {
-				lap()
-			}
-			if el := t.Now() - start; el > slowest {
-				slowest = el
+		// A warm-up pass, then the timed laps.
+		passes := make([]ppe.Pass, 1+laps)
+		for i := range passes {
+			passes[i] = ppe.Pass{Op: op, Src: src, Dst: dst, Bytes: buf, Elem: elem}
+		}
+		var start sim.Time
+		sys.PPE.Run(th, passes, func(pass int, at sim.Time) {
+			switch pass {
+			case 0:
+				start = at
+			case int(laps):
+				slowest = max(slowest, at-start)
 			}
 		})
 	}

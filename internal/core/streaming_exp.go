@@ -29,7 +29,7 @@ type Pipeline struct {
 
 	credits []*spe.Mailbox // credits[i]: stage i+1 -> stage i
 	fulls   []*spe.Mailbox // fulls[i]: stage i-1 -> stage i
-	done    *sim.Signal
+	done    bool
 	endTime sim.Time
 }
 
@@ -46,7 +46,6 @@ func NewPipeline(sys *cell.System, first, count int, src, dst, volume int64) *Pi
 	pl := &Pipeline{
 		sys: sys, first: first, count: count,
 		src: src, dst: dst, volume: volume,
-		done: sim.NewSignal(sys.Eng),
 	}
 	for i := 0; i < count; i++ {
 		pl.credits = append(pl.credits, spe.NewMailbox(sys.Eng, 4))
@@ -55,7 +54,7 @@ func NewPipeline(sys *cell.System, first, count int, src, dst, volume int64) *Pi
 	return pl
 }
 
-// Start spawns the stage kernels. Completion fires the Done signal.
+// Start spawns the stage kernels. Completion sets Done.
 func (pl *Pipeline) Start() {
 	blocks := pl.volume / streamBlock
 	for s := 0; s < pl.count; s++ {
@@ -65,7 +64,7 @@ func (pl *Pipeline) Start() {
 			pl.stage(ctx, s, blocks)
 			if s == pl.count-1 {
 				pl.endTime = ctx.Decrementer()
-				pl.done.Fire()
+				pl.done = true
 			}
 		})
 	}
@@ -77,8 +76,8 @@ func (pl *Pipeline) Start() {
 	}
 }
 
-// Done returns the completion signal of the pipeline.
-func (pl *Pipeline) Done() *sim.Signal { return pl.done }
+// Done reports whether the last block has left the pipeline.
+func (pl *Pipeline) Done() bool { return pl.done }
 
 // EndTime returns the cycle at which the last block left the pipeline.
 func (pl *Pipeline) EndTime() sim.Time { return pl.endTime }

@@ -17,9 +17,9 @@
 //   - store misses that must fetch the line first (RFO) with very limited
 //     concurrency, which is why memory *write* bandwidth is so poor.
 //
-// PPU kernels run as simulator coroutines (one per SMT thread) built from
-// streaming load/store/copy primitives, matching the paper's benchmark
-// loops.
+// Each SMT thread runs a program of streaming load/store/copy passes,
+// matching the paper's benchmark loops, as an event-driven record (see
+// PPE.Run).
 package ppe
 
 import (
@@ -145,9 +145,11 @@ type PPE struct {
 	l1 *cacheArray
 	l2 *cacheArray
 
-	inflight  map[int64]*sim.Signal // line address -> fill completion
-	fillFree  *fill                 // free list of fill records (the engine is single-threaded)
+	inflight  map[int64]*fill // line address -> outstanding fill
+	fillFree  *fill           // free list of fill records (the engine is single-threaded)
 	storePort *sim.TokenBucket
+	threads   [2]thread
+	watched   bool // the threads' liveness reporter is registered
 
 	tracer        *trace.Tracer
 	perf          *perfctr.PPECounters
@@ -167,10 +169,11 @@ func (p *PPE) SetPerf(pc *perfctr.PPECounters) { p.perf = pc }
 // plus prefetches with a fill outstanding).
 func (p *PPE) InflightFills() int { return len(p.inflight) }
 
-// Reset returns the PPE to the state New(eng, mem, cfg) would build,
-// keeping both cache arrays (flushed) and the fill map. The tracer is
-// cleared as on a fresh PPE; the counter block is left for the assembling
-// layer to re-point. Part of the warm-system recycling path.
+// Reset returns the PPE to the state New(eng, mem, cfg) would build on its
+// reset engine, keeping both cache arrays (flushed), the fill map and the
+// pooled records. The tracer is cleared as on a fresh PPE; the counter
+// block is left for the assembling layer to re-point. Part of the
+// warm-system recycling path.
 func (p *PPE) Reset(mem MemoryPort, cfg Config) {
 	if cfg.L1Bytes != p.cfg.L1Bytes || cfg.L1Assoc != p.cfg.L1Assoc {
 		p.l1 = newCacheArray(cfg.L1Bytes, LineBytes, cfg.L1Assoc)
@@ -186,6 +189,8 @@ func (p *PPE) Reset(mem MemoryPort, cfg Config) {
 	p.mem = mem
 	clear(p.inflight)
 	p.storePort.Reset(cfg.StorePortInterval)
+	p.threads[0].running, p.threads[1].running = false, false
+	p.watched = false
 	p.tracer = nil
 	p.activeThreads = 0
 }
@@ -198,7 +203,7 @@ func New(eng *sim.Engine, mem MemoryPort, cfg Config) *PPE {
 		mem:       mem,
 		l1:        newCacheArray(cfg.L1Bytes, LineBytes, cfg.L1Assoc),
 		l2:        newCacheArray(cfg.L2Bytes, LineBytes, cfg.L2Assoc),
-		inflight:  make(map[int64]*sim.Signal),
+		inflight:  make(map[int64]*fill),
 		storePort: sim.NewTokenBucket(eng, cfg.StorePortInterval),
 		perf:      new(perfctr.PPECounters),
 	}
@@ -223,12 +228,6 @@ func (p *PPE) Stats() Stats {
 // Config returns the configuration in use.
 func (p *PPE) Config() Config { return p.cfg }
 
-// FlushCaches invalidates both cache levels (between experiment runs).
-func (p *PPE) FlushCaches() {
-	p.l1.Flush()
-	p.l2.Flush()
-}
-
 // smt returns the issue-cost multiplier: with both SMT threads running,
 // each thread gets every other issue slot.
 func (p *PPE) smt() sim.Time {
@@ -238,44 +237,46 @@ func (p *PPE) smt() sim.Time {
 	return 1
 }
 
-// fetch starts (or joins) an L2 line fill and returns its completion
-// signal. dirty marks the line modified upon arrival (RFO path).
-func (p *PPE) fetch(lineAddr int64, dirty bool) *sim.Signal {
-	if sig, ok := p.inflight[lineAddr]; ok {
+// fetch starts (or joins) an L2 line fill and returns its record. dirty
+// marks the line modified upon arrival (RFO path).
+func (p *PPE) fetch(lineAddr int64, dirty bool) *fill {
+	if f, ok := p.inflight[lineAddr]; ok {
 		if dirty {
-			// The store will dirty it after arrival.
-			sig.OnFire(func() { p.l2.MarkDirty(lineAddr) })
+			f.subs = append(f.subs, nil) // the store dirties the line after arrival
 		}
-		return sig
+		return f
 	}
-	sig := sim.NewSignal(p.eng)
-	p.inflight[lineAddr] = sig
-	p.perf.Fills++
-	p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
 	f := p.fillFree
 	if f == nil {
 		f = &fill{p: p}
 	} else {
 		p.fillFree = f.next
 	}
-	f.line, f.dirty, f.issuedAt, f.sig = lineAddr, dirty, p.eng.Now(), sig
+	f.line, f.dirty, f.issuedAt = lineAddr, dirty, p.eng.Now()
+	p.inflight[lineAddr] = f
+	p.perf.Fills++
+	p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
 	p.mem.ReadLine(lineAddr, p.eng.Now(), f)
-	return sig
+	return f
 }
 
-// fill is the pooled completion record of one L2 line fill: it installs
-// the line (writing back a dirty victim), retires the miss-queue entry and
-// fires the fill's signal. Records recycle through a free list on the PPE
-// and are released before the signal fires.
+// fill is the pooled record of one L2 line fill. Its arrival installs the
+// line (writing back a dirty victim), retires the miss-queue entry and,
+// if anyone subscribed, posts one delay-0 drain event that releases the
+// subscribers in order. The record returns to the PPE's free list once it
+// has arrived and drained and no thread's RFO queue holds it.
 type fill struct {
 	p        *PPE
 	line     int64
 	dirty    bool
 	issuedAt sim.Time
-	sig      *sim.Signal
-	next     *fill // free-list link
+	arrived  bool
+	refs     int       // RFO queue entries holding the record
+	subs     []*thread // subscribers until drained; a nil entry marks the line dirty
+	next     *fill     // free-list link
 }
 
+// Call is the fill's arrival.
 func (f *fill) Call(end sim.Time) {
 	p := f.p
 	if ev, evDirty, has := p.l2.Insert(f.line, f.dirty); has && evDirty {
@@ -289,10 +290,38 @@ func (f *fill) Call(end sim.Time) {
 	}
 	p.tracer.Emit(trace.TrackPPE, trace.KindFill, f.issuedAt, p.eng.Now(), f.line, rfo, 0, 0)
 	p.tracer.Counter(trace.TrackPPEMissQ, p.eng.Now(), int64(len(p.inflight)))
-	sig := f.sig
-	*f = fill{p: p, next: p.fillFree}
-	p.fillFree = f
-	sig.Fire()
+	f.arrived = true
+	if len(f.subs) > 0 {
+		p.eng.PostCallee((*fillDrain)(f), 0)
+	}
+	f.release()
+}
+
+// fillDrain is a fill viewed as its drain event's target: posting the
+// converted pointer allocates nothing.
+type fillDrain fill
+
+// Call releases the subscribers, in order.
+func (d *fillDrain) Call(sim.Time) {
+	f := (*fill)(d)
+	for _, t := range f.subs {
+		if t == nil {
+			f.p.l2.MarkDirty(f.line)
+		} else {
+			t.step()
+		}
+	}
+	f.subs = f.subs[:0]
+	f.release()
+}
+
+// release returns the record to the free list once it has arrived and
+// nothing refers to it: no undrained subscriber, no RFO queue entry.
+func (f *fill) release() {
+	if f.arrived && len(f.subs) == 0 && f.refs == 0 {
+		*f = fill{p: f.p, subs: f.subs, next: f.p.fillFree}
+		f.p.fillFree = f
+	}
 }
 
 // discard is the completion of a writeback nobody waits for. It has no
@@ -301,80 +330,298 @@ type discard struct{}
 
 func (discard) Call(sim.Time) {}
 
-// Thread is one SMT hardware thread running a kernel coroutine.
-type Thread struct {
-	*sim.Process
-	ppe *PPE
-	id  int
+// Op selects a streaming kernel.
+type Op int
+
+// Streaming kernels matching the paper's load/store/copy microbenchmarks.
+const (
+	Load Op = iota
+	Store
+	Copy
+)
+
+func (o Op) String() string {
+	switch o {
+	case Load:
+		return "load"
+	case Store:
+		return "store"
+	case Copy:
+		return "copy"
+	}
+	return fmt.Sprintf("Op(%d)", int(o))
+}
+
+// Pass is one sweep of a thread's program over a buffer: Load reads and
+// Store writes the Bytes at Src, Copy reads Src and writes Dst, Elem bytes
+// per access. Addresses and Bytes must be line aligned.
+type Pass struct {
+	Op              Op
+	Src, Dst, Bytes int64
+	Elem            int
+}
+
+// Run starts hardware thread id (0 or 1) on passes, run back to back from
+// the current cycle, charging issue costs and cache stalls. lap, if not
+// nil, is called with each pass's index and end cycle, then with
+// len(passes) once the thread retires: its store queue drained and its
+// RFOs arrived. The PPE models SMT issue sharing while both threads run.
+func (p *PPE) Run(id int, passes []Pass, lap func(pass int, at sim.Time)) {
+	if id != 0 && id != 1 {
+		panic("ppe: thread id must be 0 or 1")
+	}
+	t := &p.threads[id]
+	if t.running {
+		panic(fmt.Sprintf("ppe: thread %d is already running", id))
+	}
+	for _, ps := range passes {
+		if uint(ps.Op) > uint(Copy) || ps.Bytes%LineBytes != 0 || ps.Src%LineBytes != 0 || (ps.Op == Copy && ps.Dst%LineBytes != 0) {
+			panic(fmt.Sprintf("ppe: bad pass %+v: a load, store or copy over line-aligned buffers", ps))
+		}
+		p.cfg.LoadCost.Cost(ps.Elem) // panics on an unsupported element size
+	}
+	if !p.watched {
+		p.watched = true
+		p.eng.OnLiveness(func() []string {
+			var stuck []string
+			for i := range p.threads {
+				if p.threads[i].running {
+					stuck = append(stuck, fmt.Sprintf("ppe%d", i))
+				}
+			}
+			return stuck
+		})
+	}
+	t.drain.Reset()
+	t.rfos.Reset()
+	*t = thread{p: p, running: true, passes: passes, lap: lap, pass: -1, drain: t.drain, rfos: t.rfos, streamNext: -1}
+	p.activeThreads++
+	p.eng.PostCallee(t, 0)
+}
+
+// thread is one SMT hardware thread running its program as an
+// event-driven record, as the cell package's dmaStream runs an SPU's DMA
+// program: a timed stall is one continuation event (none for zero
+// cycles), and a thread waiting on a fill is resumed inline by its drain.
+type thread struct {
+	p       *PPE
+	running bool
+	pc      int // continuation point step resumes from
+
+	passes []Pass
+	lap    func(pass int, at sim.Time)
+	pass   int      // current pass
+	off    int64    // current line's offset within the pass
+	chunk  int      // store chunks of the current line pushed so far
+	stall  sim.Time // the current demand miss's stall
+
+	// The current pass's issue charge per line (before SMT sharing) and
+	// store chunks per line.
+	issue         sim.Time
+	chunksPerLine int
 
 	// Gathering store queue: completion times of in-flight chunks.
 	drain     sim.FIFO[sim.Time]
 	lastDrain sim.Time
 
-	// Outstanding RFO fills.
-	rfos sim.FIFO[*sim.Signal]
+	// Outstanding RFO fills; each entry holds a reference on its record.
+	rfos sim.FIFO[*fill]
 
 	// Sequential prefetch stream state.
 	streamNext int64
 }
 
-// Spawn starts fn on hardware thread id (0 or 1). The PPE tracks how many
-// threads are active to model SMT issue sharing; a thread counts as active
-// until fn returns.
-func (p *PPE) Spawn(id int, name string, fn func(t *Thread)) *sim.Process {
-	if id != 0 && id != 1 {
-		panic("ppe: thread id must be 0 or 1")
+// Continuation points (thread.pc).
+const (
+	pcPassEnd   = iota // start the next pass, or retire after the last
+	pcLine             // charge the current line's issue
+	pcLoad             // issue charged: the line's loads
+	pcMissStall        // L2 hit or awaited fill arrived: the miss stall
+	pcL1Fill           // demand miss served: prefetch, fill L1
+	pcStore            // the line's stores: make the line writable
+	pcChunk            // push the line's next store chunk
+	pcPush             // store-queue slot free: push the chunk
+	pcRetire           // all passes done: drain the store queue and RFOs
+)
+
+// Call resumes the thread after a timed stall.
+func (t *thread) Call(sim.Time) { t.step() }
+
+// wait stalls the thread for d cycles, to resume at pc. It reports
+// whether the thread parked: a zero stall continues inline.
+func (t *thread) wait(d sim.Time, pc int) bool {
+	t.pc = pc
+	if d == 0 {
+		return false
 	}
-	p.activeThreads++
-	return sim.Spawn(p.eng, name, func(proc *sim.Process) {
-		defer func() { p.activeThreads-- }()
-		t := &Thread{Process: proc, ppe: p, id: id, streamNext: -1}
-		fn(t)
-		t.drainStoreQueue()
-	})
+	t.p.eng.AtCallee(t.p.eng.Now()+d, t, 0)
+	return true
 }
 
-// drainStoreQueue waits for all queued store chunks to retire.
-func (t *Thread) drainStoreQueue() {
-	if t.lastDrain > t.Now() {
-		t.Wait(t.lastDrain - t.Now())
-	}
-	t.drain.Reset()
-	for t.rfos.Len() > 0 {
-		t.WaitSignal(t.rfos.Pop())
-	}
-}
-
-// demandLoad stalls the thread for an L1 miss on lineAddr: L2 hit latency,
-// an in-flight fill join, or a full memory fetch; it then triggers the
-// stream prefetcher and fills L1.
-func (t *Thread) demandLoad(lineAddr int64) {
-	p := t.ppe
-	p.perf.L1Misses++
-	switch {
-	case p.l2.Lookup(lineAddr):
-		t.Wait(p.cfg.L2HitLatency)
-		// Keep a detected stream running ahead even while demand hits
-		// land in L2; otherwise the prefetcher sawtooths between bursts.
-		t.prefetchAfter(lineAddr)
-	default:
-		p.perf.MissQStalls++
-		if sig, ok := p.inflight[lineAddr]; ok {
-			t.WaitSignal(sig)
-			t.Wait(p.cfg.L2HitLatency + p.cfg.L2RefillExtra)
-		} else {
-			sig := p.fetch(lineAddr, false)
-			t.WaitSignal(sig)
-			t.Wait(p.cfg.L2RefillExtra)
+// awaitRFOs retires outstanding RFOs oldest first until at most keep
+// remain. It reports whether the thread parked on a fill that has not
+// arrived, to resume at the same continuation point.
+func (t *thread) awaitRFOs(keep int) bool {
+	for t.rfos.Len() > keep {
+		f := t.rfos.Pop()
+		f.refs--
+		if !f.arrived {
+			f.subs = append(f.subs, t)
+			return true
 		}
-		t.prefetchAfter(lineAddr)
+		f.release()
 	}
-	p.l1.Insert(lineAddr, false)
+	return false
+}
+
+// step runs the thread from its continuation point until it parks or
+// retires.
+func (t *thread) step() {
+	p := t.p
+	cfg := &p.cfg
+	for {
+		now := p.eng.Now()
+		switch t.pc {
+		case pcPassEnd:
+			if t.pass >= 0 && t.lap != nil {
+				t.lap(t.pass, now)
+			}
+			if t.pass++; t.pass == len(t.passes) {
+				t.pc = pcRetire
+				continue
+			}
+			ps := &t.passes[t.pass]
+			t.off = 0
+			t.chunksPerLine = LineBytes / max(cfg.StoreChunkBytes, ps.Elem) // a wide store is its own chunk
+			t.issue = 0
+			if ps.Op != Store {
+				t.issue += cfg.LoadCost.Cost(ps.Elem)
+			}
+			if ps.Op != Load {
+				t.issue += cfg.StoreCost.Cost(ps.Elem)
+			}
+			t.issue *= sim.Time(LineBytes / ps.Elem)
+			t.pc = pcLine
+		case pcLine:
+			if t.off >= t.passes[t.pass].Bytes {
+				t.pc = pcPassEnd
+				continue
+			}
+			if t.wait(t.issue*p.smt(), pcLoad) {
+				return
+			}
+		case pcLoad:
+			t.pc = pcStore
+			ps := &t.passes[t.pass]
+			if ps.Op == Store {
+				continue
+			}
+			la := ps.Src + t.off
+			p.perf.Loads += uint64(LineBytes / ps.Elem)
+			if p.l1.Lookup(la) {
+				continue
+			}
+			// Demand miss: an L2 hit, a fill join or a memory fetch stalls.
+			p.perf.L1Misses++
+			if p.l2.Lookup(la) {
+				t.stall, t.pc = cfg.L2HitLatency, pcMissStall
+				continue
+			}
+			p.perf.MissQStalls++
+			f, joined := p.inflight[la]
+			if joined {
+				t.stall = cfg.L2HitLatency + cfg.L2RefillExtra
+			} else {
+				f = p.fetch(la, false)
+				t.stall = cfg.L2RefillExtra
+			}
+			t.pc = pcMissStall
+			f.subs = append(f.subs, t)
+			return
+		case pcMissStall:
+			if t.wait(t.stall, pcL1Fill) {
+				return
+			}
+		case pcL1Fill:
+			// Keep a detected stream running ahead even while demand hits
+			// land in L2; otherwise the prefetcher sawtooths between
+			// bursts.
+			la := t.passes[t.pass].Src + t.off
+			t.prefetchAfter(la)
+			p.l1.Insert(la, false)
+			t.pc = pcStore
+		case pcStore:
+			ps := &t.passes[t.pass]
+			if ps.Op == Load {
+				t.off += LineBytes
+				t.pc = pcLine
+				continue
+			}
+			sa := ps.Src + t.off
+			if ps.Op == Copy {
+				sa = ps.Dst + t.off
+			}
+			p.perf.Stores += uint64(LineBytes / ps.Elem)
+			// Write-through, no-allocate L1: stores update L1 data in
+			// place on a hit (no timing effect) and always drain to L2.
+			// On an L2 miss the line is fetched first (RFO), stalling only
+			// while RFOWindow fetches are already outstanding.
+			t.chunk = 0
+			t.pc = pcChunk
+			if p.l2.Lookup(sa) {
+				p.l2.MarkDirty(sa)
+				continue
+			}
+			p.perf.RFOs++
+			f := p.fetch(sa, true)
+			f.refs++
+			t.rfos.Push(f)
+		case pcChunk:
+			// Before the first chunk, wait out the RFO window (a no-op
+			// unless this line's RFO overfilled it).
+			if t.chunk == 0 && t.awaitRFOs(cfg.RFOWindow) {
+				return
+			}
+			if t.chunk == t.chunksPerLine {
+				t.off += LineBytes
+				t.pc = pcLine
+				continue
+			}
+			// A full store queue stalls the thread until its oldest
+			// chunk drains.
+			t.pc = pcPush
+			if t.drain.Len() >= cfg.StoreQueueChunks {
+				if head := t.drain.Pop(); head > now && t.wait(head-now, pcPush) {
+					return
+				}
+			}
+		case pcPush:
+			t.lastDrain = p.storePort.Take(max(now, t.lastDrain)) + cfg.StoreDrainCycles
+			t.drain.Push(t.lastDrain)
+			p.perf.StoreChunks++
+			t.chunk++
+			t.pc = pcChunk
+		case pcRetire:
+			// Re-entered after each stall: the queue wait is then zero.
+			if t.wait(max(t.lastDrain-now, 0), pcRetire) {
+				return
+			}
+			if t.awaitRFOs(0) {
+				return
+			}
+			t.running = false
+			p.activeThreads--
+			if t.lap != nil {
+				t.lap(len(t.passes), now)
+			}
+			return
+		}
+	}
 }
 
 // prefetchAfter runs the sequential L2 prefetcher past a demand miss.
-func (t *Thread) prefetchAfter(lineAddr int64) {
-	p := t.ppe
+func (t *thread) prefetchAfter(lineAddr int64) {
+	p := t.p
 	if p.cfg.PrefetchDepth <= 0 {
 		return
 	}
@@ -399,125 +646,4 @@ func (t *Thread) prefetchAfter(lineAddr int64) {
 		p.fetch(next, false)
 	}
 	t.streamNext = next
-}
-
-// pushStoreChunk retires one gathered 16-byte chunk through the store
-// queue, stalling the thread when the queue is full.
-func (t *Thread) pushStoreChunk() {
-	p := t.ppe
-	if t.drain.Len() >= p.cfg.StoreQueueChunks {
-		head := t.drain.Pop()
-		if head > t.Now() {
-			t.Wait(head - t.Now())
-		}
-	}
-	start := t.Now()
-	if t.lastDrain > start {
-		start = t.lastDrain
-	}
-	start = p.storePort.Take(start)
-	done := start + p.cfg.StoreDrainCycles
-	t.lastDrain = done
-	t.drain.Push(done)
-	p.perf.StoreChunks++
-}
-
-// ensureLineForStore makes lineAddr writable in L2: on a miss it issues an
-// RFO fetch, stalling only when RFOWindow fills are already outstanding.
-func (t *Thread) ensureLineForStore(lineAddr int64) {
-	p := t.ppe
-	if p.l2.Lookup(lineAddr) {
-		p.l2.MarkDirty(lineAddr)
-		return
-	}
-	p.perf.RFOs++
-	sig := p.fetch(lineAddr, true)
-	t.rfos.Push(sig)
-	for t.rfos.Len() > p.cfg.RFOWindow {
-		t.WaitSignal(t.rfos.Pop())
-	}
-}
-
-// Op selects a streaming kernel.
-type Op int
-
-// Streaming kernels matching the paper's load/store/copy microbenchmarks.
-const (
-	Load Op = iota
-	Store
-	Copy
-)
-
-func (o Op) String() string {
-	switch o {
-	case Load:
-		return "load"
-	case Store:
-		return "store"
-	case Copy:
-		return "copy"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
-
-// StreamLoad walks bytes of memory at addr with elemSize-byte loads,
-// charging issue costs and cache stalls.
-func (t *Thread) StreamLoad(addr, bytes int64, elemSize int) {
-	t.stream(Load, addr, 0, bytes, elemSize)
-}
-
-// StreamStore walks bytes of memory at addr with elemSize-byte stores.
-func (t *Thread) StreamStore(addr, bytes int64, elemSize int) {
-	t.stream(Store, addr, 0, bytes, elemSize)
-}
-
-// StreamCopy loads from src and stores to dst, elemSize bytes at a time.
-func (t *Thread) StreamCopy(src, dst, bytes int64, elemSize int) {
-	t.stream(Copy, src, dst, bytes, elemSize)
-}
-
-func (t *Thread) stream(op Op, src, dst, bytes int64, elemSize int) {
-	p := t.ppe
-	if bytes%LineBytes != 0 || src%LineBytes != 0 || (op == Copy && dst%LineBytes != 0) {
-		panic("ppe: stream kernels must be line aligned")
-	}
-	perLine := int64(LineBytes / elemSize)
-	chunksPerLine := LineBytes / p.cfg.StoreChunkBytes
-	if elemSize > p.cfg.StoreChunkBytes {
-		chunksPerLine = LineBytes / elemSize // each wide store is its own chunk
-	}
-
-	var issue sim.Time
-	switch op {
-	case Load:
-		issue = p.cfg.LoadCost.Cost(elemSize) * sim.Time(perLine)
-	case Store:
-		issue = p.cfg.StoreCost.Cost(elemSize) * sim.Time(perLine)
-	case Copy:
-		issue = (p.cfg.LoadCost.Cost(elemSize) + p.cfg.StoreCost.Cost(elemSize)) * sim.Time(perLine)
-	}
-
-	for off := int64(0); off < bytes; off += LineBytes {
-		t.Wait(issue * p.smt())
-		if op == Load || op == Copy {
-			la := src + off
-			p.perf.Loads += uint64(perLine)
-			if !p.l1.Lookup(la) {
-				t.demandLoad(la)
-			}
-		}
-		if op == Store || op == Copy {
-			sa := dst + off
-			if op == Store {
-				sa = src + off
-			}
-			p.perf.Stores += uint64(perLine)
-			// Write-through, no-allocate L1: stores update L1 data in
-			// place on a hit (no timing effect) and always drain to L2.
-			t.ensureLineForStore(sa)
-			for c := 0; c < chunksPerLine; c++ {
-				t.pushStoreChunk()
-			}
-		}
-	}
 }

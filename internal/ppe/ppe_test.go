@@ -1,9 +1,12 @@
 package ppe
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
+	"cellbe/internal/perfctr"
 	"cellbe/internal/sim"
 )
 
@@ -47,20 +50,23 @@ func gbps(bytes int64, cycles sim.Time) float64 {
 	return float64(bytes) * 2.1 / float64(cycles)
 }
 
+// laps runs passes on thread id and returns the cycle each pass ended
+// at, followed by the thread's retirement cycle, once the engine runs.
+func laps(p *PPE, id int, passes ...Pass) []sim.Time {
+	at := make([]sim.Time, len(passes)+1)
+	p.Run(id, passes, func(pass int, t sim.Time) { at[pass] = t })
+	return at
+}
+
 // runStream runs a warmed-up stream kernel on one thread and returns the
-// timed-pass bandwidth in GB/s.
+// bandwidth of the timed pass, store-queue drain included, in GB/s.
 func runStream(t *testing.T, op Op, bufBytes int64, elem int, latency sim.Time) float64 {
 	t.Helper()
 	eng, _, p := newPPE(latency)
-	var cycles sim.Time
-	p.Spawn(0, "kernel", func(th *Thread) {
-		th.stream(op, 0, 1<<24, bufBytes, elem) // warm-up lap
-		start := th.Now()
-		th.stream(op, 0, 1<<24, bufBytes, elem)
-		th.drainStoreQueue()
-		cycles = th.Now() - start
-	})
+	pass := Pass{Op: op, Src: 0, Dst: 1 << 24, Bytes: bufBytes, Elem: elem}
+	at := laps(p, 0, pass, pass) // warm-up lap, timed lap
 	eng.Run()
+	cycles := at[2] - at[0]
 	bytes := bufBytes
 	if op == Copy {
 		bytes *= 2
@@ -189,14 +195,9 @@ func TestPrefetcherIsWhatHidesMemoryLatency(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PrefetchDepth = depth
 		p := New(eng, mem, cfg)
-		var cycles sim.Time
-		p.Spawn(0, "k", func(th *Thread) {
-			start := th.Now()
-			th.StreamLoad(0, 4<<20, 8)
-			cycles = th.Now() - start
-		})
+		at := laps(p, 0, Pass{Op: Load, Bytes: 4 << 20, Elem: 8})
 		eng.Run()
-		return gbps(4<<20, cycles)
+		return gbps(4<<20, at[0])
 	}
 	with := run(DefaultConfig().PrefetchDepth)
 	without := run(0)
@@ -218,22 +219,16 @@ func TestMemStoreRFOLimited(t *testing.T) {
 func TestTwoThreadsHelpL2(t *testing.T) {
 	run := func(threads int) float64 {
 		eng, _, p := newPPE(400)
-		var total sim.Time
-		done := 0
+		var at [][]sim.Time
 		for th := 0; th < threads; th++ {
-			th := th
-			base := int64(th) * (1 << 22)
-			p.Spawn(th, "k", func(tt *Thread) {
-				tt.StreamLoad(base, 256<<10, 8) // warm
-				start := tt.Now()
-				tt.StreamLoad(base, 256<<10, 8)
-				if el := tt.Now() - start; el > total {
-					total = el
-				}
-				done++
-			})
+			pass := Pass{Op: Load, Src: int64(th) * (1 << 22), Bytes: 256 << 10, Elem: 8}
+			at = append(at, laps(p, th, pass, pass)) // warm, timed
 		}
 		eng.Run()
+		var total sim.Time
+		for _, a := range at {
+			total = max(total, a[1]-a[0])
+		}
 		return gbps(int64(threads)*(256<<10), total)
 	}
 	one := run(1)
@@ -248,22 +243,19 @@ func TestSMTSharesIssueOnL1(t *testing.T) {
 	// slots, so the aggregate stays ~the same as one thread.
 	run := func(threads int) float64 {
 		eng, _, p := newPPE(400)
-		var slowest sim.Time
+		var at [][]sim.Time
 		for th := 0; th < threads; th++ {
-			th := th
-			base := int64(th) * (1 << 22)
-			p.Spawn(th, "k", func(tt *Thread) {
-				tt.StreamLoad(base, 8<<10, 8) // warm (both fit L1)
-				start := tt.Now()
-				for i := 0; i < 8; i++ {
-					tt.StreamLoad(base, 8<<10, 8)
-				}
-				if el := tt.Now() - start; el > slowest {
-					slowest = el
-				}
-			})
+			passes := make([]Pass, 9) // a warm-up (both fit L1), then 8 timed
+			for i := range passes {
+				passes[i] = Pass{Op: Load, Src: int64(th) * (1 << 22), Bytes: 8 << 10, Elem: 8}
+			}
+			at = append(at, laps(p, th, passes...))
 		}
 		eng.Run()
+		var slowest sim.Time
+		for _, a := range at {
+			slowest = max(slowest, a[8]-a[0])
+		}
 		return gbps(int64(threads)*8*(8<<10), slowest)
 	}
 	one := run(1)
@@ -281,15 +273,10 @@ func TestStoreQueueStallsWhenFull(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StoreDrainCycles = 100
 	p := New(eng, mem, cfg)
-	var cycles sim.Time
-	p.Spawn(0, "k", func(th *Thread) {
-		th.StreamStore(0, 16<<10, 16) // warm L2
-		start := th.Now()
-		th.StreamStore(0, 16<<10, 16)
-		th.drainStoreQueue()
-		cycles = th.Now() - start
-	})
+	pass := Pass{Op: Store, Bytes: 16 << 10, Elem: 16}
+	at := laps(p, 0, pass, pass) // warm L2, timed
 	eng.Run()
+	cycles := at[2] - at[0] // store-queue drain included
 	chunks := sim.Time(16 << 10 / 16)
 	if cycles < chunks*100 {
 		t.Fatalf("store stream took %d cycles, want >= %d (drain-limited)", cycles, chunks*100)
@@ -298,12 +285,9 @@ func TestStoreQueueStallsWhenFull(t *testing.T) {
 
 func TestWritebacksHappen(t *testing.T) {
 	eng, mem, p := newPPE(100)
-	p.Spawn(0, "k", func(th *Thread) {
-		// Dirty 2 MB of lines, then stream another 2 MB to force
-		// evictions of dirty lines.
-		th.StreamStore(0, 2<<20, 16)
-		th.StreamLoad(8<<20, 2<<20, 16)
-	})
+	// Dirty 2 MB of lines, then stream another 2 MB to force evictions of
+	// dirty lines.
+	p.Run(0, []Pass{{Op: Store, Bytes: 2 << 20, Elem: 16}, {Op: Load, Src: 8 << 20, Bytes: 2 << 20, Elem: 16}}, nil)
 	eng.Run()
 	if mem.writes == 0 || p.Stats().Writebacks == 0 {
 		t.Fatal("dirty evictions must write back to memory")
@@ -312,9 +296,7 @@ func TestWritebacksHappen(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	eng, _, p := newPPE(100)
-	p.Spawn(0, "k", func(th *Thread) {
-		th.StreamLoad(0, 1<<13, 8)
-	})
+	p.Run(0, []Pass{{Op: Load, Bytes: 1 << 13, Elem: 8}}, nil)
 	eng.Run()
 	st := p.Stats()
 	if st.Loads != (1<<13)/8 {
@@ -332,20 +314,76 @@ func TestBadThreadIDPanics(t *testing.T) {
 			t.Fatal("bad thread id should panic")
 		}
 	}()
-	p.Spawn(2, "k", func(*Thread) {})
+	p.Run(2, nil, nil)
 }
 
 func TestUnalignedStreamPanics(t *testing.T) {
-	eng, _, p := newPPE(100)
-	p.Spawn(0, "k", func(th *Thread) {
-		defer func() {
-			if recover() == nil {
-				t.Error("unaligned stream should panic")
-			}
-			panic("rethrow") // keep the process contract: panics propagate
-		}()
-		th.StreamLoad(64, 1<<13, 8)
-	})
-	defer func() { recover() }()
-	eng.Run()
+	_, _, p := newPPE(100)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("unaligned stream should panic")
+		}
+	}()
+	p.Run(0, []Pass{{Op: Load, Src: 64, Bytes: 1 << 13, Elem: 8}}, nil)
+}
+
+// stuckMem is a MemoryPort that never completes an access.
+type stuckMem struct{}
+
+func (stuckMem) ReadLine(int64, sim.Time, sim.Callee)  {}
+func (stuckMem) WriteLine(int64, sim.Time, sim.Callee) {}
+
+// TestPPEDeadlockNamesStuckThread: a thread parked on a fill that never
+// arrives is invisible to the process registry, so the PPE's liveness
+// reporter must name it when the event queue drains.
+func TestPPEDeadlockNamesStuckThread(t *testing.T) {
+	eng := sim.NewEngine()
+	p := New(eng, stuckMem{}, DefaultConfig())
+	p.Run(1, []Pass{{Op: Load, Bytes: 1 << 13, Elem: 8}}, nil)
+	err := eng.RunChecked(0)
+	var de *sim.DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("want *sim.DeadlockError, got %v", err)
+	}
+	if len(de.Stuck) != 1 || de.Stuck[0] != "ppe1" {
+		t.Fatalf("stuck actors %v, want [ppe1]", de.Stuck)
+	}
+}
+
+// TestPPEResetMidRunReplays cuts a two-thread copy short with fills in
+// flight and both threads parked, then resets the engine and the PPE and
+// reruns it, twice: the recycled thread and fill records must replay a
+// fresh PPE's run event for event.
+func TestPPEResetMidRunReplays(t *testing.T) {
+	start := func(p *PPE) *[2][]sim.Time {
+		var at [2][]sim.Time
+		for th := 0; th < 2; th++ {
+			pass := Pass{Op: Copy, Src: int64(th) << 22, Dst: int64(th)<<22 + 1<<21, Bytes: 64 << 10, Elem: 8}
+			at[th] = laps(p, th, pass, pass)
+		}
+		return &at
+	}
+	run := func(eng *sim.Engine, p *PPE) string {
+		at := start(p)
+		if err := eng.RunChecked(0); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("now=%d fired=%d laps=%v stats=%+v", eng.Now(), eng.Fired(), *at, p.Stats())
+	}
+	eng, _, p := newPPE(400)
+	want := run(eng, p)
+
+	eng, _, p = newPPE(400)
+	start(p)
+	if err := eng.RunChecked(20000); err == nil || p.InflightFills() == 0 {
+		t.Fatalf("the cut run must stop with fills in flight: err %v, %d fills", err, p.InflightFills())
+	}
+	for i := 0; i < 2; i++ {
+		eng.Reset()
+		p.Reset(newFakeMem(eng, 400), DefaultConfig())
+		p.SetPerf(new(perfctr.PPECounters))
+		if got := run(eng, p); got != want {
+			t.Fatalf("rerun %d on a reset PPE diverged\n got: %s\nwant: %s", i, got, want)
+		}
+	}
 }

@@ -6,9 +6,9 @@
 // produces the same result.
 //
 // Besides plain events, the package offers coroutine Processes (used to
-// write SPU and PPU "programs" as straight-line Go code that blocks on
-// simulated time) and a few small building blocks (FIFO resources,
-// completion signals) shared by the hardware models.
+// write SPU programs as straight-line Go code that blocks on simulated
+// time) and a few small building blocks (servers, token buckets, FIFO
+// queues) shared by the hardware models.
 package sim
 
 import (
@@ -55,8 +55,8 @@ type CalleeFunc func(at Time)
 // Call invokes f(at).
 func (f CalleeFunc) Call(at Time) { f(at) }
 
-// thunk is a closure without arguments stored as a Callee: At, Post,
-// AtDaemon and Signal.OnFire keep their closure signatures on top of it.
+// thunk is a closure without arguments stored as a Callee: At, Post and
+// AtDaemon keep their closure signatures on top of it.
 // Converting a func value to an interface allocates nothing.
 type thunk func()
 
@@ -102,7 +102,7 @@ const (
 //
 // On top of the wheel sits the same-cycle dispatch queue cur: the batch of
 // events at the earliest pending timestamp, drained FIFO. The huge
-// population of delay-0 events (signal fires, process activations, MFC
+// population of delay-0 events (PPE fill drains, process activations, MFC
 // completion callbacks — see Post) is appended straight to the live batch
 // and never touches the wheel at all.
 //
@@ -193,21 +193,6 @@ func (e *Engine) Pending() int { return e.npend }
 // that keep the simulation running. Daemon observers (the trace metrics
 // sampler) use it to decide whether to reschedule themselves.
 func (e *Engine) PendingWork() int { return e.npend - e.ndaemon }
-
-// VisitLiveProcesses calls visit for every spawned process whose body has
-// not returned, in spawn order, stopping early when visit returns false.
-// It reports whether the walk ran to completion.
-func (e *Engine) VisitLiveProcesses(visit func(*Process) bool) bool {
-	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		if !visit(p) {
-			return false
-		}
-	}
-	return true
-}
 
 // staged reports whether cur holds an undrained batch.
 func (e *Engine) staged() bool { return e.curHead < len(e.cur) }
@@ -399,8 +384,8 @@ func (e *Engine) AtCallee(t Time, cb Callee, arg Time) {
 
 // PostCallee arranges for cb.Call(arg) to run at the current simulated
 // time, after every event already scheduled for it. It is the same-cycle
-// dispatch path used by wakeups and completion notifications (signal
-// fires, mailbox and tag-group releases), which join the live batch
+// dispatch path used by wakeups and completion notifications (PPE fill
+// drains, mailbox and tag-group releases), which join the live batch
 // directly and never touch the wheel.
 func (e *Engine) PostCallee(cb Callee, arg Time) {
 	e.seq++

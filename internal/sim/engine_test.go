@@ -176,43 +176,6 @@ func TestProcessInterleaving(t *testing.T) {
 	}
 }
 
-func TestProcessSignal(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	var wokeAt Time = -1
-	Spawn(e, "waiter", func(p *Process) {
-		p.WaitSignal(s)
-		wokeAt = p.Now()
-	})
-	e.At(42, s.Fire)
-	e.Run()
-	if wokeAt != 42 {
-		t.Fatalf("woke at %d, want 42", wokeAt)
-	}
-	// Waiting on an already-fired signal returns immediately.
-	var at Time = -1
-	Spawn(e, "late", func(p *Process) {
-		p.WaitSignal(s)
-		at = p.Now()
-	})
-	e.Run()
-	if at != 42 {
-		t.Fatalf("late waiter woke at %d, want 42", at)
-	}
-}
-
-func TestSignalDoubleFirePanics(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	s.Fire()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Fire should panic")
-		}
-	}()
-	s.Fire()
-}
-
 func TestProcessWaitCallee(t *testing.T) {
 	e := NewEngine()
 	var wake Callee
@@ -336,16 +299,16 @@ func TestProcessSpawnsProcess(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	Spawn(e, "parent", func(p *Process) {
-		childDone := NewSignal(e)
+		var childDone Callee
 		Spawn(e, "child", func(c *Process) {
 			order = append(order, "child start")
 			c.Wait(4)
 			order = append(order, "child end")
-			childDone.Fire()
+			childDone.Call(c.Now())
 		})
 		p.Wait(2)
 		order = append(order, "parent mid")
-		p.WaitSignal(childDone)
+		p.WaitCallee(func(cb Callee) { childDone = cb })
 		order = append(order, "parent end")
 		if p.Now() != 4 {
 			t.Errorf("parent resumed at %d, want 4", p.Now())
@@ -562,27 +525,6 @@ func TestProcessAccessors(t *testing.T) {
 	e.Run()
 	if !p.Done() {
 		t.Fatal("process must be done after the engine drains")
-	}
-}
-
-func TestSignalOnFireAndFired(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	if s.Fired() {
-		t.Fatal("new signal must not be fired")
-	}
-	calls := 0
-	s.OnFire(func() { calls++ })
-	e.At(10, s.Fire)
-	e.Run()
-	if calls != 1 || !s.Fired() {
-		t.Fatalf("OnFire calls=%d fired=%v", calls, s.Fired())
-	}
-	// Late subscription on a fired signal still runs.
-	s.OnFire(func() { calls++ })
-	e.Run()
-	if calls != 2 {
-		t.Fatalf("late OnFire not delivered: calls=%d", calls)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // Process is a coroutine driven by the simulation engine. It lets model
-// code (an SPU program, a PPU thread) be written as straight-line Go that
-// blocks on simulated time or on simulated events, while the engine runs
-// exactly one process at a time, keeping the simulation deterministic.
+// code (an SPU program) be written as straight-line Go that blocks on
+// simulated time or on simulated events, while the engine runs exactly
+// one process at a time, keeping the simulation deterministic.
 //
 // Implementation: the process body runs on a carrier, a runtime coroutine
 // (iter.Pull) that the engine switches to directly: activate calls the
@@ -181,16 +181,6 @@ func (p *Process) Wait(d Time) {
 	p.park()
 }
 
-// WaitSignal blocks the process until s fires. If s has already fired it
-// returns immediately without yielding.
-func (p *Process) WaitSignal(s *Signal) {
-	if s.fired {
-		return
-	}
-	s.subs = append(s.subs, (*activation)(p))
-	p.park()
-}
-
 // WakeRecord is a process's reusable one-shot wake target. Each process
 // owns at most one record, re-armed on every WaitCallee, so blocking on a
 // Callee-based subscription never allocates.
@@ -222,68 +212,4 @@ func (p *Process) WaitCallee(arm func(cb Callee)) {
 	p.wake.armed = true
 	arm(p.wake)
 	p.park()
-}
-
-// activation is a Process viewed as a Signal subscriber that activates
-// it directly: converting the pointer allocates nothing, where the method
-// value p.activate would allocate a closure per blocked process.
-type activation Process
-
-func (a *activation) Call(Time) { (*Process)(a).activate() }
-
-// Signal is a one-shot broadcast: processes and callbacks wait on it, and
-// Fire releases all of them at the current simulated time.
-type Signal struct {
-	eng   *Engine
-	fired bool
-	subs  []Callee
-}
-
-// NewSignal returns an unfired signal bound to eng.
-func NewSignal(eng *Engine) *Signal { return &Signal{eng: eng} }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
-
-// Fire releases all waiters. Firing twice panics: signals are one-shot.
-//
-// All subscribers are released through a single drained event rather than
-// one delay-0 event each. The observable order is identical: subscribers
-// run back to back in subscription order, and anything they schedule gets
-// a later sequence number than the drain event, exactly as it would have
-// trailed the last per-subscriber event.
-func (s *Signal) Fire() {
-	if s.fired {
-		panic("sim: signal fired twice")
-	}
-	s.fired = true
-	if len(s.subs) > 0 {
-		s.eng.PostCallee((*signalDrain)(s), 0)
-	}
-}
-
-// signalDrain is a Signal viewed as its drain event's target: posting the
-// converted pointer allocates nothing, where the method value s.drain
-// would allocate a closure per Fire.
-type signalDrain Signal
-
-func (d *signalDrain) Call(Time) { (*Signal)(d).drain() }
-
-// drain releases every subscriber registered before Fire, in order.
-func (s *Signal) drain() {
-	subs := s.subs
-	s.subs = nil
-	for _, cb := range subs {
-		cb.Call(s.eng.now)
-	}
-}
-
-// OnFire registers fn to run when the signal fires (immediately scheduled
-// if it already fired).
-func (s *Signal) OnFire(fn func()) {
-	if s.fired {
-		s.eng.Post(fn)
-		return
-	}
-	s.subs = append(s.subs, thunk(fn))
 }

@@ -26,9 +26,9 @@ func TestRunCheckedClean(t *testing.T) {
 
 func TestRunCheckedDetectsDeadlock(t *testing.T) {
 	eng := NewEngine()
-	sig := NewSignal(eng) // never fired
-	Spawn(eng, "blocked-a", func(p *Process) { p.WaitSignal(sig) })
-	Spawn(eng, "blocked-b", func(p *Process) { p.WaitSignal(sig) })
+	never := func(Callee) {} // nothing ever calls the wake record
+	Spawn(eng, "blocked-a", func(p *Process) { p.WaitCallee(never) })
+	Spawn(eng, "blocked-b", func(p *Process) { p.WaitCallee(never) })
 	Spawn(eng, "fine", func(p *Process) { p.Wait(5) })
 
 	err := eng.RunChecked(0)
@@ -73,7 +73,7 @@ func TestRunCheckedCycleBudget(t *testing.T) {
 func TestRunCheckedDiagnosticHooks(t *testing.T) {
 	eng := NewEngine()
 	eng.OnDiagnostic(func() []string { return []string{"component: 3 widgets outstanding"} })
-	Spawn(eng, "stuck", func(p *Process) { p.WaitSignal(NewSignal(eng)) })
+	Spawn(eng, "stuck", func(p *Process) { p.WaitCallee(func(Callee) {}) })
 	err := eng.RunChecked(0)
 	if err == nil || !strings.Contains(err.Error(), "3 widgets outstanding") {
 		t.Fatalf("diagnostic hook output missing:\n%v", err)

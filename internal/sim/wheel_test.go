@@ -136,42 +136,6 @@ func TestProcessRegistryPruned(t *testing.T) {
 	}
 }
 
-// TestSignalFireOrdering pins the observable contract of the batched
-// Signal.Fire: subscribers (processes and callbacks, mixed) run in
-// subscription order, in one go, and work they schedule runs after every
-// subscriber has been released — identical to the old one-event-per-
-// subscriber release.
-func TestSignalFireOrdering(t *testing.T) {
-	e := NewEngine()
-	s := NewSignal(e)
-	var got []string
-	for _, name := range []string{"p0", "p1"} {
-		name := name
-		Spawn(e, name, func(p *Process) {
-			p.WaitSignal(s)
-			got = append(got, name)
-			e.Post(func() { got = append(got, name+"-follow") })
-		})
-	}
-	s.OnFire(func() { got = append(got, "cb") })
-	Spawn(e, "firer", func(p *Process) {
-		p.Wait(5)
-		s.Fire()
-	})
-	e.Run()
-	// The callback subscribed at setup time; the processes only reach
-	// WaitSignal once the engine first activates them, so they trail it.
-	want := []string{"cb", "p0", "p1", "p0-follow", "p1-follow"}
-	if len(got) != len(want) {
-		t.Fatalf("order %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
-	}
-}
-
 // refHeap is a reference (time, seq) min-heap — the scheduler the timing
 // wheel replaced — used to differentially test ordering.
 type refHeap []refEvent
