@@ -460,6 +460,76 @@ func TestDrainedJobIsSealed(t *testing.T) {
 	}
 }
 
+// TestCloseLeavesCutJobResumable: a journaled job that Scheduler.Close
+// cuts short is not sealed, so a replay finds it incomplete and Resume
+// simulates exactly its missing points. A job its client cancelled
+// stays sealed.
+func TestCloseLeavesCutJobResumable(t *testing.T) {
+	spec := sweepSpec(0)
+	spec.Chunks, spec.Seeds = []int{1024}, []int64{0, 1, 2}
+	// closeDuring runs spec on a one-worker scheduler journaling to dir,
+	// lets its first point simulate, holds the second and closes the
+	// scheduler, after a client Cancel when clientCancel is set.
+	closeDuring := func(dir string, clientCancel bool) JobStatus {
+		jr, _, err := journal.Open(dir, journal.Options{SyncEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer jr.Close()
+		gate, entered := make(chan struct{}), make(chan struct{}, 4)
+		s := NewScheduler(SchedOptions{Workers: 1, CachePoints: 64, Journal: jr,
+			BeforePoint: func(int, int64) {
+				entered <- struct{}{}
+				<-gate
+			}})
+		job := mustSubmit(t, s, spec)
+		<-entered
+		gate <- struct{}{} // the first point simulates
+		<-entered          // the second waits at the gate
+		if clientCancel {
+			job.Cancel()
+		}
+		closed := make(chan struct{})
+		go func() { s.Close(); close(closed) }()
+		<-job.ctx.Done()
+		close(gate) // the held point sees the cancellation and is skipped
+		<-closed
+		drainJob(job)
+		return job.Status()
+	}
+
+	dir := t.TempDir()
+	if st := closeDuring(dir, false); st.Completed != 1 || st.Skipped != 2 {
+		t.Fatalf("closed job status %+v, want 1 completed and 2 skipped", st)
+	}
+	jr, st, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jr.Close()
+	if n := len(st.Incomplete()); n != 1 {
+		t.Fatalf("replay finds %d incomplete jobs after Close, want the 1 it cut short", n)
+	}
+	s := NewScheduler(SchedOptions{Workers: 2, CachePoints: 64, Journal: jr})
+	defer s.Close()
+	rs := s.Resume(context.Background(), st)
+	if rs.WarmedPoints != 1 || rs.SkippedJobs != 0 || len(rs.Jobs) != 1 {
+		t.Fatalf("resume stats %+v, want 1 warmed point and 1 job", rs)
+	}
+	if got := drainJob(rs.Jobs[0]); len(got) != 3 {
+		t.Fatalf("resumed job delivered %d points, want 3", len(got))
+	}
+	if sims := s.CacheStats().Simulations; sims != 2 {
+		t.Fatalf("resume simulated %d points, want exactly the 2 missing ones", sims)
+	}
+
+	cancelled := t.TempDir()
+	closeDuring(cancelled, true)
+	if n := len(replayCopy(t, cancelled).Incomplete()); n != 0 {
+		t.Fatalf("a job its client cancelled replays as incomplete (%d jobs)", n)
+	}
+}
+
 // TestCachedJobAppendsNothing: a job the memo cache answers whole has no
 // work to protect, so it writes no journal record and reports no
 // JournalID; a replay afterwards resubmits nothing. A resumed job whose

@@ -151,7 +151,8 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 }
 
 // Close cancels every unfinished job, waits for in-flight points to
-// drain and stops the workers. Submit fails with ErrClosed afterwards.
+// drain and stops the workers. Submit fails with ErrClosed afterwards. A
+// job it cuts short is not sealed: the next boot's Resume finishes it.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -165,6 +166,7 @@ func (s *Scheduler) Close() {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
+		j.shutdown.Store(j.ctx.Err() == nil) // not already cancelled by its client
 		j.Cancel()
 	}
 	s.feedWG.Wait()
@@ -571,6 +573,8 @@ type Job struct {
 	poisoned  int
 	finished  bool
 	perf      perfctr.Rollup // counter totals over delivered points
+
+	shutdown atomic.Bool // cancelled by Scheduler.Close
 }
 
 // Total returns the number of grid points in the job.
@@ -692,10 +696,12 @@ func (j *Job) finish() {
 	// A finished job — every point delivered or deliberately skipped —
 	// will never need resuming: seal it in the journal so the next boot
 	// does not resurrect it. (A crash is precisely the absence of this
-	// record.) The append fsyncs before returning, and the stream ends
-	// only after it, so a consumer that drained the job finds it sealed.
+	// record.) Points skipped because the scheduler closed were not given
+	// up by the client, so such a job stays open for Resume. The append
+	// fsyncs before returning, and the stream ends only after it, so a
+	// consumer that drained the job finds it sealed.
 	jr := j.sched.opts.Journal
-	sealed := jr != nil && j.jid != ""
+	sealed := jr != nil && j.jid != "" && !(j.shutdown.Load() && j.Status().Skipped > 0)
 	if sealed {
 		jr.AppendDone(j.jid)
 	}
