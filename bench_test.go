@@ -437,23 +437,32 @@ func BenchmarkServeHit(b *testing.B) {
 // TestMemPathAllocGuard workloads — SPE GETs from XDR and a two-thread PPE
 // copy at L2 sizing — per XDR bank access: wall time and allocations, the
 // figures the pooled line-access, fill and write-completion records moved.
+// The MemPath row records, per workload, the fastest run's ns/access with
+// the runs' spread (max-min)/min, and allocations per access. Record it
+// with: go test -run xxx -bench 'MemPath$' -benchtime 20x .
 func BenchmarkMemPath(b *testing.B) {
 	metrics := map[string]any{}
 	for _, c := range memPathCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var accesses int64
+			fastest, slowest := time.Duration(math.MaxInt64), time.Duration(0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
+				start := time.Now()
 				accesses = bankAccesses(c.run(b))
+				d := time.Since(start)
+				fastest, slowest = min(fastest, d), max(slowest, d)
 			}
 			b.StopTimer()
-			perAccess := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(accesses)
+			perAccess := float64(fastest.Nanoseconds()) / float64(accesses)
 			allocs := testing.AllocsPerRun(1, func() { c.run(b) }) / float64(accesses)
 			b.ReportMetric(perAccess, "ns/access")
 			b.ReportMetric(allocs, "allocs/access")
-			metrics[c.name+" ns/access"] = perAccess
+			metrics[c.name+" runs"] = b.N
+			metrics[c.name+" ns/access min"] = perAccess
+			metrics[c.name+" ns/access spread"] = float64(slowest-fastest) / float64(fastest)
 			metrics[c.name+" allocs/access"] = allocs
-			metrics[c.name+" accesses"] = float64(accesses)
+			metrics[c.name+" accesses"] = accesses
 		})
 	}
 	recordBenchBaseline(b, "MemPath", metrics)
