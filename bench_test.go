@@ -11,20 +11,17 @@ package cellbe
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"cellbe/internal/cell"
 	"cellbe/internal/core"
 	"cellbe/internal/journal"
+	"cellbe/internal/ledger"
 	"cellbe/internal/serve"
 	"cellbe/internal/sim"
 )
@@ -204,39 +201,26 @@ func BenchmarkStreaming(b *testing.B) {
 
 // --- Hot-path perf baselines (BENCH_eib.json) ---
 
-// benchJSONMu serializes updates to the shared BENCH_eib.json baseline.
-var benchJSONMu sync.Mutex
-
 // recordBenchBaseline merges the given metrics for one benchmark into
-// BENCH_eib.json, the checked-against perf baseline for the EIB hot path.
-// Rows hold numbers and, for machine context, strings: every row records
-// goarch, go (the Go version) and gomaxprocs, which a row that pins
-// GOMAXPROCS for its measurement (Workloads) sets itself.
+// BENCH_eib.json, the checked-against perf baseline for the EIB hot path,
+// through the ledger package every benchmark package writes it with.
 // Regenerate it with: go test -bench 'EIBSaturated|Sweep' -benchmem .
 func recordBenchBaseline(b *testing.B, name string, metrics map[string]any) {
 	b.Helper()
-	metrics["goarch"], metrics["go"] = runtime.GOARCH, runtime.Version()
-	if _, ok := metrics["gomaxprocs"]; !ok {
-		metrics["gomaxprocs"] = runtime.GOMAXPROCS(0)
-	}
-	benchJSONMu.Lock()
-	defer benchJSONMu.Unlock()
-	const path = "BENCH_eib.json"
-	all := map[string]map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &all); err != nil {
-			b.Logf("ignoring unparsable %s: %v", path, err)
-			all = map[string]map[string]any{}
-		}
-	}
-	all[name] = metrics
-	data, err := json.MarshalIndent(all, "", "  ")
-	if err != nil {
+	if err := ledger.Write("BENCH_eib.json", name, metrics); err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
+}
+
+// recordTimedBaseline records a row whose timing is one sample per
+// benchmark iteration, in unit: metrics plus the samples' median,
+// quartiles and min (ledger.Timed).
+func recordTimedBaseline(b *testing.B, name, unit string, samples []float64, metrics map[string]any) {
+	b.Helper()
+	for k, v := range ledger.Timed(unit, samples) {
+		metrics[k] = v
 	}
+	recordBenchBaseline(b, name, metrics)
 }
 
 // saturatedScenario is the EIB saturation workload the tentpole
@@ -249,25 +233,28 @@ func saturatedScenario() cell.Scenario {
 // BenchmarkEIBSaturated measures a full saturated-EIB simulation,
 // including allocations: the scheduler hot path is required to do
 // near-zero allocations per transfer, so allocs/op here is a guarded
-// figure of merit, not just a curiosity.
+// figure of merit, not just a curiosity. The EIBSaturated row records
+// each run's wall time per transfer (median, quartiles, min), the
+// simulated cycles and transfers, and the allocations.
 func BenchmarkEIBSaturated(b *testing.B) {
 	sc := saturatedScenario()
 	var cycles sim.Time
 	var transfers int64
+	var samples []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		start := time.Now()
 		cfg := cell.DefaultConfig()
 		cfg.Layout = cell.RandomLayout(3)
 		sys := cell.New(cfg)
-		total, err := sc.Install(sys)
-		if err != nil {
+		if _, err := sc.Install(sys); err != nil {
 			b.Fatal(err)
 		}
 		sys.Run()
 		cycles = sys.Eng.Now()
 		transfers = sys.Bus.Stats().Transfers
-		_ = total
+		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(transfers))
 	}
 	b.StopTimer()
 	perOp := testing.AllocsPerRun(1, func() {
@@ -280,7 +267,7 @@ func BenchmarkEIBSaturated(b *testing.B) {
 		sys.Run()
 	})
 	b.ReportMetric(perOp/float64(transfers), "allocs/transfer")
-	recordBenchBaseline(b, "EIBSaturated", map[string]any{
+	recordTimedBaseline(b, "EIBSaturated", "ns/transfer", samples, map[string]any{
 		"cycles":          float64(cycles),
 		"transfers":       float64(transfers),
 		"allocs/op":       perOp,
@@ -321,12 +308,12 @@ func BenchmarkSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkSweepWarm measures the same grid as BenchmarkSweep through the
-// arena in steady state: one cell.Arena held across all iterations, every
-// grid point stamped onto a recycled carcass (Boot + RunChecked +
-// Retire). The delta against BenchmarkSweep is
-// the boot-and-teardown overhead the arena removes; allocs/point is the
-// alloc-guarded figure of merit for the stamped path.
+// BenchmarkSweepWarm measures the same grid as BenchmarkSweep on one
+// goroutine with no scheduler: one cell.Arena held across all
+// iterations, every grid point stamped onto a recycled carcass (Boot +
+// RunChecked + Retire). allocs/point is the alloc-guarded figure of merit
+// for the stamped path. The SweepWarm row records each grid's wall time
+// per point (median, quartiles, min).
 func BenchmarkSweepWarm(b *testing.B) {
 	chunks := []int{1024, 4096}
 	seeds := []int64{1, 2, 3}
@@ -352,22 +339,19 @@ func BenchmarkSweepWarm(b *testing.B) {
 		return n
 	}
 	points := runGrid() // prime the arena: steady state, not first-boot cost
+	var samples []float64
 	b.ReportAllocs()
 	b.ResetTimer()
-	var total float64
 	for i := 0; i < b.N; i++ {
-		total += runGrid()
+		start := time.Now()
+		runGrid()
+		samples = append(samples, float64(time.Since(start).Nanoseconds())/points)
 	}
 	b.StopTimer()
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(total/elapsed, "points/s")
-	}
 	perPoint := testing.AllocsPerRun(1, func() { runGrid() }) / points
 	b.ReportMetric(perPoint, "allocs/point")
-	recordBenchBaseline(b, "SweepWarm", map[string]any{
+	recordTimedBaseline(b, "SweepWarm", "ns/point", samples, map[string]any{
 		"points":       points,
-		"point/s":      total / elapsed,
 		"allocs/point": perPoint,
 	})
 }
@@ -377,8 +361,8 @@ func BenchmarkSweepWarm(b *testing.B) {
 // loopback HTTP to an in-process serve.New whose scheduler journals to a
 // real directory, with the clock stopped after the NDJSON trailer. Each
 // iteration is a round of serveHitRound requests; the ServeHit row
-// records the fastest round's ns/request with the rounds' spread
-// (max-min)/min, and the journal fsyncs per request. Record it with:
+// records the rounds' ns/request (median, quartiles, min) and the
+// journal fsyncs per request. Record it with:
 // go test -run xxx -bench 'ServeHit$' -benchtime 10x .
 func BenchmarkServeHit(b *testing.B) {
 	const serveHitRound = 200
@@ -405,15 +389,14 @@ func BenchmarkServeHit(b *testing.B) {
 	}
 	post() // the miss that warms the cache
 	syncs0 := jr.Health().Syncs
-	fastest, slowest := time.Duration(math.MaxInt64), time.Duration(0)
+	var samples []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		for range serveHitRound {
 			post()
 		}
-		d := time.Since(start)
-		fastest, slowest = min(fastest, d), max(slowest, d)
+		samples = append(samples, float64(time.Since(start).Nanoseconds())/serveHitRound)
 	}
 	b.StopTimer()
 	requests := float64(b.N * serveHitRound)
@@ -421,14 +404,9 @@ func BenchmarkServeHit(b *testing.B) {
 		b.Fatalf("cache stats %+v, want %d hits and the one warming simulation", st, int64(requests))
 	}
 	syncs := float64(jr.Health().Syncs-syncs0) / requests
-	perRequest := float64(fastest.Nanoseconds()) / serveHitRound
-	b.ReportMetric(perRequest, "ns/request")
 	b.ReportMetric(syncs, "syncs/request")
-	recordBenchBaseline(b, "ServeHit", map[string]any{
-		"rounds":                b.N,
+	recordTimedBaseline(b, "ServeHit", "ns/request", samples, map[string]any{
 		"requests/round":        serveHitRound,
-		"ns/request min":        perRequest,
-		"ns/request spread":     float64(slowest-fastest) / float64(fastest),
 		"journal syncs/request": syncs,
 	})
 }
@@ -437,30 +415,27 @@ func BenchmarkServeHit(b *testing.B) {
 // TestMemPathAllocGuard workloads — SPE GETs from XDR and a two-thread PPE
 // copy at L2 sizing — per XDR bank access: wall time and allocations, the
 // figures the pooled line-access, fill and write-completion records moved.
-// The MemPath row records, per workload, the fastest run's ns/access with
-// the runs' spread (max-min)/min, and allocations per access. Record it
-// with: go test -run xxx -bench 'MemPath$' -benchtime 20x .
+// The MemPath row records, per workload, the runs' ns/access (median,
+// quartiles, min) and allocations per access. Record it with:
+// go test -run xxx -bench 'MemPath$' -benchtime 50x .
 func BenchmarkMemPath(b *testing.B) {
 	metrics := map[string]any{}
 	for _, c := range memPathCases() {
 		b.Run(c.name, func(b *testing.B) {
 			var accesses int64
-			fastest, slowest := time.Duration(math.MaxInt64), time.Duration(0)
+			var samples []float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
 				accesses = bankAccesses(c.run(b))
-				d := time.Since(start)
-				fastest, slowest = min(fastest, d), max(slowest, d)
+				samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(accesses))
 			}
 			b.StopTimer()
-			perAccess := float64(fastest.Nanoseconds()) / float64(accesses)
 			allocs := testing.AllocsPerRun(1, func() { c.run(b) }) / float64(accesses)
-			b.ReportMetric(perAccess, "ns/access")
 			b.ReportMetric(allocs, "allocs/access")
-			metrics[c.name+" runs"] = b.N
-			metrics[c.name+" ns/access min"] = perAccess
-			metrics[c.name+" ns/access spread"] = float64(slowest-fastest) / float64(fastest)
+			for k, v := range ledger.Timed("ns/access", samples) {
+				metrics[c.name+" "+k] = v
+			}
 			metrics[c.name+" allocs/access"] = allocs
 			metrics[c.name+" accesses"] = accesses
 		})
@@ -510,30 +485,26 @@ func runWorkloads(tb testing.TB) (bytes, allocs float64) {
 // largest allocator of the paper-figures benchmark (its gups and md
 // points scatter writes over simulated RAM). The Workloads row records
 // heap bytes and allocations per call (TestWorkloadsAllocGuard holds the
-// bytes), the fastest call's wall time with the calls' spread
-// (max-min)/min, and the machine. Record it with:
+// bytes), the calls' wall time (median, quartiles, min), and the
+// machine. Record it with:
 // go test -run xxx -bench 'Workloads$' -benchtime 5x .
 func BenchmarkWorkloads(b *testing.B) {
 	var bytes, allocs float64
-	fastest, slowest := time.Duration(math.MaxInt64), time.Duration(0)
+	var samples []float64
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		by, al := runWorkloads(b)
-		d := time.Since(start)
+		samples = append(samples, float64(time.Since(start).Nanoseconds()))
 		bytes, allocs = bytes+by, allocs+al
-		fastest, slowest = min(fastest, d), max(slowest, d)
 	}
 	b.StopTimer()
 	n := float64(b.N)
 	b.ReportMetric(bytes/n, "B/call")
 	b.ReportMetric(allocs/n, "allocs/call")
-	recordBenchBaseline(b, "Workloads", map[string]any{
-		"calls":          b.N,
-		"bytes/call":     bytes / n,
-		"allocs/call":    allocs / n,
-		"ns/call min":    fastest.Nanoseconds(),
-		"ns/call spread": float64(slowest-fastest) / float64(fastest),
-		"gomaxprocs":     workloadsProcs,
+	recordTimedBaseline(b, "Workloads", "ns/call", samples, map[string]any{
+		"bytes/call":  bytes / n,
+		"allocs/call": allocs / n,
+		"gomaxprocs":  workloadsProcs,
 	})
 }
 

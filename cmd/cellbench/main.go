@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -37,7 +38,11 @@ import (
 	"cellbe/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command; it returns the process exit code, so deferred
+// work (the CPU profile) completes on every path.
+func run() (code int) {
 	var (
 		list   = flag.Bool("list", false, "list available experiments and exit")
 		name   = flag.String("experiment", "", "experiment to run (see -list)")
@@ -74,42 +79,64 @@ func main() {
 		seeds   = flag.Int("seeds", 10, "sweep: number of layout seeds (starting at -seed)")
 		volume  = flag.Int64("volume", 1<<20, "sweep: bytes per SPE")
 		workers = flag.Int("workers", 0, "sweep: concurrent simulations (0 = GOMAXPROCS)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run (runtime/pprof format) to this file")
 	)
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
+			return 2
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
+			return 2
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
+				code = max(code, 1)
+			}
+		}()
+	}
 
 	if *dump {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(cell.DefaultConfig()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	if *list {
 		for _, e := range core.Experiments() {
 			fmt.Printf("%-18s %-22s %s\n", e.Name, e.Figure, e.Description)
 		}
-		return
+		return 0
 	}
 
 	if *conformDoc {
 		fmt.Print(conformance.Doc())
-		return
+		return 0
 	}
 	if *conform {
 		d := conformance.NewDataset(conformance.QuickParams(*conformShort))
 		if failed := conformance.Report(os.Stdout, conformance.EvalAll(d, *conformShort)); failed > 0 {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	base, err := baseConfig(*cfgIn, *faultSpec, *faultSeed, *maxCycles)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	obs := observability{
@@ -123,16 +150,16 @@ func main() {
 	if *sweep != "" {
 		if err := runSweep(*sweep, *spes, *op, *dmalist, *chunks, *seeds, *seed, *volume, *workers, base, *quiet, obs); err != nil {
 			fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 	if obs.traceOut != "" || obs.metricsOut != "" || obs.perf {
 		// The experiment runner fans layout samples across goroutines, so a
 		// single tracer cannot be attached to "the" run; tracing is defined
 		// only for one designated grid point of a sweep.
 		fmt.Fprintln(os.Stderr, "cellbench: -trace, -metrics and -perf require -sweep (they instrument the first grid point)")
-		os.Exit(2)
+		return 2
 	}
 
 	params := core.DefaultParams()
@@ -153,13 +180,13 @@ func main() {
 		e, err := core.Lookup(*name)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		experiments = []core.Experiment{e}
 	default:
 		fmt.Fprintln(os.Stderr, "cellbench: need -experiment NAME, -all, or -list")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 
 	for _, e := range experiments {
@@ -170,7 +197,7 @@ func main() {
 		res, err := e.Run(params)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cellbench: %s: %v\n", e.Name, err)
-			os.Exit(1)
+			return 1
 		}
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "  done in %v\n", time.Since(start).Round(time.Millisecond))
@@ -184,14 +211,15 @@ func main() {
 			err = report.Chart(os.Stdout, res, 50)
 		default:
 			fmt.Fprintf(os.Stderr, "cellbench: unknown format %q\n", *format)
-			os.Exit(2)
+			return 2
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Println()
 	}
+	return 0
 }
 
 // baseConfig combines the -config override with the fault-injection and

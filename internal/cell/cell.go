@@ -173,6 +173,9 @@ func (c Config) Validate() error {
 	if c.EIB.BusPeriod <= 0 || c.EIB.BeatBytes <= 0 {
 		return fmt.Errorf("cell: EIB.BusPeriod and EIB.BeatBytes must be positive")
 	}
+	if c.EIB.RingDeadCycles < 0 {
+		return fmt.Errorf("cell: EIB.RingDeadCycles %d must not be negative", c.EIB.RingDeadCycles)
+	}
 	return nil
 }
 

@@ -320,7 +320,7 @@ func TestConfigAndLayoutAccessors(t *testing.T) {
 }
 
 // TestConfigValidateEIB: ring counts the counter block cannot hold,
-// non-positive bus geometry and memory geometry the RAM or the bank
+// non-positive bus geometry, a negative switching gap and memory geometry the RAM or the bank
 // placement cannot use are rejected up front instead of panicking at the
 // first grant, inside eib.New or at the first memory access.
 func TestConfigValidateEIB(t *testing.T) {
@@ -335,6 +335,8 @@ func TestConfigValidateEIB(t *testing.T) {
 		{"three rings per direction", func(c *Config) { c.EIB.RingsPerDirection = 3 }, false},
 		{"zero bus period", func(c *Config) { c.EIB.BusPeriod = 0 }, false},
 		{"zero beat bytes", func(c *Config) { c.EIB.BeatBytes = 0 }, false},
+		{"no switching gap", func(c *Config) { c.EIB.RingDeadCycles = 0 }, true},
+		{"negative switching gap", func(c *Config) { c.EIB.RingDeadCycles = -1 }, false},
 		{"zero page size", func(c *Config) { c.Mem.PageBytes = 0 }, false},
 		{"memory not whole lines", func(c *Config) { c.Mem.TotalBytes += 64 }, false},
 		{"zero memory", func(c *Config) { c.Mem.TotalBytes = 0 }, false},

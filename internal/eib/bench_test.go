@@ -2,56 +2,52 @@ package eib
 
 import (
 	"testing"
+	"time"
 
+	"cellbe/internal/ledger"
 	"cellbe/internal/sim"
 )
 
-// BenchmarkTimelineFirstFit exercises the scheduler's inner loop in
-// isolation: a rolling window of reservations from a handful of
-// interleaved flows, with the clock advancing so prune keeps retiring the
-// tail — the exact access pattern a saturated ring segment sees. The
-// cursor-based timeline must stay allocation-free here once its backing
-// array has warmed up.
-func BenchmarkTimelineFirstFit(b *testing.B) {
-	const (
-		flows = 6
-		gap   = sim.Time(64)
-		dur   = sim.Time(64) // one 4 KB element at 16 B per 2-cycle beat
-	)
-	var tl timeline
-	now := sim.Time(0)
-	// Seed a standing backlog, as the MFC's outstanding-transfer window
-	// produces under saturation; the measured loop then runs at the
-	// matched rate so the backlog stays put instead of growing without
-	// bound (real issue is paced by the command bus and the window).
-	for i := 0; i < 32; i++ {
-		s := tl.earliestFit(now, dur, int32(i%flows), gap)
-		tl.reserve(s, dur, int32(i%flows))
+// BenchmarkEIBGrant measures the grant path per transfer: it replays the
+// fixed pair/couples/cycle call stream of grantBenchStreams against a
+// bare EIB — grant search, bookings and counters, with no engine and no
+// completions — resetting it between points as arena carcasses do. Each
+// iteration replays the whole stream once. The EIBGrant row of the
+// repository's BENCH_eib.json records the iterations' ns/transfer
+// (median, quartiles, min) and allocations per transfer. Record it with:
+// go test -run xxx -bench 'EIBGrant$' -benchtime 40x ./internal/eib
+func BenchmarkEIBGrant(b *testing.B) {
+	streams := grantBenchStreams()
+	n := 0
+	for _, s := range streams {
+		n += len(s)
 	}
+	bus := New(sim.NewEngine(), DefaultConfig())
+	replay := func() {
+		for _, s := range streams {
+			bus.Reset(DefaultConfig())
+			for _, c := range s {
+				bus.transfer(c.src, c.dst, c.bytes, c.earliest, c.now)
+			}
+		}
+	}
+	replay() // grow the bookings' backing arrays: steady state
+	var samples []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		owner := int32(i % flows)
-		now += dur + gap // drain rate of one cross-flow item
-		tl.prune(now)
-		s := tl.earliestFit(now, dur, owner, gap)
-		tl.reserve(s, dur, owner)
+		start := time.Now()
+		replay()
+		samples = append(samples, float64(time.Since(start).Nanoseconds())/float64(n))
 	}
-}
-
-// BenchmarkTimelineCold measures the from-scratch cost (fresh timeline
-// every iteration batch), which is what a new System pays per resource.
-func BenchmarkTimelineCold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var tl timeline
-		now := sim.Time(0)
-		for j := 0; j < 64; j++ {
-			now += 32
-			tl.prune(now)
-			s := tl.earliestFit(now, 64, int32(j%4), 64)
-			tl.reserve(s, 64, int32(j%4))
-		}
+	b.StopTimer()
+	allocs := testing.AllocsPerRun(1, replay) / float64(n)
+	row := ledger.Timed("ns/transfer", samples)
+	b.ReportMetric(row["ns/transfer median"].(float64), "ns/transfer")
+	row["transfers"] = n
+	row["allocs/transfer"] = allocs
+	if err := ledger.Write("../../BENCH_eib.json", "EIBGrant", row); err != nil {
+		b.Fatal(err)
 	}
 }
 

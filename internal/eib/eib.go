@@ -25,6 +25,10 @@ import (
 	"cellbe/internal/trace"
 )
 
+// maxTime is later than any grant: the search limit of the first
+// candidate ring.
+const maxTime = sim.Time(1<<63 - 1)
+
 // RampID identifies a physical position (bus unit) on the ring, 0..11.
 type RampID int
 
@@ -115,7 +119,7 @@ type Config struct {
 	// streams gaplessly, but interleaving flows re-arbitrate. Invisible
 	// while each flow has a ring of its own; once more flows than rings
 	// share a direction it cuts segment utilization — the EIB saturation
-	// the paper observes with 4+ concurrent transfers.
+	// the paper observes with 4+ concurrent transfers. Zero or more.
 	RingDeadCycles sim.Time
 }
 
@@ -133,10 +137,10 @@ func DefaultConfig() Config {
 
 type ring struct {
 	dir Direction
-	// seg[s] tracks reservations of segment s. For a clockwise ring,
+	// seg[s] holds the bookings of segment s. For a clockwise ring,
 	// segment s carries data from ramp s to ramp s+1; for a
 	// counterclockwise ring, from ramp s to ramp s-1 (indexed by source).
-	seg [NumRamps]timeline
+	seg [NumRamps]resource
 }
 
 // ringCand is one precomputed candidate ring for a (src, dst) flow: the
@@ -209,18 +213,16 @@ type EIB struct {
 	cfg   Config
 	rings []ring
 	plan  [NumRamps][NumRamps]flowPlan
-	out   [NumRamps]timeline // source ramp data-out port
-	in    [NumRamps]timeline // destination ramp data-in port
+	out   [NumRamps]resource // source ramp data-out port
+	in    [NumRamps]resource // destination ramp data-in port
 	// cmdNextTenths is the command bus pacing cursor in tenths of a
 	// cycle (fixed point, so fractional intervals pace exactly).
 	cmdNextTenths int64
-	// pruneTick counts ring transfers to amortize timeline pruning.
-	pruneTick uint32
-	faults    *fault.Injector
-	tracer    *trace.Tracer
-	perf      *perfctr.EIBCounters
-	trace     []TransferRecord
-	traceNext int
+	faults        *fault.Injector
+	tracer        *trace.Tracer
+	perf          *perfctr.EIBCounters
+	trace         []TransferRecord
+	traceNext     int
 }
 
 // SetFaults attaches a fault injector (nil disables injection). Wired by
@@ -277,7 +279,7 @@ func (e *EIB) record(r TransferRecord) {
 
 // New returns an EIB bound to eng with the given configuration.
 func New(eng *sim.Engine, cfg Config) *EIB {
-	if cfg.BusPeriod <= 0 || cfg.BeatBytes <= 0 || cfg.RingsPerDirection <= 0 {
+	if cfg.BusPeriod <= 0 || cfg.BeatBytes <= 0 || cfg.RingsPerDirection <= 0 || cfg.RingDeadCycles < 0 {
 		panic("eib: invalid config")
 	}
 	e := &EIB{eng: eng, cfg: cfg, perf: new(perfctr.EIBCounters)}
@@ -287,6 +289,7 @@ func New(eng *sim.Engine, cfg Config) *EIB {
 	for i := 0; i < cfg.RingsPerDirection; i++ {
 		e.rings = append(e.rings, ring{dir: Counterclockwise})
 	}
+	e.clear()
 	// Flatten the route table against this instance's ring list: one
 	// candidate entry per eligible ring per flow, in ring-index order,
 	// all carved from a single backing array.
@@ -321,33 +324,38 @@ func New(eng *sim.Engine, cfg Config) *EIB {
 
 // Reset returns the EIB to the state New(eng, cfg) would build, keeping
 // the ring list, the flattened route plan (both purely topological) and
-// every timeline's grown backing array. It reports false — leaving the
+// every resource's grown hole array. It reports false — leaving the
 // EIB untouched — when cfg changes the ring count, since then the plan
 // table no longer matches and the caller must build a fresh instance.
 // Attachments (faults, tracer) are cleared exactly as on a fresh EIB;
 // the counter block is left for the assembling layer to re-point.
 func (e *EIB) Reset(cfg Config) bool {
-	if cfg.BusPeriod <= 0 || cfg.BeatBytes <= 0 || cfg.RingsPerDirection <= 0 {
+	if cfg.BusPeriod <= 0 || cfg.BeatBytes <= 0 || cfg.RingsPerDirection <= 0 || cfg.RingDeadCycles < 0 {
 		panic("eib: invalid config")
 	}
 	if cfg.RingsPerDirection != e.cfg.RingsPerDirection {
 		return false
 	}
 	e.cfg = cfg
+	e.clear()
+	e.cmdNextTenths = 0
+	e.faults, e.tracer = nil, nil
+	e.trace, e.traceNext = nil, 0
+	return true
+}
+
+// clear empties every segment and port, keeping their hole arrays.
+func (e *EIB) clear() {
 	for ri := range e.rings {
-		for s := range e.rings[ri].seg {
-			e.rings[ri].seg[s].reset()
+		r := &e.rings[ri]
+		for s := range r.seg {
+			r.seg[s].reset()
 		}
 	}
 	for i := range e.out {
 		e.out[i].reset()
 		e.in[i].reset()
 	}
-	e.cmdNextTenths = 0
-	e.pruneTick = 0
-	e.faults, e.tracer = nil, nil
-	e.trace, e.traceNext = nil, 0
-	return true
 }
 
 // Config returns the configuration the EIB was built with.
@@ -472,30 +480,94 @@ func (e *EIB) Command(earliest sim.Time) sim.Time {
 	return grant + e.cfg.CmdLatency
 }
 
-// portsFit converges the source-out and destination-in port constraints
-// to their joint fixed point at or after start: the earliest time both
-// ports are free for dur cycles. oIdx/iIdx are resume floors from earlier
-// calls against the same (unmutated) timelines at a time at or below
-// start; the returned indices are the settle positions for the returned
-// time, valid as resume floors for later calls and as insertion points
-// for reserveIdx.
-func (e *EIB) portsFit(src, dst RampID, start, dur sim.Time, oIdx, iIdx int) (sim.Time, int, int) {
+// fit returns the earliest start at or after at where dur cycles are
+// free for flow on candidate c's path segments and on the src out and dst
+// in ports: the first fit over the union of their blocked time. Each
+// resource's own first fit is monotone in its argument, so cycling
+// through the resources, each moving the start to its own first fit,
+// stops at the least start that all of them accept. The caller passes an
+// at that both ports accept. The search gives up at the first start at
+// or after limit and returns it: the candidate cannot beat a grant there.
+func (e *EIB) fit(c *ringCand, src, dst RampID, at, dur, limit sim.Time, flow int32) sim.Time {
+	r := &e.rings[c.ri]
+	gap := e.cfg.RingDeadCycles
 	out, in := &e.out[src], &e.in[dst]
+	// Bounds from the tails alone. Every resource accepts any start past
+	// its tail, so the grant is at most ub. A resource with no hole left
+	// that a start at or after at could fit in accepts nothing before its
+	// tail, so the grant is at least lb. Most of the time they meet, and
+	// that is the grant.
+	ub := max(at, out.end, in.end)
+	lb := at
+	if out.last < at+dur {
+		lb = max(lb, out.end)
+	}
+	if in.last < at+dur {
+		lb = max(lb, in.end)
+	}
+	for _, s := range c.segs {
+		sg := &r.seg[s]
+		after := sg.end
+		if sg.owner != flow {
+			after += gap
+		}
+		ub = max(ub, after)
+		if sg.last < at+dur {
+			lb = max(lb, after)
+		}
+	}
+	if lb == ub || lb >= limit {
+		return lb
+	}
+	// Otherwise cycle through the resources from lb. quiet counts the
+	// resources in a row that accept t: the ports accept at, and a
+	// resource that moves t accepts where it moved it.
+	segs := c.segs
+	nres := len(segs) + 2
+	t, quiet := lb, 2
+	if lb > at {
+		quiet = 0
+	}
+	for i := 0; quiet < nres; {
+		res, owner, g := out, int32(0), sim.Time(0)
+		switch i - len(segs) {
+		case 0:
+		case 1:
+			res = in
+		default:
+			res, owner, g = &r.seg[segs[i]], flow, gap
+		}
+		nt, ok := res.tailFit(t, dur, owner, g)
+		if !ok {
+			nt = res.holeFit(t, dur, owner, g)
+		}
+		if nt != t {
+			if nt >= limit {
+				return nt
+			}
+			t, quiet = nt, 1
+		} else {
+			quiet++
+		}
+		if i++; i == nres {
+			i = 0
+		}
+	}
+	return t
+}
+
+// portsFit returns the earliest start at or after at where dur cycles
+// are free on both the src out port and the dst in port.
+func (e *EIB) portsFit(src, dst RampID, at, dur sim.Time) sim.Time {
+	out, in := &e.out[src], &e.in[dst]
+	t := at
 	for {
-		f, oi, ok := out.tailFitNoGap(start)
-		if !ok {
-			f, oi = out.earliestFitFromNoGap(oIdx, start, dur)
+		t = out.fit(t, dur, 0, 0)
+		nt := in.fit(t, dur, 0, 0)
+		if nt == t {
+			return t
 		}
-		oIdx = oi
-		g, ii, ok := in.tailFitNoGap(f)
-		if !ok {
-			g, ii = in.earliestFitFromNoGap(iIdx, f, dur)
-		}
-		iIdx = ii
-		if g == start {
-			return start, oIdx, iIdx
-		}
-		start = g
+		t = nt
 	}
 }
 
@@ -506,13 +578,13 @@ func (e *EIB) portsFit(src, dst RampID, start, dur sim.Time, oIdx, iIdx int) (si
 // within one SPE, handled locally) complete after the pure beat time
 // without touching the rings.
 func (e *EIB) Transfer(src, dst RampID, bytes int, earliest sim.Time, done sim.Callee) {
-	end := e.transfer(src, dst, bytes, earliest)
+	end := e.transfer(src, dst, bytes, earliest, e.eng.Now())
 	e.eng.AtCallee(end, done, end)
 }
 
-// transfer books the transfer on the timetable and returns the completion
-// time.
-func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
+// transfer books the transfer on the timetable at simulated time now and
+// returns the completion time.
+func (e *EIB) transfer(src, dst RampID, bytes int, earliest, now sim.Time) sim.Time {
 	if bytes <= 0 {
 		panic("eib: transfer of zero bytes")
 	}
@@ -521,20 +593,19 @@ func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
 	}
 	beats := (bytes + e.cfg.BeatBytes - 1) / e.cfg.BeatBytes
 	dur := sim.Time(beats) * e.cfg.BusPeriod
-	if earliest < e.eng.Now() {
-		earliest = e.eng.Now()
+	if earliest < now {
+		earliest = now
 	}
 
 	if src == dst {
 		end := earliest + dur
 		e.perf.Local(bytes) // local transfers wait on nothing, by definition
-		e.record(TransferRecord{Issued: e.eng.Now(), Start: earliest, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: -1})
+		e.record(TransferRecord{Issued: now, Start: earliest, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: -1})
 		e.tracer.Emit(trace.RampTrack(int(src)), trace.KindTransfer,
 			earliest, end, int64(bytes), -1, int64(dst), 0)
 		return end
 	}
 
-	now := e.eng.Now()
 	flow := int32(src)<<8 | int32(dst)
 
 	// Injected ring-arbitration faults: a slowdown delays this transfer's
@@ -548,144 +619,66 @@ func (e *EIB) transfer(src, dst RampID, bytes int, earliest sim.Time) sim.Time {
 		outage = e.faults.EIBOutage(len(e.rings))
 	}
 
-	// Ring-independent prepass: converge the source and destination port
-	// constraints once. Every candidate ring's grant loop resumes from
-	// this lower bound — the per-ring fixed point is at or above it, and
-	// iterating a monotone constraint map from any point below its least
-	// fixed point converges to the same fixed point, so the grant time is
-	// bit-identical to starting each ring from earliest.
-	//
-	// The call is inlined for the all-tail case: when earliest clears both
-	// ports' last reservations the fixed point is earliest itself (each
-	// tail fit returns its input unchanged), which is the steady state of
-	// every flow the command-phase latency holds back behind its own
-	// previous packets.
-	var start0 sim.Time
-	var outIdx, inIdx int
-	if f, oi, ok := e.out[src].tailFitNoGap(earliest); ok {
-		if _, ii, ok2 := e.in[dst].tailFitNoGap(f); ok2 {
-			start0, outIdx, inIdx = f, oi, ii
-		} else {
-			start0, outIdx, inIdx = e.portsFit(src, dst, earliest, dur, oi, 0)
-		}
-	} else {
-		start0, outIdx, inIdx = e.portsFit(src, dst, earliest, dur, 0, 0)
+	// The ports come first: they do not depend on the ring, so their
+	// joint first fit is a lower bound for every candidate, and each
+	// candidate's search starts there.
+	start0 := earliest
+	if earliest < e.out[src].end || earliest < e.in[dst].end {
+		start0 = e.portsFit(src, dst, earliest, dur)
 	}
 
-	// Candidate rings: those whose direction reaches dst in <= 6 hops,
-	// precomputed per flow at construction (e.plan). For each, find the
-	// earliest instant at which the source port, the destination port and
-	// every path segment are simultaneously free for the whole duration
-	// (iterated first-fit across the resources). Settle indices from each
-	// earliestFitFrom call feed the next iteration as exact resume
-	// floors, and the winning ring's final indices feed reserveIdx, so no
-	// resource is ever searched twice.
+	// Candidate rings — those whose direction reaches dst in <= 6 hops,
+	// precomputed per flow in e.plan — are searched in ring-index order,
+	// and ties go to the lowest index. Once a grant exists, a candidate
+	// that cannot start before it is denied, and a grant at the ports'
+	// lower bound ends the search: no later ring can beat it.
 	gap := e.cfg.RingDeadCycles
 	cands := e.plan[src][dst].cand
 	best := -1 // index into cands
-	bestRing := -1
 	var bestStart sim.Time
-	var bestOutIdx, bestInIdx int
-	var segIdx, bestSegIdx [NumRamps / 2]int
-rings:
 	for ci := range cands {
 		c := &cands[ci]
-		ri := int(c.ri)
-		if ri == outage {
+		if int(c.ri) == outage {
 			e.perf.Abandons[src]++
 			continue
 		}
-		r := &e.rings[ri]
-		segs := c.segs
-		start := start0
-		oIdx, iIdx := outIdx, inIdx
-		for k := range segs {
-			segIdx[k] = 0
+		limit := sim.Time(maxTime)
+		if best != -1 {
+			limit = bestStart
 		}
-		for {
-			// Segments first: the ports are known-satisfied at start (the
-			// prepass pins start0; later iterations re-verify below), so
-			// in the common uncontended case a ring costs one pass over
-			// its path segments and the ports are never searched again.
-			next := start
-			for k, s := range segs {
-				f, si, ok := r.seg[s].tailFit(next, flow, gap)
-				if !ok {
-					f, si = r.seg[s].earliestFitFrom(segIdx[k], next, dur, flow, gap)
-				}
-				segIdx[k] = si
-				if f > next {
-					next = f
-				}
-			}
-			if next == start {
-				break
-			}
-			// The grant bound only ever moves later, so once it reaches
-			// the best ring so far this ring is out of the running (ties
-			// go to the earliest ring index, which the best ring holds).
-			if best != -1 && next >= bestStart {
-				e.perf.Denies[src]++
-				continue rings
-			}
-			// A segment pushed the grant: re-converge the ports at the
-			// pushed time before trusting it. The loop then re-verifies
-			// the segments at the ports' fixed point, so a break only
-			// happens with every constraint checked at start.
-			start, oIdx, iIdx = e.portsFit(src, dst, next, dur, oIdx, iIdx)
-			if best != -1 && start >= bestStart {
-				e.perf.Denies[src]++
-				continue rings
-			}
+		t := e.fit(c, src, dst, start0, dur, limit, flow)
+		if t >= limit {
+			e.perf.Denies[src]++
+			continue
 		}
-		if best == -1 || start < bestStart {
-			best, bestRing, bestStart = ci, ri, start
-			bestOutIdx, bestInIdx, bestSegIdx = oIdx, iIdx, segIdx
-			if bestStart == start0 {
-				// No later ring can improve on the port-constrained lower
-				// bound, and ties go to the earliest ring index anyway.
-				break
-			}
+		best, bestStart = ci, t
+		if t == start0 {
+			break
 		}
 	}
 	if best == -1 {
 		panic(fmt.Sprintf("eib: no eligible ring %v -> %v", src, dst))
 	}
 
-	bestSegs := cands[best].segs
+	c := &cands[best]
+	bestRing := int(c.ri)
 	r := &e.rings[bestRing]
-	for k, s := range bestSegs {
-		r.seg[s].reserveIdx(bestSegIdx[k], bestStart, dur, flow)
+	for _, s := range c.segs {
+		r.seg[s].book(bestStart, dur, flow, gap, now)
 	}
-	e.out[src].reserveIdx(bestOutIdx, bestStart, dur, flow)
-	e.in[dst].reserveIdx(bestInIdx, bestStart, dur, flow)
-
-	// Prune stale intervals after reserving, and only on the resources
-	// that were reserved: a timeline only accumulates intervals through
-	// reserve, so pruning winners bounds every timeline, while the search
-	// above skips expired intervals via its binary-searched bound at the
-	// same cost either way. (Grant times are unaffected: stale intervals
-	// end at or before now <= earliest and can never push a fit.) The
-	// pass is further amortized over transfers — every eighth is plenty
-	// to keep the dead prefixes bounded.
-	if e.pruneTick++; e.pruneTick&7 == 0 {
-		for _, s := range bestSegs {
-			r.seg[s].prune(now)
-		}
-		e.out[src].prune(now)
-		e.in[dst].prune(now)
-	}
+	e.out[src].book(bestStart, dur, 0, 0, now)
+	e.in[dst].book(bestStart, dur, 0, 0, now)
 
 	// The last beat arrives after the pipeline drains through the hops.
-	end := bestStart + dur + sim.Time(cands[best].hops)*e.cfg.BusPeriod
+	end := bestStart + dur + sim.Time(c.hops)*e.cfg.BusPeriod
 
 	e.perf.Grant(int(src), int(dst), bestRing, uint64(dur), uint64(bestStart-earliest), bytes)
-	e.record(TransferRecord{Issued: e.eng.Now(), Start: bestStart, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: bestRing})
+	e.record(TransferRecord{Issued: now, Start: bestStart, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: bestRing})
 
 	e.tracer.Emit(trace.RampTrack(int(src)), trace.KindTransfer,
 		bestStart, bestStart+dur, int64(bytes), int64(bestRing), int64(dst), int64(bestStart-earliest))
 	if e.tracer.Enabled(trace.KindSegment) {
-		for _, s := range bestSegs {
+		for _, s := range c.segs {
 			e.tracer.Emit(trace.SegTrack(bestRing, s), trace.KindSegment,
 				bestStart, bestStart+dur, int64(bytes), int64(src), int64(dst), 0)
 		}

@@ -16,9 +16,9 @@ import "cellbe/internal/sim"
 // full rate while oversubscribed rings (the paper's saturated-EIB
 // experiments) lose efficiency.
 //
-// The representation is tuned for the simulator's hot path, where prune /
-// earliestFit / reserve are called for every candidate ring of every
-// transfer. The live intervals are the window iv[head:]: prune advances
+// timeline is the reference the EIB's grant path is checked against
+// (oracleEIB): it stores busy time where the EIB stores free time. The
+// live intervals are the window iv[head:]: prune advances
 // the head cursor instead of re-slicing (re-slicing permanently discards
 // the prefix capacity, so the slice crawls through its backing array and
 // reallocates over and over). The expired prefix iv[:head] doubles as a
@@ -33,25 +33,18 @@ type timeline struct {
 	head int        // amortized prune cursor: index of the first live interval
 }
 
-type interval struct {
-	s, e  sim.Time // [s, e)
-	owner int32
-}
-
 // compactAt is the dead-prefix length beyond which prune copies the live
 // window back to the front of the backing array. Small enough to bound
 // waste, large enough that each interval is moved O(1) times overall.
 const compactAt = 32
 
+type interval struct {
+	s, e  sim.Time // [s, e)
+	owner int32
+}
+
 // live returns the live (not yet pruned) intervals, sorted and disjoint.
 func (t *timeline) live() []interval { return t.iv[t.head:] }
-
-// reset empties the timeline while keeping its backing array, so a
-// recycled EIB starts with the interval capacity its previous run grew.
-func (t *timeline) reset() {
-	t.iv = t.iv[:0]
-	t.head = 0
-}
 
 // prune discards intervals that ended at or before now; they can never
 // affect a future reservation because earliest >= now always holds.
@@ -165,35 +158,6 @@ func (t *timeline) earliestFitFrom(from int, earliest, dur sim.Time, owner int32
 			return start, i
 		}
 	}
-}
-
-// tailFit is the inlinable tail fast path of earliestFitFrom: it answers
-// only when earliest clears the last reservation (fit at the open tail,
-// where just the final switching gap can matter) and reports ok=false
-// otherwise, leaving the general search to the full routine. Hot callers
-// try it first so the steady single-flow case never pays a function call.
-func (t *timeline) tailFit(earliest sim.Time, owner int32, gap sim.Time) (sim.Time, int, bool) {
-	n := len(t.iv) - t.head
-	if n == 0 {
-		return earliest, 0, true
-	}
-	last := t.iv[len(t.iv)-1]
-	if earliest < last.e {
-		return 0, 0, false
-	}
-	if last.owner != owner && earliest < last.e+gap {
-		return last.e + gap, n, true
-	}
-	return earliest, n, true
-}
-
-// tailFitNoGap is tailFit for gap-free timelines (ramp ports).
-func (t *timeline) tailFitNoGap(earliest sim.Time) (sim.Time, int, bool) {
-	n := len(t.iv) - t.head
-	if n == 0 || earliest >= t.iv[len(t.iv)-1].e {
-		return earliest, n, true
-	}
-	return 0, 0, false
 }
 
 // earliestFitFromNoGap is earliestFitFrom specialized for gap == 0 (ramp

@@ -202,7 +202,7 @@ type Journal struct {
 	syncs   int64
 	lastErr string
 
-	// live state, maintained across appends for Compact
+	// live state, maintained across appends for compaction
 	jobs    map[string]*liveJob
 	jobSeq  []string // submission order
 	points  []pointEntry
@@ -384,8 +384,8 @@ func (j *Journal) AppendDone(jid string) error {
 	return nil
 }
 
-// CompactIfDue rewrites the file in place (atomic rename), as Compact
-// does, once most of it is dead weight: done jobs' records, superseded
+// CompactIfDue rewrites the file in place (atomic rename), keeping only
+// what a restart needs, once most of it is dead weight: done jobs' records, superseded
 // points, and warm points beyond the KeepPoints cap. Otherwise it does
 // nothing. Its cost grows with the file.
 func (j *Journal) CompactIfDue() error {
@@ -560,16 +560,10 @@ func (j *Journal) Health() Health {
 	}
 }
 
-// Compact rewrites the journal keeping only what a restart needs: job
-// records of unfinished jobs, every point of an unfinished job, and the
-// newest KeepPoints other points as cache warmers. The rewrite is
+// compactLocked rewrites the journal keeping only what a restart needs:
+// job records of unfinished jobs, every point of an unfinished job, and
+// the newest KeepPoints other points as cache warmers. The rewrite is
 // atomic (temp file + rename); on any error the old journal survives.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.compactLocked()
-}
-
 func (j *Journal) compactLocked() error {
 	if j.crashed || j.closed {
 		return nil

@@ -27,13 +27,6 @@ type AtomicFabric interface {
 	CondWrite(owner int, ea int64, earliest sim.Time, src []byte, done func(end sim.Time, ok bool))
 }
 
-// SupportsAtomics reports whether the MFC's fabric implements the
-// lock-line reservation protocol.
-func (m *MFC) SupportsAtomics() bool {
-	_, ok := m.fabric.(AtomicFabric)
-	return ok
-}
-
 // GetLLAR performs an atomic load-and-reserve of the 128-byte line at ea
 // into lsAddr. owner identifies the reserving SPE. done fires at
 // completion. Panics if the fabric has no atomic support.

@@ -401,9 +401,6 @@ func (m *MFC) Stats() Stats {
 	}
 }
 
-// QueueFree returns the number of free SPU command-queue slots.
-func (m *MFC) QueueFree() int { return m.cfg.QueueDepth - m.spuQueue }
-
 // TagIncomplete returns the number of incomplete commands in tag group t.
 func (m *MFC) TagIncomplete(t int) int { return m.tagCount[t] }
 

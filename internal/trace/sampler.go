@@ -63,9 +63,6 @@ func NewSampler(eng *sim.Engine, interval sim.Time) *Sampler {
 	return &Sampler{eng: eng, interval: interval}
 }
 
-// Interval returns the sampling period in cycles.
-func (s *Sampler) Interval() sim.Time { return s.interval }
-
 // Gauge registers an instantaneous metric column (queue depths, token
 // levels): each row records fn() at the sample cycle.
 func (s *Sampler) Gauge(name string, fn func() float64) {
