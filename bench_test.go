@@ -275,37 +275,28 @@ func BenchmarkEIBSaturated(b *testing.B) {
 	})
 }
 
-// BenchmarkSweep measures the parallel sweep runner end to end: a small
-// seeds x chunks grid of saturated-cycle runs fanned across workers.
+// BenchmarkSweep measures the parallel sweep runner end to end: the
+// sweepBenchSpec grid of saturated-cycle runs fanned across workers. The
+// Sweep row records each iteration's point/s (median, quartiles, min);
+// TestSweepThroughputSmoke holds a fresh sweep to its median. Record it
+// with: go test -run xxx -bench 'Sweep$' -benchtime 20x .
 func BenchmarkSweep(b *testing.B) {
-	spec := core.SweepSpec{
-		Scenario: "cycle",
-		SPEs:     8,
-		Chunks:   []int{1024, 4096},
-		Seeds:    []int64{1, 2, 3},
-		Volume:   128 << 10,
-	}
-	var results []core.SweepResult
+	spec := sweepBenchSpec()
+	var points float64
+	var samples []float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = core.RunSweep(spec)
+		start := time.Now()
+		results, err := core.RunSweep(spec)
 		if err != nil {
 			b.Fatal(err)
 		}
+		points = float64(len(results))
+		samples = append(samples, points/time.Since(start).Seconds())
 	}
 	b.StopTimer()
-	points := float64(len(results))
-	elapsed := b.Elapsed().Seconds()
-	if elapsed > 0 {
-		b.ReportMetric(points*float64(b.N)/elapsed, "points/s")
-	}
-	recordBenchBaseline(b, "Sweep", map[string]any{
-		"points":  points,
-		"ns/op":   elapsed * 1e9 / float64(b.N),
-		"point/s": points * float64(b.N) / elapsed,
-	})
+	recordTimedBaseline(b, "Sweep", "point/s", samples, map[string]any{"points": points})
 }
 
 // BenchmarkSweepWarm measures the same grid as BenchmarkSweep on one

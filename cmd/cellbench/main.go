@@ -125,18 +125,20 @@ func run() (code int) {
 		fmt.Print(conformance.Doc())
 		return 0
 	}
-	if *conform {
-		d := conformance.NewDataset(conformance.QuickParams(*conformShort))
-		if failed := conformance.Report(os.Stdout, conformance.EvalAll(d, *conformShort)); failed > 0 {
-			return 1
-		}
-		return 0
-	}
 
 	base, err := baseConfig(*cfgIn, *faultSpec, *faultSeed, *maxCycles)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
 		return 2
+	}
+	if *conform {
+		params := conformance.QuickParams(*conformShort)
+		params.Base = base
+		d := conformance.NewDataset(params)
+		if failed := conformance.Report(os.Stdout, conformance.EvalAll(d, *conformShort)); failed > 0 {
+			return 1
+		}
+		return 0
 	}
 
 	obs := observability{
@@ -222,28 +224,16 @@ func run() (code int) {
 	return 0
 }
 
-// baseConfig combines the -config override with the fault-injection and
-// watchdog flags into the machine configuration experiments run on. It
-// returns nil when every knob is at its default, so the common path keeps
-// using cell.DefaultConfig lazily.
+// baseConfig combines the -config overlay with the fault-injection and
+// watchdog flags into the machine configuration every mode runs on.
 func baseConfig(cfgIn, faultSpec string, faultSeed, maxCycles int64) (*cell.Config, error) {
-	var base *cell.Config
-	ensure := func() *cell.Config {
-		if base == nil {
-			b := cell.DefaultConfig()
-			base = &b
-		}
-		return base
-	}
+	base := cell.DefaultConfig()
 	if cfgIn != "" {
 		data, err := os.ReadFile(cfgIn)
+		if err == nil {
+			base, err = cell.ParseConfig(data)
+		}
 		if err != nil {
-			return nil, err
-		}
-		if err := json.Unmarshal(data, ensure()); err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", cfgIn, err)
-		}
-		if err := base.Validate(); err != nil {
 			return nil, fmt.Errorf("%s: %v", cfgIn, err)
 		}
 	}
@@ -252,14 +242,13 @@ func baseConfig(cfgIn, faultSpec string, faultSeed, maxCycles int64) (*cell.Conf
 		if err != nil {
 			return nil, err
 		}
-		b := ensure()
-		b.Faults = fc
-		b.FaultSeed = faultSeed
+		base.Faults = fc
+		base.FaultSeed = faultSeed
 	}
 	if maxCycles > 0 {
-		ensure().MaxCycles = sim.Time(maxCycles)
+		base.MaxCycles = sim.Time(maxCycles)
 	}
-	return base, nil
+	return &base, nil
 }
 
 // observability bundles the -trace/-metrics flags. In sweep mode they
@@ -421,13 +410,9 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 		if point == nil {
 			return fmt.Errorf("-perf: instrumented point chunk=%d seed=%d not found in results", chunkSizes[0], seedList[0])
 		}
-		cfg := cell.DefaultConfig()
-		if base != nil {
-			cfg = *base
-		}
 		rep := report.BuildPerf(report.PerfInput{
 			Rollup:    perfSys.Perf().Rollup(),
-			ClockGHz:  cfg.ClockGHz,
+			ClockGHz:  base.ClockGHz,
 			AppGBps:   point.GBps,
 			AppCycles: point.Cycles,
 		})

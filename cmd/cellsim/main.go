@@ -21,7 +21,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -46,7 +45,7 @@ func main() {
 		dmalist  = flag.Bool("dmalist", false, "use the DMA-list kernel variant (GETL/PUTL)")
 		volume   = flag.Int64("volume", 2<<20, "bytes per SPE")
 		seed     = flag.Int64("seed", 0, "layout seed (0 = identity)")
-		dumpN    = flag.Int("dump-transfers", 0, "print the last N EIB transfers as CSV")
+		dumpN    = flag.Int("dump-transfers", 0, "print the last N EIB transfers as CSV (start,end,src,dst,bytes,ring,wait)")
 		cfgIn    = flag.String("config", "", "JSON file overriding the machine configuration (see cellbench -dump-config)")
 
 		faultSpec = flag.String("faults", "", "fault injection spec, e.g. mfc-retry:0.01,xdr-stall:0.05 (keys: "+strings.Join(fault.Keys(), ", ")+")")
@@ -66,23 +65,15 @@ func main() {
 	cfg := cell.DefaultConfig()
 	if *cfgIn != "" {
 		data, err := os.ReadFile(*cfgIn)
+		if err == nil {
+			cfg, err = cell.ParseConfig(data)
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cellsim: %v\n", err)
-			os.Exit(2)
-		}
-		if err := json.Unmarshal(data, &cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "cellsim: parsing %s: %v\n", *cfgIn, err)
-			os.Exit(2)
-		}
-		if err := cfg.Validate(); err != nil {
 			fmt.Fprintf(os.Stderr, "cellsim: %s: %v\n", *cfgIn, err)
 			os.Exit(2)
 		}
 	}
 	cfg.Layout = cell.RandomLayout(*seed)
-	if *dumpN > 0 {
-		cfg.EIB.TraceCapacity = *dumpN
-	}
 	if *faultSpec != "" {
 		fc, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
@@ -111,7 +102,7 @@ func main() {
 	// flushObservability writes the trace and metrics files; it runs on
 	// failure paths too, so a wedged run still leaves an inspectable trace.
 	flushObservability := func() {
-		if tracer != nil {
+		if *traceOut != "" && tracer != nil {
 			if err := writeTrace(*traceOut, tracer); err != nil {
 				fmt.Fprintf(os.Stderr, "cellsim: %v\n", err)
 				os.Exit(1)
@@ -155,10 +146,15 @@ func main() {
 		MaxCycles: sim.Time(*maxCycles),
 		Instrument: func(_ int, _ int64, s *cell.System) bool {
 			sys = s
-			if *traceOut != "" {
+			switch {
+			case *traceOut != "":
 				tracer = trace.New(*traceEvents, traceMask)
-				s.SetTracer(tracer)
+			case *dumpN > 0:
+				// Without -trace, -dump-transfers arms a tracer that
+				// keeps just the last N transfers.
+				tracer = trace.New(*dumpN, trace.Mask(1)<<trace.KindTransfer)
 			}
+			s.SetTracer(tracer)
 			if *metricsOut != "" {
 				sampler = s.StartMetrics(sim.Time(*metricsEvery))
 			}
@@ -245,10 +241,22 @@ func main() {
 	}
 
 	if *dumpN > 0 {
-		fmt.Printf("\nissued,start,end,src,dst,bytes,ring\n")
-		for _, tr := range sys.Bus.Trace() {
-			fmt.Printf("%d,%d,%d,%v,%v,%d,%d\n",
-				tr.Issued, tr.Start, tr.End, tr.Src, tr.Dst, tr.Bytes, tr.Ring)
+		// A transfer event sits on its source ramp's track and spans
+		// [start, end): end is when the ring and ports are released.
+		rampOf := make(map[trace.Track]eib.RampID, eib.NumRamps)
+		for r := 0; r < eib.NumRamps; r++ {
+			rampOf[trace.RampTrack(r)] = eib.RampID(r)
+		}
+		var transfers []trace.Event
+		for _, ev := range tracer.Events() {
+			if ev.Kind == trace.KindTransfer {
+				transfers = append(transfers, ev)
+			}
+		}
+		fmt.Printf("\nstart,end,src,dst,bytes,ring,wait\n")
+		for _, ev := range transfers[max(0, len(transfers)-*dumpN):] {
+			fmt.Printf("%d,%d,%v,%v,%d,%d,%d\n",
+				ev.Start, ev.End, rampOf[ev.Track], eib.RampID(ev.C), ev.A, ev.B, ev.D)
 		}
 	}
 

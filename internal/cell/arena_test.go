@@ -194,7 +194,7 @@ func TestArenaMixedHistory(t *testing.T) {
 	odd.EIB.RingsPerDirection = 1
 	odd.Faults = fault.Config{MFCRetryRate: 0.02, XDRStallRate: 0.02, EIBSlowRate: 0.02, DoneDelayRate: 0.02}
 	odd.FaultSeed = 11
-	odd.NoiseEvery, odd.NoiseCycles = 20000, 500
+	odd.Mem.NoisePeriod, odd.Mem.NoiseCycles = 20000, 500
 	odd.Layout = RandomLayout(5)
 	configs := []Config{DefaultConfig(), odd}
 	scenarios := []Scenario{

@@ -13,7 +13,11 @@
 package cell
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 
 	"cellbe/internal/eib"
@@ -49,12 +53,6 @@ type Config struct {
 	LSBase int64
 	// LSSpan is the EA stride between consecutive SPEs' local stores.
 	LSSpan int64
-	// NoiseEvery/NoiseCycles inject periodic OS interference: every
-	// NoiseEvery cycles the MIC-side bank is stolen for NoiseCycles.
-	// Off by default; the paper's warm-up discipline exists precisely to
-	// exclude this — it is a failure-injection knob for tests.
-	NoiseEvery  sim.Time
-	NoiseCycles sim.Time
 	// Faults enables deterministic fault injection across the model
 	// (MFC command-bus retries, XDR bank stalls, EIB ring slowdowns and
 	// outages, delayed completions). Zero value disables injection.
@@ -179,6 +177,32 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ParseConfig is the one decoder of a machine configuration read from
+// outside the program (the CLIs' -config files, a cellserve request's
+// config). data is a JSON overlay over DefaultConfig: a key it sets
+// overrides the calibrated value, a key it omits keeps it, and {} is the
+// default machine. A key Config does not have is an error, not ignored;
+// so is a Layout, because every front end derives the layout from its
+// layout seed; and so is a config Validate rejects.
+func ParseConfig(data []byte) (Config, error) {
+	cfg := DefaultConfig()
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
+		return Config{}, fmt.Errorf("cell: decoding config: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, errors.New("cell: decoding config: data after the JSON object")
+	}
+	if cfg.Layout != nil {
+		return Config{}, errors.New("cell: config sets Layout, which is derived from the layout seed")
+	}
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
+	return cfg, nil
+}
+
 // New builds a system from cfg.
 func New(cfg Config) *System {
 	s := &System{}
@@ -213,15 +237,12 @@ func (s *System) init(cfg Config) {
 	if freshBus {
 		s.Bus = eib.New(eng, cfg.EIB)
 	}
-	memCfg := cfg.Mem
-	memCfg.NoisePeriod = cfg.NoiseEvery
-	memCfg.NoiseCycles = cfg.NoiseCycles
 	if s.Mem == nil || freshBus {
 		// The memory system routes through the bus instance, so a rebuilt
 		// bus forces a rebuilt memory front end too.
-		s.Mem = xdr.New(eng, s.Bus, memCfg)
+		s.Mem = xdr.New(eng, s.Bus, cfg.Mem)
 	} else {
-		s.Mem.Reset(memCfg)
+		s.Mem.Reset(cfg.Mem)
 	}
 	s.cfg = cfg
 	s.cfg.Layout = layout

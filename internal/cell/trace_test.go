@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -231,5 +232,42 @@ func TestStartMetricsLeavesRunUnchanged(t *testing.T) {
 	}
 	if got, want := len(sa.Timeseries().Rows), int(sampled.Eng.Now()/every); got != want {
 		t.Fatalf("got %d timeseries rows, want %d (one per full %d-cycle window)", got, want, every)
+	}
+}
+
+// TestTransferOnlyTracerKeepsLastN: a tracer that records only EIB
+// transfers, with capacity n, holds exactly the last n transfers of a
+// run, oldest first — what cellsim -dump-transfers prints. The reference
+// is the same run traced with room for every transfer.
+func TestTransferOnlyTracerKeepsLastN(t *testing.T) {
+	sc := Scenario{Kind: "cycle", SPEs: 8, Chunk: 4096, Volume: 64 << 10}
+	run := func(capacity int) ([]trace.Event, int64) {
+		cfg := DefaultConfig()
+		cfg.Layout = RandomLayout(7)
+		sys := New(cfg)
+		defer sys.Release()
+		tr := trace.New(capacity, trace.Mask(1)<<trace.KindTransfer)
+		sys.SetTracer(tr)
+		if _, err := sc.Install(sys); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.RunChecked(0); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Events(), sys.Bus.Stats().Transfers
+	}
+	all, transfers := run(1 << 20)
+	if int64(len(all)) != transfers {
+		t.Fatalf("tracer holds %d events for %d transfers", len(all), transfers)
+	}
+	for _, ev := range all {
+		if ev.Kind != trace.KindTransfer {
+			t.Fatalf("transfer-only tracer recorded a %v event", ev.Kind)
+		}
+	}
+	const n = 100
+	last, _ := run(n)
+	if !reflect.DeepEqual(last, all[len(all)-n:]) {
+		t.Fatalf("capacity-%d tracer does not hold the run's last %d transfers in order", n, n)
 	}
 }

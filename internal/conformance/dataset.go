@@ -227,7 +227,7 @@ var probes = map[string]probe{
 	"gups-bank": {
 		tweak: func(p *core.Params) { p.BytesPerSPE = 128 << 10 },
 		run: func(p core.Params) (*core.Result, error) {
-			single := cell.DefaultConfig()
+			single := baseConfig(p)
 			single.Mem.Interleave = false
 			spec := core.SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{64}}
 			return workloadProbe(p, "gups-bank", "GUPS updates: interleaved banks vs a single bank",
@@ -321,16 +321,22 @@ func workloadProbe(p core.Params, name, title string, variants []workloadVariant
 	return &core.Result{Name: name, Title: title, XLabel: "element size (bytes)", YLabel: "GB/s", Curves: curves}, nil
 }
 
+// baseConfig returns a copy of the machine the dataset evaluates on, for
+// a probe variant to change one knob of.
+func baseConfig(p core.Params) cell.Config {
+	if p.Base != nil {
+		return p.Base.Clone()
+	}
+	return cell.DefaultConfig()
+}
+
 // configProbe runs one sweep scenario at 16 KB chunks twice — once with a
 // config knob off, once on — and returns the pair as two curves named by
 // the mutator.
 func configProbe(p core.Params, name, scenario string, spes int, mutate func(cfg *cell.Config, on bool) string) (*core.Result, error) {
 	var variants []workloadVariant
 	for _, on := range []bool{false, true} {
-		base := cell.DefaultConfig()
-		if p.Base != nil {
-			base = *p.Base
-		}
+		base := baseConfig(p)
 		label := mutate(&base, on)
 		variants = append(variants, workloadVariant{label: label, base: &base,
 			spec: core.SweepSpec{Scenario: scenario, SPEs: spes, Op: "get", Chunks: []int{16384}}})
@@ -352,10 +358,7 @@ func ppePrefetchProbe(p core.Params) (*core.Result, error) {
 	p.Runs = 1
 	p.Elems = []int{8}
 	for _, on := range []bool{false, true} {
-		cfg := cell.DefaultConfig()
-		if p.Base != nil {
-			cfg = *p.Base
-		}
+		cfg := baseConfig(p)
 		label := "prefetch on"
 		if !on {
 			cfg.PPE.PrefetchDepth = 0

@@ -111,9 +111,6 @@ type Config struct {
 	CmdIntervalTenths int64
 	// RingsPerDirection is the number of data rings in each direction (2).
 	RingsPerDirection int
-	// TraceCapacity, when positive, keeps a ring buffer of the most
-	// recent data transfers for inspection (cellsim -dump-transfers).
-	TraceCapacity int
 	// RingDeadCycles is the switching gap a ring segment pays between
 	// reservations of *different* flows (src/dst pairs): a granted flow
 	// streams gaplessly, but interleaving flows re-arbitrate. Invisible
@@ -195,17 +192,6 @@ type Stats struct {
 	PerDirBytes      [2]int64
 }
 
-// TransferRecord is one traced data transfer.
-type TransferRecord struct {
-	Issued sim.Time // when the transfer was requested
-	Start  sim.Time // when the data began moving
-	End    sim.Time // when the last beat arrived
-	Src    RampID
-	Dst    RampID
-	Bytes  int
-	Ring   int // granted ring index; -1 for ramp-local transfers
-}
-
 // EIB is the interconnect model. It is not safe for concurrent use: all
 // calls must come from simulation events.
 type EIB struct {
@@ -221,8 +207,6 @@ type EIB struct {
 	faults        *fault.Injector
 	tracer        *trace.Tracer
 	perf          *perfctr.EIBCounters
-	trace         []TransferRecord
-	traceNext     int
 }
 
 // SetFaults attaches a fault injector (nil disables injection). Wired by
@@ -247,34 +231,6 @@ func (e *EIB) CommandBacklog() sim.Time {
 		return ahead - now
 	}
 	return 0
-}
-
-// Trace returns the retained transfer records, oldest first. Empty unless
-// Config.TraceCapacity is set.
-func (e *EIB) Trace() []TransferRecord {
-	if len(e.trace) < cap(e.trace) {
-		return append([]TransferRecord(nil), e.trace...)
-	}
-	out := make([]TransferRecord, 0, len(e.trace))
-	out = append(out, e.trace[e.traceNext:]...)
-	out = append(out, e.trace[:e.traceNext]...)
-	return out
-}
-
-// record adds a transfer to the trace ring buffer.
-func (e *EIB) record(r TransferRecord) {
-	if e.cfg.TraceCapacity <= 0 {
-		return
-	}
-	if e.trace == nil {
-		e.trace = make([]TransferRecord, 0, e.cfg.TraceCapacity)
-	}
-	if len(e.trace) < cap(e.trace) {
-		e.trace = append(e.trace, r)
-		return
-	}
-	e.trace[e.traceNext] = r
-	e.traceNext = (e.traceNext + 1) % cap(e.trace)
 }
 
 // New returns an EIB bound to eng with the given configuration.
@@ -340,7 +296,6 @@ func (e *EIB) Reset(cfg Config) bool {
 	e.clear()
 	e.cmdNextTenths = 0
 	e.faults, e.tracer = nil, nil
-	e.trace, e.traceNext = nil, 0
 	return true
 }
 
@@ -600,7 +555,6 @@ func (e *EIB) transfer(src, dst RampID, bytes int, earliest, now sim.Time) sim.T
 	if src == dst {
 		end := earliest + dur
 		e.perf.Local(bytes) // local transfers wait on nothing, by definition
-		e.record(TransferRecord{Issued: now, Start: earliest, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: -1})
 		e.tracer.Emit(trace.RampTrack(int(src)), trace.KindTransfer,
 			earliest, end, int64(bytes), -1, int64(dst), 0)
 		return end
@@ -673,7 +627,6 @@ func (e *EIB) transfer(src, dst RampID, bytes int, earliest, now sim.Time) sim.T
 	end := bestStart + dur + sim.Time(c.hops)*e.cfg.BusPeriod
 
 	e.perf.Grant(int(src), int(dst), bestRing, uint64(dur), uint64(bestStart-earliest), bytes)
-	e.record(TransferRecord{Issued: now, Start: bestStart, End: end, Src: src, Dst: dst, Bytes: bytes, Ring: bestRing})
 
 	e.tracer.Emit(trace.RampTrack(int(src)), trace.KindTransfer,
 		bestStart, bestStart+dur, int64(bytes), int64(bestRing), int64(dst), int64(bestStart-earliest))

@@ -312,39 +312,3 @@ func TestTransferLowerBoundProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTransferTrace(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.TraceCapacity = 3
-	bus := New(eng, cfg)
-	for i := 0; i < 5; i++ {
-		bus.Transfer(RampPPE, RampSPE1, 128*(i+1), 0, sim.CalleeFunc(func(sim.Time) {}))
-	}
-	eng.Run()
-	tr := bus.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace kept %d records, want capacity 3", len(tr))
-	}
-	// Ring buffer keeps the most recent: transfers 3, 4, 5.
-	if tr[0].Bytes != 128*3 || tr[2].Bytes != 128*5 {
-		t.Fatalf("trace contents wrong: %+v", tr)
-	}
-	for i := 1; i < len(tr); i++ {
-		if tr[i].Start < tr[i-1].Start {
-			t.Fatal("trace must be oldest-first")
-		}
-	}
-	if tr[0].Src != RampPPE || tr[0].Dst != RampSPE1 || tr[0].Ring < 0 {
-		t.Fatalf("bad record %+v", tr[0])
-	}
-}
-
-func TestTraceDisabledByDefault(t *testing.T) {
-	eng, bus := newEIB()
-	bus.Transfer(RampPPE, RampSPE1, 128, 0, sim.CalleeFunc(func(sim.Time) {}))
-	eng.Run()
-	if len(bus.Trace()) != 0 {
-		t.Fatal("trace must be off by default")
-	}
-}

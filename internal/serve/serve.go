@@ -11,7 +11,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -132,10 +131,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // SweepRequest is the submission body for /v1/sweeps and /v1/scenarios.
 // Seeds may be listed explicitly or expanded from seed_count/first_seed
 // (the cellbench convention); faults is a fault.ParseSpec string like
-// "mfc=0.01,xdr=0.05". Config is a partial cell.Config overlay: fields
-// it sets override the server's default machine, fields it omits keep
-// their calibrated values, so {} (or omitting it) means the default
-// dual-Cell blade.
+// "mfc=0.01,xdr=0.05". Config is a partial cell.Config overlay, decoded
+// by cell.ParseConfig: fields it sets override the server's default
+// machine, fields it omits keep their calibrated values, so {} (or
+// omitting it) means the default dual-Cell blade; an unknown key or a
+// Layout is a 400.
 type SweepRequest struct {
 	Scenario  string          `json:"scenario"`
 	SPEs      int             `json:"spes"`
@@ -312,14 +312,13 @@ func (s *Server) spec(req *SweepRequest) (core.SweepSpec, error) {
 			seeds[i] = req.FirstSeed + int64(i)
 		}
 	}
-	// A request config is a partial overlay: decode it over the defaults
-	// so {"ClockGHz": 3.2} adjusts one knob without the client restating
-	// the whole machine, and {} means the default machine.
+	// A request config is a partial overlay (cell.ParseConfig), so
+	// {"ClockGHz": 3.2} adjusts one knob without the client restating the
+	// whole machine, and {} means the default machine.
 	cfg := cell.DefaultConfig()
 	if len(req.Config) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(req.Config))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&cfg); err != nil {
+		var err error
+		if cfg, err = cell.ParseConfig(req.Config); err != nil {
 			return core.SweepSpec{}, fmt.Errorf("config: %w", err)
 		}
 	}
@@ -332,9 +331,6 @@ func (s *Server) spec(req *SweepRequest) (core.SweepSpec, error) {
 	}
 	if req.FaultSeed != 0 {
 		cfg.FaultSeed = req.FaultSeed
-	}
-	if err := cfg.Validate(); err != nil {
-		return core.SweepSpec{}, fmt.Errorf("config: %w", err)
 	}
 	budget := req.MaxCycles
 	if limit := s.opts.MaxCycles; limit > 0 && (budget <= 0 || budget > limit) {

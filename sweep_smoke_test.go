@@ -48,9 +48,9 @@ func sweepBenchSpec() core.SweepSpec {
 }
 
 // TestSweepThroughputSmoke holds end-to-end sweep throughput to the
-// BENCH_eib.json Sweep baseline within a generous band: 2.5x in either
-// direction absorbs CI-machine variance and timer noise on a single
-// sample, while still catching an order-of-magnitude collapse (a
+// median of the BENCH_eib.json Sweep row within a generous band: 2.5x in
+// either direction absorbs CI-machine variance and timer noise on a
+// single sample, while still catching an order-of-magnitude collapse (a
 // quadratic hot path, an accidental cold-boot-per-point regression) —
 // and, on the high side, a stale dishonestly-low baseline.
 func TestSweepThroughputSmoke(t *testing.T) {
@@ -60,7 +60,7 @@ func TestSweepThroughputSmoke(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timed assertion: the race detector's slowdown would fail any honest band")
 	}
-	base := benchBaseline(t, "Sweep", "point/s")
+	base := benchBaseline(t, "Sweep", "point/s median")
 	spec := sweepBenchSpec()
 
 	// One warmup sweep (JIT-free, but page faults and first-touch pool
