@@ -70,9 +70,6 @@ func assertIdentical(t *testing.T, label string, cold, warm *System) {
 	if c, w := cold.Eng.Fired(), warm.Eng.Fired(); c != w {
 		t.Errorf("%s: events fired: cold %d, warm %d", label, c, w)
 	}
-	if c, w := cold.Eng.Scheduled(), warm.Eng.Scheduled(); c != w {
-		t.Errorf("%s: events scheduled: cold %d, warm %d", label, c, w)
-	}
 	if c, w := cold.Bus.Stats(), warm.Bus.Stats(); c != w {
 		t.Errorf("%s: EIB stats diverge:\ncold %+v\nwarm %+v", label, c, w)
 	}

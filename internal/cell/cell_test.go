@@ -22,9 +22,6 @@ func TestDefaultSystemWiring(t *testing.T) {
 		t.Fatalf("%d SPEs, want %d", len(s.SPEs), NumSPEs)
 	}
 	for i, sp := range s.SPEs {
-		if sp.Index() != i {
-			t.Fatalf("SPE %d has index %d", i, sp.Index())
-		}
 		if sp.Ramp() != eib.PhysicalSPERamp(i) {
 			t.Fatalf("identity layout: SPE %d on ramp %v", i, sp.Ramp())
 		}
@@ -176,7 +173,9 @@ func TestRAMMaterializesWrittenLines(t *testing.T) {
 		}
 		written := sys.Mem.BankStats(0).WriteBytes + sys.Mem.BankStats(1).WriteBytes
 		requests := int(written) / min(sc.Chunk, xdr.LineBytes)
-		touched := sys.Mem.RAM().TouchedPages()
+		// xdr keeps its count of materialized blocks unexported; no
+		// program reads it, so the test reads the field itself.
+		touched := int(reflect.ValueOf(sys.Mem.RAM()).Elem().FieldByName("used").Int())
 		t.Logf("%s: %d blocks for %d write requests (%d B)", sc.Kind, touched, requests, written)
 		if touched > requests || 2*touched <= requests {
 			t.Errorf("%s: %d blocks materialized for %d write requests, want in (%d, %d]",

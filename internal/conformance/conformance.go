@@ -74,16 +74,6 @@ func Claims() []*Claim {
 	return out
 }
 
-// Lookup finds a claim by ID.
-func Lookup(id string) (*Claim, error) {
-	for _, c := range Claims() {
-		if c.ID == id {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("conformance: unknown claim %q", id)
-}
-
 // Eval evaluates one claim against the dataset.
 func Eval(c *Claim, d *Dataset) Outcome {
 	out := Outcome{Claim: c}

@@ -266,8 +266,8 @@ func TestPipelineMovesData(t *testing.T) {
 			t.Fatalf("byte %d: got %d want %d (pipeline must move data intact)", i, got[i], payload[i])
 		}
 	}
-	if pl.Bandwidth() <= 0 {
-		t.Fatal("pipeline bandwidth must be positive")
+	if pl.EndTime() <= 0 {
+		t.Fatal("pipeline must end after cycle 0")
 	}
 }
 

@@ -82,11 +82,6 @@ func (pl *Pipeline) Done() bool { return pl.done }
 // EndTime returns the cycle at which the last block left the pipeline.
 func (pl *Pipeline) EndTime() sim.Time { return pl.endTime }
 
-// Bandwidth returns the end-to-end throughput in GB/s after completion.
-func (pl *Pipeline) Bandwidth() float64 {
-	return pl.sys.GBps(pl.volume, pl.endTime)
-}
-
 // stage runs one pipeline stage. Inbound buffers live at LS offsets 0 and
 // 16 KB; data is pushed downstream into the successor's inbound buffers.
 // Tag 2+b tracks the outbound PUT of buffer b so the next reuse of that

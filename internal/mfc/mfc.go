@@ -401,9 +401,6 @@ func (m *MFC) Stats() Stats {
 	}
 }
 
-// TagIncomplete returns the number of incomplete commands in tag group t.
-func (m *MFC) TagIncomplete(t int) int { return m.tagCount[t] }
-
 // validate checks a command against the MFC's architectural rules.
 func (m *MFC) validate(c *Cmd) error {
 	if c.Tag < 0 || c.Tag >= NumTags {

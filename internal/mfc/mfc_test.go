@@ -89,7 +89,7 @@ func TestGetMovesData(t *testing.T) {
 	if !bytes.Equal(ls[:1024], fab.mem[4096:4096+1024]) {
 		t.Fatal("GET payload mismatch")
 	}
-	if m.TagIncomplete(1) != 0 {
+	if m.tagCount[1] != 0 {
 		t.Fatal("tag group must be idle after completion")
 	}
 }

@@ -182,10 +182,6 @@ func (e *Engine) Now() Time { return e.now }
 // events are not counted: an observer never moves the figure.
 func (e *Engine) Fired() int64 { return e.nfired }
 
-// Scheduled returns the number of events scheduled so far (the engine's
-// sequence counter).
-func (e *Engine) Scheduled() int64 { return e.seq }
-
 // Pending returns the number of scheduled events not yet fired.
 func (e *Engine) Pending() int { return e.npend }
 

@@ -533,14 +533,14 @@ func TestServerAccessors(t *testing.T) {
 	s := NewServer(e)
 	s.Request(10, CalleeFunc(func(Time) {}))
 	s.Request(10, CalleeFunc(func(Time) {}))
-	if s.QueueLen() != 1 {
-		t.Fatalf("queue len %d, want 1 (one in service, one queued)", s.QueueLen())
+	if s.queue.Len() != 1 {
+		t.Fatalf("queue len %d, want 1 (one in service, one queued)", s.queue.Len())
 	}
-	if s.BusyUntil() != 10 {
-		t.Fatalf("busy until %d, want 10", s.BusyUntil())
+	if s.busyUntil != 10 {
+		t.Fatalf("busy until %d, want 10", s.busyUntil)
 	}
 	e.Run()
-	if s.QueueLen() != 0 {
+	if s.queue.Len() != 0 {
 		t.Fatal("queue must drain")
 	}
 }

@@ -51,13 +51,6 @@ func (s *Server) Reset() {
 	s.done.cb = nil
 }
 
-// BusyUntil returns the time the server becomes free given current
-// reservations.
-func (s *Server) BusyUntil() Time { return s.busyUntil }
-
-// QueueLen returns the number of requests waiting (not yet started).
-func (s *Server) QueueLen() int { return s.queue.Len() }
-
 // Request enqueues a request occupying the server for dur cycles. cb is
 // called when the occupation *ends*, with the time service started.
 // Callers on hot paths pass a pooled record; others wrap a closure in

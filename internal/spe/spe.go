@@ -201,9 +201,6 @@ func (s *SPE) Taint(lo, hi int) {
 	}
 }
 
-// Index returns the SPE's logical index.
-func (s *SPE) Index() int { return s.index }
-
 // Ramp returns the SPE's physical position on the EIB.
 func (s *SPE) Ramp() eib.RampID { return s.ramp }
 

@@ -316,7 +316,7 @@ func TestPutListViaContext(t *testing.T) {
 
 func TestAccessorsAndCosts(t *testing.T) {
 	_, _, s := newSPE(t)
-	if s.Index() != 0 || s.Ramp() != eib.RampSPE0 {
+	if s.index != 0 || s.Ramp() != eib.RampSPE0 {
 		t.Fatal("accessors wrong")
 	}
 	costs := DefaultConfig().LoadCost

@@ -118,11 +118,3 @@ func (s *Series) At(x int) Summary {
 	panic(fmt.Sprintf("stats: x=%d not in series %q", x, s.Label))
 }
 
-// Summaries returns one Summary per X point.
-func (s *Series) Summaries() []Summary {
-	out := make([]Summary, len(s.Xs))
-	for i := range s.Xs {
-		out[i] = Summarize(s.Values[i])
-	}
-	return out
-}

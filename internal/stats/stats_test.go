@@ -59,10 +59,6 @@ func TestSeries(t *testing.T) {
 	if got := s.At(256).Max; got != 5.0 {
 		t.Fatalf("max at 256 = %v, want 5", got)
 	}
-	sums := s.Summaries()
-	if len(sums) != 2 || sums[1].N != 1 {
-		t.Fatalf("bad summaries %+v", sums)
-	}
 }
 
 func TestSeriesUnknownXPanics(t *testing.T) {

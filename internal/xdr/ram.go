@@ -59,9 +59,6 @@ func (r *RAM) Reset(total int64) {
 	r.used = 0
 }
 
-// TouchedPages returns how many blocks have been materialized.
-func (r *RAM) TouchedPages() int { return r.used }
-
 // slot returns block idx's storage: nil if it was never written and
 // create is false, else its slot (a new slot is zeroed).
 func (r *RAM) slot(idx int64, create bool) []byte {

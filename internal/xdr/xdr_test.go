@@ -39,8 +39,8 @@ func TestRAMCrossPage(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("cross-page round trip got %q, want %q", got, data)
 	}
-	if r.TouchedPages() != 2 {
-		t.Fatalf("touched %d pages, want 2", r.TouchedPages())
+	if r.used != 2 {
+		t.Fatalf("touched %d pages, want 2", r.used)
 	}
 }
 
@@ -56,7 +56,7 @@ func TestRAMUntouchedReadsZero(t *testing.T) {
 			t.Fatal("untouched memory must read as zero")
 		}
 	}
-	if r.TouchedPages() != 0 {
+	if r.used != 0 {
 		t.Fatal("reads must not materialize pages")
 	}
 }
@@ -81,8 +81,8 @@ func TestRAMResetZeroesReusedBlocks(t *testing.T) {
 		r.Write(0, full)                       // two whole blocks
 		r.Write(5*block+3, []byte{1, 2, 3, 4}) // a partly filled block
 		r.Reset(1 << 20)
-		if r.TouchedPages() != 0 {
-			t.Fatalf("block %d: %d blocks survive Reset", block, r.TouchedPages())
+		if r.used != 0 {
+			t.Fatalf("block %d: %d blocks survive Reset", block, r.used)
 		}
 		r.Write(9*block, []byte{7})          // reuses the first slot
 		r.Write(10*block+block-1, []byte{8}) // the second
