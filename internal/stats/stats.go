@@ -117,4 +117,3 @@ func (s *Series) At(x int) Summary {
 	}
 	panic(fmt.Sprintf("stats: x=%d not in series %q", x, s.Label))
 }
-
