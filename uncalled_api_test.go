@@ -75,11 +75,11 @@ func TestUncalledExportedAPI(t *testing.T) {
 			if !strings.HasPrefix(dir, "internal/") || !fn.Name.IsExported() {
 				continue
 			}
-			key := strings.TrimPrefix(dir, "internal/") + "." + fn.Name.Name
+			name := fn.Name.Name
 			if fn.Recv != nil {
-				key = strings.TrimPrefix(dir, "internal/") + "." + recvType(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				name = recvType(fn.Recv.List[0].Type) + "." + name
 			}
-			decls[key] = fset.Position(fn.Pos()).String()
+			decls[strings.TrimPrefix(dir, "internal/")+"."+name] = fset.Position(fn.Pos()).String()
 		}
 		var visit func(ast.Node) bool
 		visit = func(n ast.Node) bool {
