@@ -8,7 +8,6 @@
 //	cellbench -all -format csv > results.csv
 //	cellbench -experiment spe-couples -paper -full
 //	cellbench -sweep cycle -spes 8 -chunks 1024,4096,16384 -seeds 32 -workers 8
-//	cellbench -sweep mem -spes 4 -seeds 4 -perf
 //
 // The default parameters move 2 MB per SPE across 10 sampled SPE layouts;
 // -paper switches to the full 32 MB per SPE of the original setup.
@@ -16,7 +15,9 @@
 // The -sweep mode fans a grid of independent simulations (layout seeds x
 // chunk sizes of one scenario) across worker goroutines — each grid point
 // owns its event engine, so results are identical for any -workers value
-// — and prints one CSV row per point.
+// — and prints one CSV row per point. To trace, sample or cross-check the
+// perf counters of one point, rerun it in cellsim with -seed S -chunk C
+// (and -fault-seed 0 when the sweep injects faults).
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 	"cellbe/internal/fault"
 	"cellbe/internal/report"
 	"cellbe/internal/sim"
-	"cellbe/internal/trace"
 )
 
 func main() { os.Exit(run()) }
@@ -59,13 +59,6 @@ func run() (code int) {
 		faultSpec = flag.String("faults", "", "fault injection spec, e.g. mfc-retry:0.01,xdr-stall:0.05 (keys: "+strings.Join(fault.Keys(), ", ")+")")
 		faultSeed = flag.Int64("fault-seed", 0, "seed for the deterministic fault stream (0 = derive from layout seed)")
 		maxCycles = flag.Int64("max-cycles", 0, "watchdog cycle budget per simulation (0 = unlimited)")
-
-		traceOut     = flag.String("trace", "", "sweep only: write a Perfetto trace of the first grid point (chunks[0], first seed) to this file")
-		traceFilter  = flag.String("trace-filter", "", "comma list of event categories to trace: "+strings.Join(trace.FilterNames(), ", ")+" (empty = all)")
-		traceEvents  = flag.Int("trace-events", 1<<20, "trace ring-buffer capacity")
-		metricsOut   = flag.String("metrics", "", "sweep only: write a utilization timeseries CSV of the first grid point to this file")
-		metricsEvery = flag.Int64("metrics-every", 10000, "metrics sampling interval in cycles")
-		perfOn       = flag.Bool("perf", false, "sweep only: print the perf-counter cross-validation report for the first grid point on stderr")
 
 		conform      = flag.Bool("conformance", false, "evaluate every paper claim of internal/conformance and print a PASS/FAIL report")
 		conformShort = flag.Bool("conformance-short", false, "with -conformance: only the quick core-physics subset")
@@ -141,27 +134,12 @@ func run() (code int) {
 		return 0
 	}
 
-	obs := observability{
-		traceOut:     *traceOut,
-		traceFilter:  *traceFilter,
-		traceEvents:  *traceEvents,
-		metricsOut:   *metricsOut,
-		metricsEvery: *metricsEvery,
-		perf:         *perfOn,
-	}
 	if *sweep != "" {
-		if err := runSweep(*sweep, *spes, *op, *dmalist, *chunks, *seeds, *seed, *volume, *workers, base, *quiet, obs); err != nil {
+		if err := runSweep(*sweep, *spes, *op, *dmalist, *chunks, *seeds, *seed, *volume, *workers, base, *quiet); err != nil {
 			fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
 			return 2
 		}
 		return 0
-	}
-	if obs.traceOut != "" || obs.metricsOut != "" || obs.perf {
-		// The experiment runner fans layout samples across goroutines, so a
-		// single tracer cannot be attached to "the" run; tracing is defined
-		// only for one designated grid point of a sweep.
-		fmt.Fprintln(os.Stderr, "cellbench: -trace, -metrics and -perf require -sweep (they instrument the first grid point)")
-		return 2
 	}
 
 	params := core.DefaultParams()
@@ -251,21 +229,9 @@ func baseConfig(cfgIn, faultSpec string, faultSeed, maxCycles int64) (*cell.Conf
 	return &base, nil
 }
 
-// observability bundles the -trace/-metrics flags. In sweep mode they
-// instrument exactly one grid point — (chunks[0], first seed) — because
-// every other point runs concurrently on worker goroutines.
-type observability struct {
-	traceOut     string
-	traceFilter  string
-	traceEvents  int
-	metricsOut   string
-	metricsEvery int64
-	perf         bool
-}
-
 // runSweep parses the sweep flags, fans the grid across workers via
 // core.RunSweep and prints one CSV row per grid point.
-func runSweep(scenario string, spes int, op string, dmalist bool, chunkList string, seedCount int, firstSeed, volume int64, workers int, base *cell.Config, quiet bool, obs observability) error {
+func runSweep(scenario string, spes int, op string, dmalist bool, chunkList string, seedCount int, firstSeed, volume int64, workers int, base *cell.Config, quiet bool) error {
 	var chunkSizes []int
 	for _, f := range strings.Split(chunkList, ",") {
 		c, err := strconv.Atoi(strings.TrimSpace(f))
@@ -281,7 +247,8 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 	for i := range seedList {
 		seedList[i] = firstSeed + int64(i)
 	}
-	spec := core.SweepSpec{
+	start := time.Now()
+	results, err := core.RunSweep(core.SweepSpec{
 		Scenario: scenario,
 		SPEs:     spes,
 		Op:       op,
@@ -291,85 +258,9 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 		Volume:   volume,
 		Workers:  workers,
 		Base:     base,
-	}
-
-	// Instrument exactly the first grid point; the hook sees its
-	// installed System before the first event. The tracer and sampler are
-	// owned by that point's worker until RunSweep returns; we only read
-	// them afterwards, so no synchronization beyond RunSweep's own join is
-	// needed. Only the instrumented point's System is retained (return
-	// true); every other grid point returns false so its System goes
-	// back to the arena exactly as in an uninstrumented sweep.
-	var tracer *trace.Tracer
-	var sampler *trace.Sampler
-	var perfSys *cell.System
-	if obs.traceOut != "" || obs.metricsOut != "" || obs.perf {
-		mask, err := trace.ParseFilter(obs.traceFilter)
-		if err != nil {
-			return err
-		}
-		target := struct {
-			chunk int
-			seed  int64
-		}{chunkSizes[0], seedList[0]}
-		spec.Instrument = func(chunk int, seed int64, sys *cell.System) bool {
-			if chunk != target.chunk || seed != target.seed {
-				return false
-			}
-			if obs.traceOut != "" {
-				tracer = trace.New(obs.traceEvents, mask)
-				sys.SetTracer(tracer)
-			}
-			if obs.metricsOut != "" {
-				sampler = sys.StartMetrics(sim.Time(obs.metricsEvery))
-			}
-			if obs.perf {
-				// Every system counts into its own block; retaining
-				// the System is enough to read it back afterwards.
-				perfSys = sys
-			}
-			return true
-		}
-	}
-
-	start := time.Now()
-	results, err := core.RunSweep(spec)
+	})
 	if err != nil {
 		return err
-	}
-	if tracer != nil {
-		f, err := os.Create(obs.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WritePerfetto(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "wrote %d trace events for point chunk=%d seed=%d to %s (%d dropped); open in ui.perfetto.dev\n",
-				tracer.Len(), chunkSizes[0], seedList[0], obs.traceOut, tracer.Dropped())
-		}
-	}
-	if sampler != nil {
-		f, err := os.Create(obs.metricsOut)
-		if err != nil {
-			return err
-		}
-		if err := report.TimeseriesCSV(f, sampler.Timeseries()); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if !quiet {
-			fmt.Fprintf(os.Stderr, "wrote metrics for point chunk=%d seed=%d to %s\n",
-				chunkSizes[0], seedList[0], obs.metricsOut)
-		}
 	}
 	if !quiet {
 		fmt.Fprintf(os.Stderr, "swept %d points in %v\n", len(results), time.Since(start).Round(time.Millisecond))
@@ -398,31 +289,6 @@ func runSweep(scenario string, spes int, op string, dmalist bool, chunkList stri
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d grid points failed (see error column)", failed, len(results))
-	}
-	if perfSys != nil {
-		var point *core.SweepResult
-		for i := range results {
-			if results[i].Chunk == chunkSizes[0] && results[i].Seed == seedList[0] {
-				point = &results[i]
-				break
-			}
-		}
-		if point == nil {
-			return fmt.Errorf("-perf: instrumented point chunk=%d seed=%d not found in results", chunkSizes[0], seedList[0])
-		}
-		rep := report.BuildPerf(report.PerfInput{
-			Rollup:    perfSys.Perf().Rollup(),
-			ClockGHz:  base.ClockGHz,
-			AppGBps:   point.GBps,
-			AppCycles: point.Cycles,
-		})
-		fmt.Fprintf(os.Stderr, "\nperf counters (point chunk=%d seed=%d):\n", point.Chunk, point.Seed)
-		if err := rep.Write(os.Stderr); err != nil {
-			return err
-		}
-		if !rep.OK() {
-			return fmt.Errorf("-perf: counter-derived bandwidth disagrees with application measurement beyond %.0f%% tolerance", rep.Tolerance*100)
-		}
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 // Command cellsim runs a single DMA scenario on the Cell BE model and
 // dumps the machine-level picture behind the number: the logical-to-
 // physical SPE layout, per-ring occupancy, command counts, memory bank
-// traffic and MFC statistics. It is the debugging companion to cellbench.
-// Every run is a one-point sweep on the shared scheduler, so the watchdog
-// (-max-cycles, deadlock detection) always applies; utilization over time
-// comes from -metrics, which samples the counter block every
+// traffic and MFC statistics. It is the debugging companion to cellbench
+// and the one way to instrument a single point. Every run is a one-point
+// sweep on the shared scheduler, so -seed S -chunk C (plus -fault-seed 0
+// under -faults) reproduces the (C, S) row of a cellbench -sweep, and the
+// watchdog (-max-cycles, deadlock detection) always applies. Utilization
+// over time comes from -metrics, which samples the counter block every
 // -metrics-every cycles and drops the partial last window.
 //
 // Usage:
@@ -93,9 +95,17 @@ func main() {
 			os.Exit(2)
 		}
 		traceMask = mask
+		if *traceEvents <= 0 {
+			fmt.Fprintf(os.Stderr, "cellsim: -trace-events must be positive\n")
+			os.Exit(2)
+		}
 	}
 	if *metricsOut != "" && *metricsEvery <= 0 {
 		fmt.Fprintf(os.Stderr, "cellsim: -metrics-every must be positive\n")
+		os.Exit(2)
+	}
+	if *dumpN < 0 {
+		fmt.Fprintf(os.Stderr, "cellsim: -dump-transfers must not be negative\n")
 		os.Exit(2)
 	}
 	var sampler *trace.Sampler

@@ -58,9 +58,10 @@ type Schedule struct {
 	// SlowPoints mark points whose attempts stall briefly before
 	// running — adversarial timing for the race detector.
 	SlowPoints map[Point]bool
-	// JournalErrEvery, when > 0, fails every Nth physical journal write
-	// once (the retry succeeds) — exercising the append retry path under
-	// load. 0 disables injection.
+	// JournalErrEvery, when >= 2, fails every Nth physical journal write
+	// once (the journal's first append retry succeeds) — exercising the
+	// append retry path under load. 0 disables injection; 1 would fail
+	// every write.
 	JournalErrEvery int
 	// Faults additionally turns on real simulator fault injection, so
 	// retries and fault-seed re-rolls run against genuine DMA weather,
@@ -198,9 +199,8 @@ func (sch Schedule) hook(calls *callCounter) func(chunk int, seed int64, attempt
 // succeeds, so injected journal errors are always transient.
 func (sch Schedule) journalOptions() journal.Options {
 	opts := journal.Options{
-		SyncEvery:     sch.SyncEvery,
-		AppendRetries: 3,
-		RetrySleep:    func(time.Duration) {},
+		SyncEvery:  sch.SyncEvery,
+		RetrySleep: func(time.Duration) {},
 	}
 	if n := sch.JournalErrEvery; n > 0 {
 		var mu sync.Mutex
@@ -221,7 +221,6 @@ func (sch Schedule) journalOptions() journal.Options {
 func (sch Schedule) retry() core.RetryPolicy {
 	return core.RetryPolicy{
 		MaxAttempts: MaxAttempts,
-		BaseBackoff: time.Microsecond,
 		Sleep:       func(time.Duration) {},
 	}
 }

@@ -33,7 +33,7 @@ func TestRetryTransientRecovers(t *testing.T) {
 	var slept []time.Duration
 	s := NewScheduler(SchedOptions{
 		Workers:   2,
-		Retry:     RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, Sleep: func(d time.Duration) { slept = append(slept, d) }},
+		Retry:     RetryPolicy{MaxAttempts: 3, Sleep: func(d time.Duration) { slept = append(slept, d) }},
 		FailPoint: failTimes(1024, 1, 2),
 	})
 	defer s.Close()
@@ -70,7 +70,7 @@ func TestPoisonQuarantine(t *testing.T) {
 	attempts := 0
 	s := NewScheduler(SchedOptions{
 		Workers: 1,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond, Sleep: func(time.Duration) {}},
+		Retry:   RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
 		FailPoint: func(c int, sd int64, attempt int) error {
 			if c == 1024 && sd == 0 {
 				mu.Lock()
@@ -179,20 +179,22 @@ func TestTransientClassification(t *testing.T) {
 	}
 }
 
-// TestBackoffDeterministicJitter: backoff grows exponentially, stays in
-// [d/2, d), clamps at MaxBackoff, and is bit-identical across calls —
-// reruns of a sweep must back off identically.
+// TestBackoffDeterministicJitter: backoff grows exponentially from
+// baseBackoff, stays in [d/2, d), clamps at maxBackoff, and is
+// bit-identical across calls — reruns of a sweep must back off
+// identically. The attempts run past the clamp (10ms << 7 > 1s).
 func TestBackoffDeterministicJitter(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
 	prevFloor := time.Duration(0)
-	for attempt := 1; attempt <= 4; attempt++ {
-		d := p.backoff(4096, 7, attempt)
-		if d2 := p.backoff(4096, 7, attempt); d2 != d {
+	clamped := false
+	for attempt := 1; attempt <= 9; attempt++ {
+		d := backoff(4096, 7, attempt)
+		if d2 := backoff(4096, 7, attempt); d2 != d {
 			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d, d2)
 		}
-		exp := 10 * time.Millisecond << (attempt - 1)
-		if exp > p.MaxBackoff {
-			exp = p.MaxBackoff
+		exp := baseBackoff << (attempt - 1)
+		if exp > maxBackoff {
+			exp = maxBackoff
+			clamped = true
 		}
 		if d < exp/2 || d >= exp {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v)", attempt, d, exp/2, exp)
@@ -202,7 +204,10 @@ func TestBackoffDeterministicJitter(t *testing.T) {
 		}
 		prevFloor = exp / 2
 	}
-	if a, b := p.backoff(4096, 7, 1), p.backoff(4096, 8, 1); a == b {
+	if !clamped {
+		t.Fatal("no attempt reached the maxBackoff clamp")
+	}
+	if a, b := backoff(4096, 7, 1), backoff(4096, 8, 1); a == b {
 		t.Fatal("different points share identical jitter — jitter is not keyed on the point")
 	}
 }

@@ -46,11 +46,6 @@ type RetryPolicy struct {
 	// including the first; <= 1 disables retries (the zero value keeps
 	// the scheduler's historical fail-fast behavior).
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; 0 defaults to
-	// 10ms. Each further retry doubles it, clamped to MaxBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff clamps the backoff; 0 defaults to 1s.
-	MaxBackoff time.Duration
 	// Sleep replaces the backoff sleep in tests; nil uses time.Sleep.
 	Sleep func(time.Duration)
 }
@@ -72,26 +67,25 @@ func (p RetryPolicy) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
+// The retry backoff starts at baseBackoff before the first retry and
+// doubles per further retry, clamped to maxBackoff.
+const (
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = time.Second
+)
+
 // backoff computes the delay before retry number attempt (1-based) of a
 // grid point. The exponential base doubles per attempt; the jitter is
 // deterministic — a splitmix64 stream keyed on (chunk, seed, attempt) —
 // so a rerun of the same sweep backs off identically, which keeps the
 // chaos harness's timing-sensitive schedules reproducible.
-func (p RetryPolicy) backoff(chunk int, seed int64, attempt int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = time.Second
-	}
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
+func backoff(chunk int, seed int64, attempt int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < attempt && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// Deterministic jitter in [d/2, d): full jitter would allow 0, which
 	// defeats the backoff; half-jitter keeps the exponential floor.

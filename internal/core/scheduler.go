@@ -27,6 +27,10 @@ var ErrQueueFull = errors.New("core: scheduler job queue is full")
 // ErrClosed is returned by Submit after Close.
 var ErrClosed = errors.New("core: scheduler is closed")
 
+// keepJobs is how many finished jobs stay queryable through Job()
+// before the oldest are pruned.
+const keepJobs = 256
+
 // SchedOptions configures a Scheduler.
 type SchedOptions struct {
 	// Workers is the size of the simulation worker pool shared by every
@@ -39,9 +43,6 @@ type SchedOptions struct {
 	// (grid points, LRU-evicted). 0 disables memoization — the right
 	// setting for one-shot sweeps that never resubmit a point.
 	CachePoints int
-	// KeepJobs is how many finished jobs stay queryable through Job()
-	// before the oldest are pruned; <= 0 defaults to 256.
-	KeepJobs int
 	// BeforePoint, when set, runs on the worker goroutine before every
 	// grid point a worker takes: the misses of the admission cache lookup
 	// (the worker's own lookup may still hit). It exists for tests that
@@ -72,13 +73,6 @@ func (o SchedOptions) maxJobs() int {
 		return 16
 	}
 	return o.MaxJobs
-}
-
-func (o SchedOptions) keepJobs() int {
-	if o.KeepJobs <= 0 {
-		return 256
-	}
-	return o.KeepJobs
 }
 
 // PointResult is one grid point's SweepResult plus scheduler metadata.
@@ -310,7 +304,7 @@ func (s *Scheduler) resolve(j *Job) (misses []gridPoint) {
 }
 
 // Job returns a submitted job by ID (finished jobs stay queryable until
-// KeepJobs newer ones have finished).
+// keepJobs newer ones have finished).
 func (s *Scheduler) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -464,7 +458,7 @@ func (s *Scheduler) simulate(j *Job, pt gridPoint) PointResult {
 			// instead of sleeping out a backoff nobody waits for.
 			return res
 		}
-		pol.sleep(pol.backoff(pt.chunk, pt.seed, attempt+1))
+		pol.sleep(backoff(pt.chunk, pt.seed, attempt+1))
 	}
 	if pol.enabled() {
 		res.Err = &PoisonError{Chunk: pt.chunk, Seed: pt.seed, Attempts: res.Attempts, Last: res.Err}
@@ -493,12 +487,12 @@ func (s *Scheduler) attemptPoint(j *Job, pt gridPoint, attempt int) SweepResult 
 func (s *Scheduler) WarmPoints() int64 { return s.arena.Recycled() }
 
 // release retires a finished job: frees its admission slot and prunes the
-// oldest finished jobs beyond KeepJobs.
+// oldest finished jobs beyond keepJobs.
 func (s *Scheduler) release(id string) {
 	s.mu.Lock()
 	s.active--
 	s.doneIDs = append(s.doneIDs, id)
-	for len(s.doneIDs) > s.opts.keepJobs() {
+	for len(s.doneIDs) > keepJobs {
 		delete(s.jobs, s.doneIDs[0])
 		s.doneIDs = s.doneIDs[1:]
 	}

@@ -63,8 +63,8 @@ type SweepSpec struct {
 	MaxCycles sim.Time
 	// Instrument, when set, runs against each grid point's System once
 	// the scenario is installed and before its first event fires — the
-	// hook cellbench uses to attach a tracer or metrics sampler to one
-	// chosen point. It executes on a worker goroutine: an Instrument that
+	// hook cellsim and the layout-timeline experiment use to attach a
+	// tracer or metrics sampler to one chosen point. It executes on a worker goroutine: an Instrument that
 	// touches shared state must target a single (chunk, seed) point, or
 	// synchronize.
 	//

@@ -20,7 +20,7 @@
 //
 // Open replays the existing file and compacts it: done jobs' job/done
 // records are dropped, duplicate point records collapse to the newest,
-// and completed jobs' points are kept newest-first up to KeepPoints as
+// and completed jobs' points are kept newest-first up to keepPoints as
 // cache warmers. The rewrite goes through a temp file + atomic rename,
 // so a crash mid-compaction leaves the previous journal intact.
 package journal
@@ -47,24 +47,26 @@ const FileName = "journal.ndjson"
 // simulates losing the process (and the unsynced write buffer) mid-run.
 var ErrCrashed = errors.New("journal: crashed (test hook)")
 
+const (
+	// keepPoints caps how many completed-job point records survive
+	// compaction as cache warmers. Points of unfinished jobs are always
+	// kept.
+	keepPoints = 4096
+	// appendRetries is how many extra write attempts an append makes
+	// after a failed one, with short exponential backoff.
+	appendRetries = 2
+)
+
 // Options tunes a Journal.
 type Options struct {
 	// SyncEvery is the number of point records batched per fsync;
 	// <= 0 syncs every record. Job and done records always sync.
 	SyncEvery int
-	// KeepPoints caps how many completed-job point records survive
-	// compaction as cache warmers; <= 0 defaults to 4096. Points of
-	// unfinished jobs are always kept.
-	KeepPoints int
 	// WriteErr, when set, is consulted before every append's physical
 	// write with the record type ("job", "point", "done"); a non-nil
 	// return fails that write attempt. It is the chaos harness's I/O
 	// fault injection point and is not consulted during compaction.
 	WriteErr func(op string) error
-	// AppendRetries is how many extra write attempts an append makes
-	// after a failed one, with short exponential backoff; <0 disables
-	// retries, 0 defaults to 2.
-	AppendRetries int
 	// RetrySleep replaces the inter-retry sleep in tests; nil uses
 	// time.Sleep.
 	RetrySleep func(time.Duration)
@@ -75,24 +77,6 @@ func (o Options) syncEvery() int {
 		return 1
 	}
 	return o.SyncEvery
-}
-
-func (o Options) keepPoints() int {
-	if o.KeepPoints <= 0 {
-		return 4096
-	}
-	return o.KeepPoints
-}
-
-func (o Options) appendRetries() int {
-	switch {
-	case o.AppendRetries < 0:
-		return 0
-	case o.AppendRetries == 0:
-		return 2
-	default:
-		return o.AppendRetries
-	}
 }
 
 // PointRecord is one grid point's journaled result. Numeric fields mirror
@@ -386,13 +370,13 @@ func (j *Journal) AppendDone(jid string) error {
 
 // CompactIfDue rewrites the file in place (atomic rename), keeping only
 // what a restart needs, once most of it is dead weight: done jobs' records, superseded
-// points, and warm points beyond the KeepPoints cap. Otherwise it does
+// points, and warm points beyond the keepPoints cap. Otherwise it does
 // nothing. Its cost grows with the file.
 func (j *Journal) CompactIfDue() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	garbage := j.garbage
-	if excess := len(j.points) - j.opts.keepPoints(); excess > 0 {
+	if excess := len(j.points) - keepPoints; excess > 0 {
 		garbage += excess
 	}
 	live := len(j.points) + 2*j.incompleteCount()
@@ -447,7 +431,7 @@ func (j *Journal) appendLocked(rec record, sync bool) error {
 		if err == nil {
 			break
 		}
-		if attempt >= j.opts.appendRetries() {
+		if attempt >= appendRetries {
 			j.lastErr = err.Error()
 			return fmt.Errorf("journal: appending %s record: %w", rec.T, err)
 		}
@@ -562,7 +546,7 @@ func (j *Journal) Health() Health {
 
 // compactLocked rewrites the journal keeping only what a restart needs:
 // job records of unfinished jobs, every point of an unfinished job, and
-// the newest KeepPoints other points as cache warmers. The rewrite is
+// the newest keepPoints other points as cache warmers. The rewrite is
 // atomic (temp file + rename); on any error the old journal survives.
 func (j *Journal) compactLocked() error {
 	if j.crashed || j.closed {
@@ -592,7 +576,7 @@ func (j *Journal) compactLocked() error {
 		_, ok := keepJobs[jid]
 		return ok
 	}
-	budget := j.opts.keepPoints()
+	budget := keepPoints
 	keepPt := make([]bool, len(j.points))
 	for i := range j.points {
 		if incomplete(j.points[i].job) {

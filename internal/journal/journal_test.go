@@ -269,12 +269,14 @@ func TestJournalPointDedup(t *testing.T) {
 }
 
 // TestJournalKeepPointsCap: compaction keeps completed-job points
-// newest-first up to KeepPoints, and always keeps incomplete jobs'.
+// newest-first up to keepPoints, and always keeps incomplete jobs'. The
+// journal batches point fsyncs so the keepPoints+3 appends stay cheap.
 func TestJournalKeepPointsCap(t *testing.T) {
+	const extra = 3
 	dir := t.TempDir()
-	j, _ := mustOpen(t, dir, Options{})
+	j, _ := mustOpen(t, dir, Options{SyncEvery: 1 << 20})
 	doneJob, _ := j.AppendJob(json.RawMessage(`{}`))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < keepPoints+extra; i++ {
 		j.AppendPoint(doneJob, fmt.Sprintf("d%d", i), pt(1024, int64(i)))
 	}
 	j.AppendDone(doneJob)
@@ -282,10 +284,10 @@ func TestJournalKeepPointsCap(t *testing.T) {
 	j.AppendPoint(liveJob, "live0", pt(2048, 0))
 	j.Close()
 
-	j2, st := mustOpen(t, dir, Options{KeepPoints: 3})
+	j2, st := mustOpen(t, dir, Options{})
 	defer j2.Close()
 	if _, ok := st.Points["live0"]; !ok {
-		t.Fatal("incomplete job's point pruned by KeepPoints")
+		t.Fatal("incomplete job's point pruned by keepPoints")
 	}
 	kept := 0
 	for k := range st.Points {
@@ -293,12 +295,12 @@ func TestJournalKeepPointsCap(t *testing.T) {
 			kept++
 		}
 	}
-	if kept != 3 {
-		t.Fatalf("kept %d warm points, want KeepPoints=3", kept)
+	if kept != keepPoints {
+		t.Fatalf("kept %d warm points, want keepPoints=%d", kept, keepPoints)
 	}
-	for _, k := range []string{"d3", "d4", "d5"} { // newest three
-		if _, ok := st.Points[k]; !ok {
-			t.Fatalf("newest warm point %s pruned before older ones: %v", k, st.Points)
+	for i := 0; i < keepPoints+extra; i++ { // the oldest go first
+		if _, ok := st.Points[fmt.Sprintf("d%d", i)]; ok != (i >= extra) {
+			t.Fatalf("warm point d%d kept = %v, want only the newest %d kept", i, ok, keepPoints)
 		}
 	}
 }

@@ -23,8 +23,8 @@ func csvField(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
-// TimeseriesCSV writes a metrics-sampler timeseries (cellsim/cellbench
-// -metrics) as CSV: the header row names the columns ("cycle" first), then
+// TimeseriesCSV writes a metrics-sampler timeseries (cellsim -metrics)
+// as CSV: the header row names the columns ("cycle" first), then
 // one row per sampling tick. Cycle counts print as integers, metric values
 // with four decimals.
 func TimeseriesCSV(w io.Writer, ts *trace.Timeseries) error {

@@ -69,8 +69,7 @@ func TestRetryAfterJitterRange(t *testing.T) {
 func TestHealthProbes(t *testing.T) {
 	var failWrites atomic.Bool
 	jr, _, err := journal.Open(t.TempDir(), journal.Options{
-		AppendRetries: 1,
-		RetrySleep:    func(time.Duration) {},
+		RetrySleep: func(time.Duration) {},
 		WriteErr: func(op string) error {
 			if failWrites.Load() {
 				return fmt.Errorf("injected %s write failure", op)

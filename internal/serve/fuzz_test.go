@@ -28,7 +28,7 @@ func FuzzServeSpec(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s := New(Options{MaxPoints: 64, MaxVolume: 4 << 20, MaxBody: 64 << 10})
+	s := New(Options{MaxPoints: 64, MaxVolume: 4 << 20})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()
 		r := httptest.NewRequest("POST", "/v1/sweeps", bytes.NewReader(body))

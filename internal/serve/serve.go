@@ -52,8 +52,6 @@ type Options struct {
 	// MaxVolume caps the per-SPE byte volume of one request; <= 0
 	// defaults to 64 MiB.
 	MaxVolume int64
-	// MaxBody caps the request body; <= 0 defaults to 1 MiB.
-	MaxBody int64
 	// Journal, when set, feeds the readiness probe: a journal whose
 	// appends are failing flips /healthz/ready to 503 (the instance keeps
 	// serving — liveness stays green — but load balancers stop routing
@@ -75,12 +73,8 @@ func (o Options) maxVolume() int64 {
 	return o.MaxVolume
 }
 
-func (o Options) maxBody() int64 {
-	if o.MaxBody <= 0 {
-		return 1 << 20
-	}
-	return o.MaxBody
-}
+// maxBody caps the request body.
+const maxBody = 1 << 20
 
 // hostRateFactor scales the per-host rate limit relative to the
 // per-client one: a single address gets at most this many clients' worth
@@ -258,7 +252,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 // decode parses a submission body into req, answering 400 itself on
 // malformed input.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, req *SweepRequest) bool {
-	body := http.MaxBytesReader(w, r.Body, s.opts.maxBody())
+	body := http.MaxBytesReader(w, r.Body, maxBody)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
