@@ -92,7 +92,7 @@ func memPathCases() []memPathCase {
 		}},
 		{name: "ppe-copy-2t", limit: 0.25, run: func(tb testing.TB) *cell.System {
 			sys := cell.New(cell.DefaultConfig())
-			buf := int64(sys.PPE.Config().L2Bytes) / 2
+			buf := int64(sys.Config().PPE.L2Bytes) / 2
 			for th := 0; th < 2; th++ {
 				src, dst := sys.Alloc(buf, 128), sys.Alloc(buf, 128)
 				sys.PPE.Run(th, []ppe.Pass{{Op: ppe.Copy, Src: src, Dst: dst, Bytes: buf, Elem: 8}}, nil)

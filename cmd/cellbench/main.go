@@ -169,6 +169,19 @@ func run() (code int) {
 		return 2
 	}
 
+	var write func(*core.Result) error
+	switch *format {
+	case "table":
+		write = func(res *core.Result) error { return report.Table(os.Stdout, res, *full) }
+	case "csv":
+		write = func(res *core.Result) error { return report.CSV(os.Stdout, res) }
+	case "chart":
+		write = func(res *core.Result) error { return report.Chart(os.Stdout, res, 50) }
+	default:
+		fmt.Fprintf(os.Stderr, "cellbench: unknown format %q\n", *format)
+		return 2
+	}
+
 	for _, e := range experiments {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "running %s (%s)...\n", e.Name, e.Figure)
@@ -182,18 +195,7 @@ func run() (code int) {
 		if !*quiet {
 			fmt.Fprintf(os.Stderr, "  done in %v\n", time.Since(start).Round(time.Millisecond))
 		}
-		switch *format {
-		case "table":
-			err = report.Table(os.Stdout, res, *full)
-		case "csv":
-			err = report.CSV(os.Stdout, res)
-		case "chart":
-			err = report.Chart(os.Stdout, res, 50)
-		default:
-			fmt.Fprintf(os.Stderr, "cellbench: unknown format %q\n", *format)
-			return 2
-		}
-		if err != nil {
+		if err := write(res); err != nil {
 			fmt.Fprintf(os.Stderr, "cellbench: %v\n", err)
 			return 1
 		}

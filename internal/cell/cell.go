@@ -286,9 +286,6 @@ func (s *System) init(cfg Config) {
 // disabled).
 func (s *System) Faults() *fault.Injector { return s.faults }
 
-// Tracer returns the attached event tracer (nil when tracing is off).
-func (s *System) Tracer() *trace.Tracer { return s.tracer }
-
 // SetTracer wires an event tracer through every component — the EIB, both
 // XDR banks, all eight MFCs and the PPE — following the SetFaults
 // discipline: nil (the default) leaves every hot path on its traced-off

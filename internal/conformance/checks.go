@@ -135,75 +135,22 @@ type Check interface {
 	Eval(d *Dataset) (detail string, err error)
 }
 
-// Ordering asserts Hi >= Lo * Factor: one configuration beats (or at
-// Factor 1, at least matches) another. The zero Factor means 1.
-type Ordering struct {
-	Lo, Hi Metric
-	Factor float64
-}
-
-func (o Ordering) factor() float64 {
-	if o.Factor == 0 {
-		return 1
-	}
-	return o.Factor
-}
-
-func (o Ordering) Describe() string {
-	if o.factor() == 1 {
-		return fmt.Sprintf("%v >= %v", o.Hi, o.Lo)
-	}
-	return fmt.Sprintf("%v >= %.2f x %v", o.Hi, o.factor(), o.Lo)
-}
-
-func (o Ordering) Eval(d *Dataset) (string, error) {
-	lo, err := o.Lo.Value(d)
-	if err != nil {
-		return "", err
-	}
-	hi, err := o.Hi.Value(d)
-	if err != nil {
-		return "", err
-	}
-	detail := fmt.Sprintf("%.2f vs %.2f", hi, lo)
-	if hi < lo*o.factor() {
-		return detail, fmt.Errorf("ordering inverted: %v = %.3f < %.2f x %v = %.3f", o.Hi, hi, o.factor(), o.Lo, lo)
-	}
-	return detail, nil
-}
-
-// Ceiling asserts M <= Limit * (1 + Slack): a hard bandwidth limit of the
-// architecture (ring peak, MIC bank rate) is never exceeded.
-type Ceiling struct {
-	M     Metric
-	Limit float64
-	Slack float64 // fraction of Limit; 0 means exactly Limit
-}
-
-func (c Ceiling) Describe() string {
-	return fmt.Sprintf("%v <= %.1f", c.M, c.Limit)
-}
-
-func (c Ceiling) Eval(d *Dataset) (string, error) {
-	v, err := c.M.Value(d)
-	if err != nil {
-		return "", err
-	}
-	detail := fmt.Sprintf("%.2f (limit %.1f)", v, c.Limit)
-	if v > c.Limit*(1+c.Slack) {
-		return detail, fmt.Errorf("ceiling broken: %v = %.3f exceeds %.2f", c.M, v, c.Limit*(1+c.Slack))
-	}
-	return detail, nil
-}
-
 // Range asserts Min <= M <= Max: the measurement lands in an absolute
-// GB/s window.
+// window (a GB/s band, a bandwidth ceiling, a layout spread). A zero Max
+// means unbounded above; a zero Min leaves only the upper bound to
+// describe, as every metric here is non-negative.
 type Range struct {
 	M        Metric
 	Min, Max float64
 }
 
 func (r Range) Describe() string {
+	switch {
+	case r.Max == 0:
+		return fmt.Sprintf("%v >= %.1f", r.M, r.Min)
+	case r.Min == 0:
+		return fmt.Sprintf("%v <= %.1f", r.M, r.Max)
+	}
 	return fmt.Sprintf("%v in [%.1f, %.1f]", r.M, r.Min, r.Max)
 }
 
@@ -213,8 +160,8 @@ func (r Range) Eval(d *Dataset) (string, error) {
 		return "", err
 	}
 	detail := fmt.Sprintf("%.2f", v)
-	if v < r.Min || v > r.Max {
-		return detail, fmt.Errorf("out of range: %v = %.3f not in [%.2f, %.2f]", r.M, v, r.Min, r.Max)
+	if v < r.Min || (r.Max > 0 && v > r.Max) {
+		return detail, fmt.Errorf("out of range: want %s, measured %.3f", r.Describe(), v)
 	}
 	return detail, nil
 }
@@ -249,7 +196,7 @@ func (r Ratio) Eval(d *Dataset) (string, error) {
 	ratio := num / den
 	detail := fmt.Sprintf("%.2f/%.2f = %.2f", num, den, ratio)
 	if ratio < r.Min || (r.Max > 0 && ratio > r.Max) {
-		return detail, fmt.Errorf("ratio %v/%v = %.3f outside [%.2f, %.2f]", r.Num, r.Den, ratio, r.Min, r.Max)
+		return detail, fmt.Errorf("ratio out of range: want %s, measured %.3f", r.Describe(), ratio)
 	}
 	return detail, nil
 }
@@ -301,41 +248,6 @@ func (k Knee) Eval(d *Dataset) (string, error) {
 	}
 	if below == 0 {
 		return detail, fmt.Errorf("conformance: curve %q has no points below the knee %d", k.Curve, k.KneeX)
-	}
-	return detail, nil
-}
-
-// VarianceBound bounds the run-to-run spread of a measurement: MaxSpread
-// guards "variation stays under X" claims, MinSpread guards "placement
-// spreads the results widely" claims. Either bound may be left zero.
-type VarianceBound struct {
-	M         Metric // typically Stat: Spread or RobustSpread
-	MaxSpread float64
-	MinSpread float64
-}
-
-func (v VarianceBound) Describe() string {
-	switch {
-	case v.MaxSpread > 0 && v.MinSpread > 0:
-		return fmt.Sprintf("%v in [%.1f, %.1f]", v.M, v.MinSpread, v.MaxSpread)
-	case v.MinSpread > 0:
-		return fmt.Sprintf("%v >= %.1f", v.M, v.MinSpread)
-	default:
-		return fmt.Sprintf("%v <= %.1f", v.M, v.MaxSpread)
-	}
-}
-
-func (v VarianceBound) Eval(d *Dataset) (string, error) {
-	val, err := v.M.Value(d)
-	if err != nil {
-		return "", err
-	}
-	detail := fmt.Sprintf("%.2f", val)
-	if v.MaxSpread > 0 && val > v.MaxSpread {
-		return detail, fmt.Errorf("variance too wide: %v = %.3f exceeds %.2f", v.M, val, v.MaxSpread)
-	}
-	if val < v.MinSpread {
-		return detail, fmt.Errorf("variance too narrow: %v = %.3f below %.2f", v.M, val, v.MinSpread)
 	}
 	return detail, nil
 }

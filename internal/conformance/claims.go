@@ -44,10 +44,10 @@ var sections = []Section{
 				Measured: "2.1→6.72 (1T), 7.27 at 16 B 2T",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "ppe-l1", Curve: "load 1T", X: 16},
-						Lo: Metric{Probe: "ppe-l1", Curve: "store 1T", X: 16}, Factor: 1.1},
-					Ordering{Hi: Metric{Probe: "ppe-l1", Curve: "store 2T", X: 16},
-						Lo: Metric{Probe: "ppe-l1", Curve: "store 1T", X: 16}},
+					Ratio{Num: Metric{Probe: "ppe-l1", Curve: "load 1T", X: 16},
+						Den: Metric{Probe: "ppe-l1", Curve: "store 1T", X: 16}, Min: 1.1},
+					Ratio{Num: Metric{Probe: "ppe-l1", Curve: "store 2T", X: 16},
+						Den: Metric{Probe: "ppe-l1", Curve: "store 1T", X: 16}, Min: 1},
 				},
 			},
 			{
@@ -57,8 +57,8 @@ var sections = []Section{
 				Measured: "8.40 at 16 B vs 6.72 at 8 B",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "ppe-l1", Curve: "copy 1T", X: 16},
-						Lo: Metric{Probe: "ppe-l1", Curve: "copy 1T", X: 8}, Factor: 1.15},
+					Ratio{Num: Metric{Probe: "ppe-l1", Curve: "copy 1T", X: 16},
+						Den: Metric{Probe: "ppe-l1", Curve: "copy 1T", X: 8}, Min: 1.15},
 				},
 			},
 			{
@@ -85,8 +85,8 @@ var sections = []Section{
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "ppe-l1", Curve: "load 1T", X: 16},
-						Lo: Metric{Probe: "ppe-l2", Curve: "load 1T", X: 16}, Factor: 3},
+					Ratio{Num: Metric{Probe: "ppe-l1", Curve: "load 1T", X: 16},
+						Den: Metric{Probe: "ppe-l2", Curve: "load 1T", X: 16}, Min: 3},
 				},
 			},
 			{
@@ -119,8 +119,8 @@ var sections = []Section{
 				Measured: "1.18 → 2.04 across 1–16 B",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "ppe-l2", Curve: "load 1T", X: 16},
-						Lo: Metric{Probe: "ppe-l2", Curve: "load 1T", X: 1}, Factor: 1.4},
+					Ratio{Num: Metric{Probe: "ppe-l2", Curve: "load 1T", X: 16},
+						Den: Metric{Probe: "ppe-l2", Curve: "load 1T", X: 1}, Min: 1.4},
 				},
 			},
 		},
@@ -149,8 +149,8 @@ var sections = []Section{
 				Measured: "1.77 vs 6.72",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "ppe-l2", Curve: "store 1T", X: 16},
-						Lo: Metric{Probe: "ppe-mem", Curve: "store 1T", X: 16}, Factor: 2},
+					Ratio{Num: Metric{Probe: "ppe-l2", Curve: "store 1T", X: 16},
+						Den: Metric{Probe: "ppe-mem", Curve: "store 1T", X: 16}, Min: 2},
 				},
 			},
 			{
@@ -161,7 +161,7 @@ var sections = []Section{
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ceiling{M: Metric{Probe: "ppe-mem", Curve: "*", Stat: CurveMax}, Limit: 6},
+					Range{M: Metric{Probe: "ppe-mem", Curve: "*", Stat: CurveMax}, Max: 6},
 				},
 			},
 		},
@@ -201,8 +201,8 @@ var sections = []Section{
 				Measured: "GET 23.10, copy 21.55–23.3",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "spe-mem-get", Curve: "4 SPE", X: 16384},
-						Lo: Metric{Probe: "spe-mem-get", Curve: "2 SPE", X: 16384}, Factor: 1.1},
+					Ratio{Num: Metric{Probe: "spe-mem-get", Curve: "4 SPE", X: 16384},
+						Den: Metric{Probe: "spe-mem-get", Curve: "2 SPE", X: 16384}, Min: 1.1},
 					Range{M: Metric{Probe: "spe-mem-get", Curve: "4 SPE", X: 16384}, Min: 20.5, Max: 25},
 				},
 			},
@@ -225,10 +225,10 @@ var sections = []Section{
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 16384},
-						Lo: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 128}, Factor: 1.15},
-					Ordering{Hi: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 2048},
-						Lo: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 128}},
+					Ratio{Num: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 16384},
+						Den: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 128}, Min: 1.15},
+					Ratio{Num: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 2048},
+						Den: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 128}, Min: 1},
 				},
 			},
 		},
@@ -245,7 +245,7 @@ var sections = []Section{
 				Short:    true,
 				Checks: []Check{
 					Range{M: Metric{Probe: "spe-ls", Curve: "load", X: 16}, Min: 33.0, Max: 33.7},
-					Ceiling{M: Metric{Probe: "spe-ls", Curve: "*", Stat: CurveMax}, Limit: 33.6, Slack: 0.005},
+					Range{M: Metric{Probe: "spe-ls", Curve: "*", Stat: CurveMax}, Max: 33.6 * 1.005},
 				},
 			},
 			{
@@ -255,8 +255,8 @@ var sections = []Section{
 				Measured: "0.70–8.40",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "spe-ls", Curve: "load", X: 16},
-						Lo: Metric{Probe: "spe-ls", Curve: "load", X: 4}, Factor: 3.5},
+					Ratio{Num: Metric{Probe: "spe-ls", Curve: "load", X: 16},
+						Den: Metric{Probe: "spe-ls", Curve: "load", X: 4}, Min: 3.5},
 					Range{M: Metric{Probe: "spe-ls", Curve: "load", X: 1}, Min: 0.3, Max: 3},
 				},
 			},
@@ -274,7 +274,7 @@ var sections = []Section{
 				Short:    true,
 				Checks: []Check{
 					Range{M: Metric{Probe: "pair-sync", Curve: "all", X: 16384}, Min: 30.5, Max: 33.6},
-					Ceiling{M: Metric{Probe: "pair-sync", Curve: "*", Stat: CurveMax}, Limit: 33.6, Slack: 0.01},
+					Range{M: Metric{Probe: "pair-sync", Curve: "*", Stat: CurveMax}, Max: 33.6 * 1.01},
 				},
 			},
 			{
@@ -285,8 +285,8 @@ var sections = []Section{
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "pair-sync", Curve: "all", X: 2048},
-						Lo: Metric{Probe: "pair-sync", Curve: "every 1", X: 2048}, Factor: 1.4},
+					Ratio{Num: Metric{Probe: "pair-sync", Curve: "all", X: 2048},
+						Den: Metric{Probe: "pair-sync", Curve: "every 1", X: 2048}, Min: 1.4},
 				},
 			},
 			{
@@ -296,8 +296,8 @@ var sections = []Section{
 				Measured: "128 B: 8.40 even fully delayed",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "pair-sync", Curve: "all", X: 16384},
-						Lo: Metric{Probe: "pair-sync", Curve: "all", X: 128}, Factor: 3},
+					Ratio{Num: Metric{Probe: "pair-sync", Curve: "all", X: 16384},
+						Den: Metric{Probe: "pair-sync", Curve: "all", X: 128}, Min: 3},
 					// The curve's shape, not just its endpoints: at 2 KB the pair
 					// has already reached peak (within 15% of 16 KB), while the
 					// 128-byte point sits below half of it.
@@ -311,7 +311,7 @@ var sections = []Section{
 				Measured: "≤ 0.6 across layouts/partners",
 				Match:    "✓",
 				Checks: []Check{
-					VarianceBound{M: Metric{Probe: "pair-sync", Curve: "all", X: 16384, Stat: Spread}, MaxSpread: 2},
+					Range{M: Metric{Probe: "pair-sync", Curve: "all", X: 16384, Stat: Spread}, Max: 2},
 					Ratio{Num: Metric{Probe: "pair-distance", Curve: "16KB elements", Stat: CurveMax},
 						Den: Metric{Probe: "pair-distance", Curve: "16KB elements", Stat: CurveMin}, Min: 0.95, Max: 1.06},
 				},
@@ -352,7 +352,7 @@ var sections = []Section{
 				Short:    true,
 				Checks: []Check{
 					Range{M: Metric{Probe: "couples-elem", Curve: "8 SPEs", X: 16384}, Min: 80, Max: 120},
-					Ceiling{M: Metric{Probe: "couples-elem", Curve: "8 SPEs", X: 16384, Stat: MaxRun}, Limit: 134.4},
+					Range{M: Metric{Probe: "couples-elem", Curve: "8 SPEs", X: 16384, Stat: MaxRun}, Max: 134.4},
 				},
 			},
 			{
@@ -385,8 +385,8 @@ var sections = []Section{
 				Measured: "8.40 at 128 B",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "couples-elem", Curve: "2 SPEs", X: 16384},
-						Lo: Metric{Probe: "couples-elem", Curve: "2 SPEs", X: 128}, Factor: 3},
+					Ratio{Num: Metric{Probe: "couples-elem", Curve: "2 SPEs", X: 16384},
+						Den: Metric{Probe: "couples-elem", Curve: "2 SPEs", X: 128}, Min: 3},
 				},
 			},
 			{
@@ -396,7 +396,7 @@ var sections = []Section{
 				Measured: "min 46.2, max 106.6, med 105.2",
 				Match:    "✓ (direction; our spread is wider than the paper's ~20–40)",
 				Checks: []Check{
-					VarianceBound{M: Metric{Probe: "couples-spread", Curve: "8 SPEs", X: 16384, Stat: Spread}, MinSpread: 10},
+					Range{M: Metric{Probe: "couples-spread", Curve: "8 SPEs", X: 16384, Stat: Spread}, Min: 10},
 				},
 			},
 		},
@@ -434,8 +434,8 @@ var sections = []Section{
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "couples-elem", Curve: "8 SPEs", X: 16384},
-						Lo: Metric{Probe: "cycle-elem", Curve: "8 SPEs", X: 16384}, Factor: 1.1},
+					Ratio{Num: Metric{Probe: "couples-elem", Curve: "8 SPEs", X: 16384},
+						Den: Metric{Probe: "cycle-elem", Curve: "8 SPEs", X: 16384}, Min: 1.1},
 				},
 			},
 			{
@@ -456,7 +456,7 @@ var sections = []Section{
 				Measured: "49 / 48 (median 77.7/77.8)",
 				Match:    "~ (direction right vs couples min; magnitudes larger — see DESIGN.md)",
 				Checks: []Check{
-					VarianceBound{M: Metric{Probe: "cycle-spread", Curve: "8 SPEs", X: 16384, Stat: Spread}, MinSpread: 5},
+					Range{M: Metric{Probe: "cycle-spread", Curve: "8 SPEs", X: 16384, Stat: Spread}, Min: 5},
 					Ratio{Num: Metric{Probe: "cycle-list", Curve: "8 SPEs", X: 16384},
 						Den: Metric{Probe: "cycle-elem", Curve: "8 SPEs", X: 16384}, Min: 0.85, Max: 1.15},
 				},
@@ -484,8 +484,8 @@ conflicts are visible span-by-span in a Perfetto trace
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "streaming", Curve: "aggregate", X: 2},
-						Lo: Metric{Probe: "streaming", Curve: "aggregate", X: 1}, Factor: 1.2},
+					Ratio{Num: Metric{Probe: "streaming", Curve: "aggregate", X: 2},
+						Den: Metric{Probe: "streaming", Curve: "aggregate", X: 1}, Min: 1.2},
 				},
 			},
 			{
@@ -495,8 +495,8 @@ conflicts are visible span-by-span in a Perfetto trace
 				Measured: "4 × 2 SPEs: 9.94",
 				Match:    "✓",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "streaming", Curve: "aggregate", X: 4},
-						Lo: Metric{Probe: "streaming", Curve: "aggregate", X: 2}},
+					Ratio{Num: Metric{Probe: "streaming", Curve: "aggregate", X: 4},
+						Den: Metric{Probe: "streaming", Curve: "aggregate", X: 2}, Min: 1},
 				},
 			},
 		},
@@ -537,8 +537,8 @@ conflicts are visible span-by-span in a Perfetto trace
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "gups-bank", Curve: "interleaved", X: 64},
-						Lo: Metric{Probe: "gups-bank", Curve: "single bank", X: 64}, Factor: 1.25},
+					Ratio{Num: Metric{Probe: "gups-bank", Curve: "interleaved", X: 64},
+						Den: Metric{Probe: "gups-bank", Curve: "single bank", X: 64}, Min: 1.25},
 				},
 			},
 			{
@@ -548,7 +548,7 @@ conflicts are visible span-by-span in a Perfetto trace
 				Measured: "7.65 max, under the 16.8 bank rate",
 				Match:    "✓",
 				Checks: []Check{
-					Ceiling{M: Metric{Probe: "gups-bank", Curve: "single bank", X: 64, Stat: MaxRun}, Limit: 16.8},
+					Range{M: Metric{Probe: "gups-bank", Curve: "single bank", X: 64, Stat: MaxRun}, Max: 16.8},
 					Range{M: Metric{Probe: "gups-bank", Curve: "single bank", X: 64}, Min: 6, Max: 9},
 				},
 			},
@@ -572,8 +572,8 @@ conflicts are visible span-by-span in a Perfetto trace
 				Checks: []Check{
 					Ratio{Num: Metric{Probe: "qcd-chunk", Curve: "8 SPE halo", X: 256},
 						Den: Metric{Probe: "qcd-chunk", Curve: "8 SPE halo", X: 4096}, Min: 0.9, Max: 1.1},
-					Ordering{Hi: Metric{Probe: "qcd-chunk", Curve: "8 SPE halo", X: 16384},
-						Lo: Metric{Probe: "qcd-chunk", Curve: "8 SPE halo", X: 256}, Factor: 1.15},
+					Ratio{Num: Metric{Probe: "qcd-chunk", Curve: "8 SPE halo", X: 16384},
+						Den: Metric{Probe: "qcd-chunk", Curve: "8 SPE halo", X: 256}, Min: 1.15},
 				},
 			},
 			{
@@ -584,9 +584,9 @@ conflicts are visible span-by-span in a Perfetto trace
 				Match:    "✓",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "qcd-ring", Curve: "halo ring", X: 1024, Stat: MaxRun},
-						Lo: Metric{Probe: "qcd-ring", Curve: "halo ring", X: 1024, Stat: MinRun}, Factor: 1.8},
-					Ceiling{M: Metric{Probe: "qcd-ring", Curve: "halo ring", X: 1024, Stat: MaxRun}, Limit: 134.4},
+					Ratio{Num: Metric{Probe: "qcd-ring", Curve: "halo ring", X: 1024, Stat: MaxRun},
+						Den: Metric{Probe: "qcd-ring", Curve: "halo ring", X: 1024, Stat: MinRun}, Min: 1.8},
+					Range{M: Metric{Probe: "qcd-ring", Curve: "halo ring", X: 1024, Stat: MaxRun}, Max: 134.4},
 				},
 			},
 			{
@@ -596,8 +596,8 @@ conflicts are visible span-by-span in a Perfetto trace
 				Measured: "18.05–20.38 across 8 placements (spread 2.3)",
 				Match:    "✓",
 				Checks: []Check{
-					VarianceBound{M: Metric{Probe: "qcd-place", Curve: "8 SPE halo", X: 4096, Stat: Spread},
-						MinSpread: 0.3, MaxSpread: 5},
+					Range{M: Metric{Probe: "qcd-place", Curve: "8 SPE halo", X: 4096, Stat: Spread},
+						Min: 0.3, Max: 5},
 				},
 			},
 			{
@@ -719,8 +719,8 @@ themselves (explicit phase program / config variant, quick volumes).`,
 				Paper:    "18.9",
 				Measured: "32.8 GB/s",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "pair-sync", Curve: "all", X: 2048},
-						Lo: Metric{Probe: "pair-sync", Curve: "every 1", X: 2048}, Factor: 1.3},
+					Ratio{Num: Metric{Probe: "pair-sync", Curve: "all", X: 2048},
+						Den: Metric{Probe: "pair-sync", Curve: "every 1", X: 2048}, Min: 1.3},
 				},
 			},
 			{
@@ -730,10 +730,10 @@ themselves (explicit phase program / config variant, quick volumes).`,
 				Measured: "33.0 GB/s (list 128 B)",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "couples-list", Curve: "2 SPEs", X: 128},
-						Lo: Metric{Probe: "couples-elem", Curve: "2 SPEs", X: 128}, Factor: 3},
-					Ordering{Hi: Metric{Probe: "spe-mem-get-list", Curve: "1 SPE", X: 128},
-						Lo: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 128}, Factor: 1.1},
+					Ratio{Num: Metric{Probe: "couples-list", Curve: "2 SPEs", X: 128},
+						Den: Metric{Probe: "couples-elem", Curve: "2 SPEs", X: 128}, Min: 3},
+					Ratio{Num: Metric{Probe: "spe-mem-get-list", Curve: "1 SPE", X: 128},
+						Den: Metric{Probe: "spe-mem-get", Curve: "1 SPE", X: 128}, Min: 1.1},
 					Ratio{Num: Metric{Probe: "spe-mem-get-list", Curve: "1 SPE", X: 128},
 						Den: Metric{Probe: "spe-mem-get-list", Curve: "1 SPE", X: 16384}, Min: 0.9, Max: 1.1},
 				},
@@ -745,9 +745,9 @@ themselves (explicit phase program / config variant, quick volumes).`,
 				Measured: "23.2 GB/s",
 				Short:    true,
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "mem-bank", Curve: "interleaved", X: 16384},
-						Lo: Metric{Probe: "mem-bank", Curve: "single bank", X: 16384}, Factor: 1.2},
-					Ceiling{M: Metric{Probe: "mem-bank", Curve: "single bank", X: 16384, Stat: MaxRun}, Limit: 16.8, Slack: 0.02},
+					Ratio{Num: Metric{Probe: "mem-bank", Curve: "interleaved", X: 16384},
+						Den: Metric{Probe: "mem-bank", Curve: "single bank", X: 16384}, Min: 1.2},
+					Range{M: Metric{Probe: "mem-bank", Curve: "single bank", X: 16384, Stat: MaxRun}, Max: 16.8 * 1.02},
 				},
 			},
 			{
@@ -756,8 +756,8 @@ themselves (explicit phase program / config variant, quick volumes).`,
 				Paper:    "10.3 (window 16)",
 				Measured: "16.7 GB/s (window 64)",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "mfc-window", Curve: "window 64", X: 16384},
-						Lo: Metric{Probe: "mfc-window", Curve: "window 16", X: 16384}, Factor: 1.3},
+					Ratio{Num: Metric{Probe: "mfc-window", Curve: "window 64", X: 16384},
+						Den: Metric{Probe: "mfc-window", Curve: "window 16", X: 16384}, Min: 1.3},
 				},
 			},
 			{
@@ -766,8 +766,8 @@ themselves (explicit phase program / config variant, quick volumes).`,
 				Paper:    "0.58",
 				Measured: "2.04 GB/s",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "ppe-prefetch", Curve: "prefetch on", X: 8},
-						Lo: Metric{Probe: "ppe-prefetch", Curve: "prefetch off", X: 8}, Factor: 2},
+					Ratio{Num: Metric{Probe: "ppe-prefetch", Curve: "prefetch on", X: 8},
+						Den: Metric{Probe: "ppe-prefetch", Curve: "prefetch off", X: 8}, Min: 2},
 				},
 			},
 			{
@@ -776,8 +776,8 @@ themselves (explicit phase program / config variant, quick volumes).`,
 				Paper:    "102.4 (ideal)",
 				Measured: "95.0 GB/s (gap 64)",
 				Checks: []Check{
-					Ordering{Hi: Metric{Probe: "eib-arb", Curve: "ideal arbiter", X: 16384},
-						Lo: Metric{Probe: "eib-arb", Curve: "real arbiter", X: 16384}, Factor: 1.05},
+					Ratio{Num: Metric{Probe: "eib-arb", Curve: "ideal arbiter", X: 16384},
+						Den: Metric{Probe: "eib-arb", Curve: "real arbiter", X: 16384}, Min: 1.05},
 				},
 			},
 		},

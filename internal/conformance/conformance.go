@@ -2,9 +2,12 @@
 // paper: every quantitative or qualitative statement EXPERIMENTS.md records
 // ("DMA-list bandwidth is independent of element size", "the MIC caps one
 // bank at 16.8 GB/s", "synchronizing every request loses 40% at 2 KB") is
-// encoded as a typed claim — an Ordering, Ceiling, Knee, VarianceBound,
-// Ratio or Range over named measurements — and evaluated against fresh
-// simulator runs by `go test ./internal/conformance`.
+// encoded as a typed claim — a Ratio, Range or Knee over named
+// measurements — and evaluated against fresh simulator runs by
+// `go test ./internal/conformance`. A Ratio bounds one measurement
+// against another (an ordering is a Ratio with only a lower bound), a
+// Range bounds one measurement absolutely (a ceiling or a spread limit
+// is a Range with one side open), and a Knee bounds a curve's shape.
 //
 // The same claim data renders the EXPERIMENTS.md tables (see Doc), so the
 // document and the test suite cannot diverge: a claim edit changes both,

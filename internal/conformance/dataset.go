@@ -48,7 +48,7 @@ func NewDataset(params core.Params) *Dataset {
 
 // Result runs (or returns the cached result of) the named probe.
 func (d *Dataset) Result(name string) (*core.Result, error) {
-	p, ok := probes[name]
+	run, ok := probes[name]
 	if !ok {
 		return nil, fmt.Errorf("conformance: unknown probe %q", name)
 	}
@@ -59,13 +59,7 @@ func (d *Dataset) Result(name string) (*core.Result, error) {
 		d.entries[name] = e
 	}
 	d.mu.Unlock()
-	e.once.Do(func() {
-		params := d.params
-		if p.tweak != nil {
-			p.tweak(&params)
-		}
-		e.res, e.err = p.run(params)
-	})
+	e.once.Do(func() { e.res, e.err = run(d.params) })
 	return e.res, e.err
 }
 
@@ -78,218 +72,202 @@ func ProbeNames() []string {
 	return names
 }
 
-// probe is one named measurement function: an experiment restricted to
-// the grid points the claims actually reference.
-type probe struct {
-	tweak func(*core.Params)
-	run   func(core.Params) (*core.Result, error)
-}
-
-var probes = map[string]probe{
+// probes are the named measurement functions: each an experiment
+// restricted to the grid points the claims actually reference. A probe
+// receives the dataset's parameters by value and narrows them first.
+var probes = map[string]func(core.Params) (*core.Result, error){
 	// The three PPE figures are layout-independent and deterministic, so
 	// one run suffices regardless of the dataset's Runs.
-	"ppe-l1": {
-		tweak: func(p *core.Params) { p.Runs = 1 },
-		run:   func(p core.Params) (*core.Result, error) { return core.PPEBandwidth(p, core.LevelL1) },
+	"ppe-l1": func(p core.Params) (*core.Result, error) {
+		p.Runs = 1
+		return core.PPEBandwidth(p, core.LevelL1)
 	},
 	// L2 and memory traversals simulate every element access, so these two
 	// probes restrict the access-width axis to the points the claims cite
 	// (1-byte sweeps over megabyte buffers dominate the suite otherwise).
-	"ppe-l2": {
-		tweak: func(p *core.Params) { p.Runs = 1; p.Elems = []int{1, 16} },
-		run:   func(p core.Params) (*core.Result, error) { return core.PPEBandwidth(p, core.LevelL2) },
+	"ppe-l2": func(p core.Params) (*core.Result, error) {
+		p.Runs = 1
+		p.Elems = []int{1, 16}
+		return core.PPEBandwidth(p, core.LevelL2)
 	},
-	"ppe-mem": {
-		tweak: func(p *core.Params) { p.Runs = 1; p.Elems = []int{16} },
-		run:   func(p core.Params) (*core.Result, error) { return core.PPEBandwidth(p, core.LevelMem) },
+	"ppe-mem": func(p core.Params) (*core.Result, error) {
+		p.Runs = 1
+		p.Elems = []int{16}
+		return core.PPEBandwidth(p, core.LevelMem)
 	},
-	"spe-ls": {
-		tweak: func(p *core.Params) { p.Runs = 1 },
-		run:   core.SPELocalStore,
+	"spe-ls": func(p core.Params) (*core.Result, error) {
+		p.Runs = 1
+		return core.SPELocalStore(p)
 	},
 	// Figure 8, restricted to the element sizes and SPE counts the claims
 	// cite.
-	"spe-mem-get": {
-		tweak: func(p *core.Params) { p.Chunks = []int{128, 2048, 16384}; p.SPESweep = []int{1, 2, 4, 8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPEMemory(p, core.DMAGet, false) },
+	"spe-mem-get": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{128, 2048, 16384}
+		p.SPESweep = []int{1, 2, 4, 8}
+		return core.SPEMemory(p, core.DMAGet, false)
 	},
-	"spe-mem-put": {
-		tweak: func(p *core.Params) { p.Chunks = []int{16384}; p.SPESweep = []int{1} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPEMemory(p, core.DMAPut, false) },
+	"spe-mem-put": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{16384}
+		p.SPESweep = []int{1}
+		return core.SPEMemory(p, core.DMAPut, false)
 	},
-	"spe-mem-copy": {
-		tweak: func(p *core.Params) { p.Chunks = []int{16384}; p.SPESweep = []int{1} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPEMemory(p, core.DMACopy, false) },
+	"spe-mem-copy": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{16384}
+		p.SPESweep = []int{1}
+		return core.SPEMemory(p, core.DMACopy, false)
 	},
-	"spe-mem-get-list": {
-		tweak: func(p *core.Params) { p.Chunks = []int{128, 16384}; p.SPESweep = []int{1} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPEMemory(p, core.DMAGet, true) },
+	"spe-mem-get-list": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{128, 16384}
+		p.SPESweep = []int{1}
+		return core.SPEMemory(p, core.DMAGet, true)
 	},
 	// Figure 10: fully delayed ("all") against sync-every-request.
-	"pair-sync": {
-		tweak: func(p *core.Params) { p.Syncs = []int{1, 0}; p.Chunks = []int{128, 2048, 16384} },
-		run:   core.SPEPairSync,
+	"pair-sync": func(p core.Params) (*core.Result, error) {
+		p.Syncs = []int{1, 0}
+		p.Chunks = []int{128, 2048, 16384}
+		return core.SPEPairSync(p)
 	},
-	"pair-distance": {
-		run: core.SPEPairDistance,
-	},
+	"pair-distance": core.SPEPairDistance,
 	// Figures 12/13 and 15/16.
-	"couples-elem": {
-		tweak: func(p *core.Params) { p.Chunks = []int{128, 16384}; p.SPESweep = []int{2, 4, 8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPECouples(p, false) },
+	"couples-elem": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{128, 16384}
+		p.SPESweep = []int{2, 4, 8}
+		return core.SPECouples(p, false)
 	},
-	"couples-list": {
-		tweak: func(p *core.Params) { p.Chunks = []int{128, 16384}; p.SPESweep = []int{2, 4, 8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPECouples(p, true) },
+	"couples-list": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{128, 16384}
+		p.SPESweep = []int{2, 4, 8}
+		return core.SPECouples(p, true)
 	},
-	"cycle-elem": {
-		tweak: func(p *core.Params) { p.Chunks = []int{16384}; p.SPESweep = []int{2, 4, 8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPECycle(p, false) },
+	"cycle-elem": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{16384}
+		p.SPESweep = []int{2, 4, 8}
+		return core.SPECycle(p, false)
 	},
-	"cycle-list": {
-		tweak: func(p *core.Params) { p.Chunks = []int{16384}; p.SPESweep = []int{2, 4, 8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPECycle(p, true) },
+	"cycle-list": func(p core.Params) (*core.Result, error) {
+		p.Chunks = []int{16384}
+		p.SPESweep = []int{2, 4, 8}
+		return core.SPECycle(p, true)
 	},
 	// Layout-placement spread needs more samples than the mean claims: 8
 	// layouts, as the paper's 10 repeated runs.
-	"couples-spread": {
-		tweak: func(p *core.Params) { p.Runs = 8; p.Chunks = []int{16384}; p.SPESweep = []int{8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPECouples(p, false) },
+	"couples-spread": func(p core.Params) (*core.Result, error) {
+		p.Runs = 8
+		p.Chunks = []int{16384}
+		p.SPESweep = []int{8}
+		return core.SPECouples(p, false)
 	},
-	"cycle-spread": {
-		tweak: func(p *core.Params) { p.Runs = 8; p.Chunks = []int{16384}; p.SPESweep = []int{8} },
-		run:   func(p core.Params) (*core.Result, error) { return core.SPECycle(p, false) },
+	"cycle-spread": func(p core.Params) (*core.Result, error) {
+		p.Runs = 8
+		p.Chunks = []int{16384}
+		p.SPESweep = []int{8}
+		return core.SPECycle(p, false)
 	},
 	// §1/§5 streaming pipelines.
-	"streaming": {
-		run: core.Streaming,
-	},
+	"streaming": core.Streaming,
 	// The MIC bank ceiling: 4 SPEs streaming 16 KB GETs with pages pinned
 	// to the MIC-local bank, whose 16.8 GB/s rate then caps the aggregate,
 	// versus pages interleaved over both XDR banks.
-	"mem-bank": {
-		run: func(p core.Params) (*core.Result, error) {
-			return configProbe(p, "mem-bank", "mem", 4, func(cfg *cell.Config, on bool) string {
-				cfg.Mem.Interleave = on
-				if on {
-					return "interleaved"
-				}
-				return "single bank"
-			})
-		},
+	"mem-bank": func(p core.Params) (*core.Result, error) {
+		return configProbe(p, "mem-bank", "mem", 4, func(cfg *cell.Config, on bool) string {
+			cfg.Mem.Interleave = on
+			if on {
+				return "interleaved"
+			}
+			return "single bank"
+		})
 	},
 	// The remaining §5 ablations: each toggles one config knob and keeps
 	// everything else at the default.
-	"mfc-window": {
-		run: func(p core.Params) (*core.Result, error) {
-			return configProbe(p, "mfc-window", "mem", 1, func(cfg *cell.Config, on bool) string {
-				if on {
-					cfg.MFC.Window = 64
-					return "window 64"
-				}
-				cfg.MFC.Window = 16
-				return "window 16"
-			})
-		},
+	"mfc-window": func(p core.Params) (*core.Result, error) {
+		return configProbe(p, "mfc-window", "mem", 1, func(cfg *cell.Config, on bool) string {
+			if on {
+				cfg.MFC.Window = 64
+				return "window 64"
+			}
+			cfg.MFC.Window = 16
+			return "window 16"
+		})
 	},
-	"eib-arb": {
-		// The arbitration gap only bites on placements whose paths
-		// collide: average enough layouts (and a long enough stream) for
-		// the colliding ones to dominate the comparison, as the ablation
-		// benchmark does.
-		tweak: func(p *core.Params) { p.Runs = 6; p.BytesPerSPE = 1 << 20 },
-		run: func(p core.Params) (*core.Result, error) {
-			return configProbe(p, "eib-arb", "couples", 8, func(cfg *cell.Config, on bool) string {
-				if on {
-					return "real arbiter"
-				}
-				cfg.EIB.RingDeadCycles = 0
-				return "ideal arbiter"
-			})
-		},
+	// The arbitration gap only bites on placements whose paths
+	// collide: average enough layouts (and a long enough stream) for
+	// the colliding ones to dominate the comparison, as the ablation
+	// benchmark does.
+	"eib-arb": func(p core.Params) (*core.Result, error) {
+		p.Runs = 6
+		p.BytesPerSPE = 1 << 20
+		return configProbe(p, "eib-arb", "couples", 8, func(cfg *cell.Config, on bool) string {
+			if on {
+				return "real arbiter"
+			}
+			cfg.EIB.RingDeadCycles = 0
+			return "ideal arbiter"
+		})
 	},
-	"ppe-prefetch": {
-		run: ppePrefetchProbe,
-	},
+	"ppe-prefetch": ppePrefetchProbe,
 	// The workload library (README "Scenarios"): GUPS, QCD halo, MD and
 	// STREAM presets of the pattern interpreter, restricted to the grid
 	// points the "Workload library" claims reference. GUPS probes scale
 	// the volume down — its elements are 8..128 B gathers, so the same
 	// bytes cost orders of magnitude more commands than a DMA stream.
-	"gups-chunk": {
-		tweak: func(p *core.Params) { p.BytesPerSPE = 32 << 10 },
-		run: func(p core.Params) (*core.Result, error) {
-			return workloadProbe(p, "gups-chunk", "GUPS table updates vs element size (8 SPEs)",
-				[]workloadVariant{{label: "8 SPE update",
-					spec: core.SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{8, 16, 32, 64, 128}}}})
-		},
+	"gups-chunk": func(p core.Params) (*core.Result, error) {
+		p.BytesPerSPE = 32 << 10
+		return workloadProbe(p, "gups-chunk", "GUPS table updates vs element size (8 SPEs)",
+			[]workloadVariant{{label: "8 SPE update",
+				spec: core.SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{8, 16, 32, 64, 128}}}})
 	},
-	"gups-bank": {
-		tweak: func(p *core.Params) { p.BytesPerSPE = 128 << 10 },
-		run: func(p core.Params) (*core.Result, error) {
-			single := baseConfig(p)
-			single.Mem.Interleave = false
-			spec := core.SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{64}}
-			return workloadProbe(p, "gups-bank", "GUPS updates: interleaved banks vs a single bank",
-				[]workloadVariant{
-					{label: "interleaved", spec: spec},
-					{label: "single bank", spec: spec, base: &single},
-				})
-		},
+	"gups-bank": func(p core.Params) (*core.Result, error) {
+		p.BytesPerSPE = 128 << 10
+		single := baseConfig(p)
+		single.Mem.Interleave = false
+		spec := core.SweepSpec{Scenario: "gups", SPEs: 8, Op: "both", Chunks: []int{64}}
+		return workloadProbe(p, "gups-bank", "GUPS updates: interleaved banks vs a single bank",
+			[]workloadVariant{
+				{label: "interleaved", spec: spec},
+				{label: "single bank", spec: spec, base: &single},
+			})
 	},
 	// The qcd halo phase in isolation: an explicit ring-only phase program
 	// (no memory streams to mask the EIB), run over a pinned census of
 	// layouts — the identity plus eight scrambled placements — because the
 	// locality ordering lives *across layouts*: a placement that folds the
 	// logical ring onto colliding ring segments halves the halo rate.
-	"qcd-ring": {
-		run: func(p core.Params) (*core.Result, error) {
-			ring := &cell.Pattern{Phases: []cell.Phase{{Access: "ring", Bytes: 256 << 10}}}
-			return workloadProbe(p, "qcd-ring", "QCD halo ring in isolation, across SPE placements",
-				[]workloadVariant{{label: "halo ring", seeds: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8},
-					spec: core.SweepSpec{Scenario: "pattern", SPEs: 8, Pattern: ring, Chunks: []int{1024}}}})
-		},
+	"qcd-ring": func(p core.Params) (*core.Result, error) {
+		ring := &cell.Pattern{Phases: []cell.Phase{{Access: "ring", Bytes: 256 << 10}}}
+		return workloadProbe(p, "qcd-ring", "QCD halo ring in isolation, across SPE placements",
+			[]workloadVariant{{label: "halo ring", seeds: []int64{0, 1, 2, 3, 4, 5, 6, 7, 8},
+				spec: core.SweepSpec{Scenario: "pattern", SPEs: 8, Pattern: ring, Chunks: []int{1024}}}})
 	},
-	"qcd-chunk": {
-		run: func(p core.Params) (*core.Result, error) {
-			return workloadProbe(p, "qcd-chunk", "QCD sweep vs spinor element size (8 SPEs)",
-				[]workloadVariant{{label: "8 SPE halo",
-					spec: core.SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{256, 1024, 4096, 16384}}}})
-		},
+	"qcd-chunk": func(p core.Params) (*core.Result, error) {
+		return workloadProbe(p, "qcd-chunk", "QCD sweep vs spinor element size (8 SPEs)",
+			[]workloadVariant{{label: "8 SPE halo",
+				spec: core.SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{256, 1024, 4096, 16384}}}})
 	},
 	// Placement spread wants more layout samples than the mean claims, as
 	// the Figure 13/16 spread probes do.
-	"qcd-place": {
-		tweak: func(p *core.Params) { p.Runs = 8 },
-		run: func(p core.Params) (*core.Result, error) {
-			return workloadProbe(p, "qcd-place", "QCD halo bandwidth across SPE placements",
-				[]workloadVariant{{label: "8 SPE halo",
-					spec: core.SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{4096}}}})
-		},
+	"qcd-place": func(p core.Params) (*core.Result, error) {
+		p.Runs = 8
+		return workloadProbe(p, "qcd-place", "QCD halo bandwidth across SPE placements",
+			[]workloadVariant{{label: "8 SPE halo",
+				spec: core.SweepSpec{Scenario: "qcd", SPEs: 8, Chunks: []int{4096}}}})
 	},
-	"md-chunk": {
-		run: func(p core.Params) (*core.Result, error) {
-			return workloadProbe(p, "md-chunk", "MD pair gather/scatter vs element size (8 SPEs)",
-				[]workloadVariant{{label: "8 SPE pairs",
-					spec: core.SweepSpec{Scenario: "md", SPEs: 8, Chunks: []int{128, 512, 4096}}}})
-		},
+	"md-chunk": func(p core.Params) (*core.Result, error) {
+		return workloadProbe(p, "md-chunk", "MD pair gather/scatter vs element size (8 SPEs)",
+			[]workloadVariant{{label: "8 SPE pairs",
+				spec: core.SweepSpec{Scenario: "md", SPEs: 8, Chunks: []int{128, 512, 4096}}}})
 	},
-	"stream-ops": {
-		run: func(p core.Params) (*core.Result, error) {
-			var variants []workloadVariant
-			for _, op := range []string{"copy", "scale", "add", "triad"} {
-				variants = append(variants, workloadVariant{label: op,
-					spec: core.SweepSpec{Scenario: "stream", SPEs: 8, Op: op, Chunks: []int{16384}}})
-			}
-			return workloadProbe(p, "stream-ops", "STREAM scenario kernels at 16 KB blocks (8 SPEs)", variants)
-		},
+	"stream-ops": func(p core.Params) (*core.Result, error) {
+		var variants []workloadVariant
+		for _, op := range []string{"copy", "scale", "add", "triad"} {
+			variants = append(variants, workloadVariant{label: op,
+				spec: core.SweepSpec{Scenario: "stream", SPEs: 8, Op: op, Chunks: []int{16384}}})
+		}
+		return workloadProbe(p, "stream-ops", "STREAM scenario kernels at 16 KB blocks (8 SPEs)", variants)
 	},
-	"stream-chunk": {
-		run: func(p core.Params) (*core.Result, error) {
-			return workloadProbe(p, "stream-chunk", "STREAM triad vs block size (8 SPEs)",
-				[]workloadVariant{{label: "triad",
-					spec: core.SweepSpec{Scenario: "stream", SPEs: 8, Op: "triad", Chunks: []int{512, 2048, 16384}}}})
-		},
+	"stream-chunk": func(p core.Params) (*core.Result, error) {
+		return workloadProbe(p, "stream-chunk", "STREAM triad vs block size (8 SPEs)",
+			[]workloadVariant{{label: "triad",
+				spec: core.SweepSpec{Scenario: "stream", SPEs: 8, Op: "triad", Chunks: []int{512, 2048, 16384}}}})
 	},
 }
 

@@ -169,9 +169,10 @@ func (p Params) Sweep(specs ...SweepSpec) ([][]SweepResult, error) {
 	return p.sweep(nil, specs)
 }
 
-// Curves runs specs through one Sweep and folds each spec's per-seed
-// values into one curve over its chunk axis, labelled labels[i]; a
-// failed point's error names its curve.
+// Curves runs specs through one Sweep and folds each spec's results
+// into one curve, labelled labels[i]: a point per entry of its Chunks, in
+// that order, holding that chunk's values in seed order. A failed
+// point's error names its curve.
 func (p Params) Curves(labels []string, specs ...SweepSpec) ([]Curve, error) {
 	results, err := p.sweep(labels, specs)
 	if err != nil {
@@ -179,11 +180,17 @@ func (p Params) Curves(labels []string, specs ...SweepSpec) ([]Curve, error) {
 	}
 	curves := make([]Curve, len(specs))
 	for i, rs := range results {
-		series := stats.NewSeries(labels[i], specs[i].Chunks)
-		for _, r := range rs {
-			series.Add(r.Chunk, r.GBps)
+		curves[i] = Curve{Label: labels[i], Points: make([]Point, len(specs[i].Chunks))}
+		for j, x := range specs[i].Chunks {
+			pt := &curves[i].Points[j]
+			pt.X = x
+			for _, r := range rs {
+				if r.Chunk == x {
+					pt.Samples = append(pt.Samples, r.GBps)
+				}
+			}
+			pt.Summary = stats.Summarize(pt.Samples)
 		}
-		curves[i] = CurveFromSeries(series)
 	}
 	return curves, nil
 }
@@ -325,13 +332,4 @@ func (r *Result) At(label string, x int) (stats.Summary, bool) {
 		}
 	}
 	return stats.Summary{}, false
-}
-
-// CurveFromSeries converts collected samples to a Curve.
-func CurveFromSeries(s *stats.Series) Curve {
-	c := Curve{Label: s.Label}
-	for i, x := range s.Xs {
-		c.Points = append(c.Points, Point{X: x, Summary: stats.Summarize(s.Values[i]), Samples: s.Values[i]})
-	}
-	return c
 }

@@ -256,7 +256,7 @@ func TestPipelineMovesData(t *testing.T) {
 	pl := NewPipeline(sys, 0, 4, src, dst, volume)
 	pl.Start()
 	sys.Run()
-	if !pl.Done() {
+	if pl.EndTime() == 0 {
 		t.Fatal("pipeline did not complete")
 	}
 	got := make([]byte, volume)

@@ -29,7 +29,6 @@ type Pipeline struct {
 
 	credits []*spe.Mailbox // credits[i]: stage i+1 -> stage i
 	fulls   []*spe.Mailbox // fulls[i]: stage i-1 -> stage i
-	done    bool
 	endTime sim.Time
 }
 
@@ -54,7 +53,7 @@ func NewPipeline(sys *cell.System, first, count int, src, dst, volume int64) *Pi
 	return pl
 }
 
-// Start spawns the stage kernels. Completion sets Done.
+// Start spawns the stage kernels. Completion sets EndTime.
 func (pl *Pipeline) Start() {
 	blocks := pl.volume / streamBlock
 	for s := 0; s < pl.count; s++ {
@@ -64,7 +63,6 @@ func (pl *Pipeline) Start() {
 			pl.stage(ctx, s, blocks)
 			if s == pl.count-1 {
 				pl.endTime = ctx.Decrementer()
-				pl.done = true
 			}
 		})
 	}
@@ -75,9 +73,6 @@ func (pl *Pipeline) Start() {
 		pl.credits[s].TryWrite(1)
 	}
 }
-
-// Done reports whether the last block has left the pipeline.
-func (pl *Pipeline) Done() bool { return pl.done }
 
 // EndTime returns the cycle at which the last block left the pipeline.
 func (pl *Pipeline) EndTime() sim.Time { return pl.endTime }

@@ -313,9 +313,6 @@ func (e *EIB) clear() {
 	}
 }
 
-// Config returns the configuration the EIB was built with.
-func (e *EIB) Config() Config { return e.cfg }
-
 // Stats returns a snapshot of the activity counters, computed from the
 // counter block.
 func (e *EIB) Stats() Stats {

@@ -209,7 +209,7 @@ func TestLocalTransferBypassesRings(t *testing.T) {
 
 func TestCommandBusThroughput(t *testing.T) {
 	eng, bus := newEIB()
-	cfg := bus.Config()
+	cfg := bus.cfg
 	if t0 := bus.Command(0); t0 != cfg.CmdLatency {
 		t.Fatalf("first command done at %d, want %d", t0, cfg.CmdLatency)
 	}

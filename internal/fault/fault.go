@@ -162,14 +162,6 @@ func New(cfg Config, seed int64) *Injector {
 	return &Injector{cfg: cfg, state: splitmixSeed(uint64(seed))}
 }
 
-// Config returns the injector's fault configuration (zero for nil).
-func (i *Injector) Config() Config {
-	if i == nil {
-		return Config{}
-	}
-	return i.cfg
-}
-
 // Stats returns the injected-fault counters (zero for nil).
 func (i *Injector) Stats() Stats {
 	if i == nil {

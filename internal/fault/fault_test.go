@@ -78,8 +78,8 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if i.EIBOutage(4) != -1 {
 		t.Fatal("nil injector must never take a ring out")
 	}
-	if i.Stats().Total() != 0 || i.Config().Enabled() {
-		t.Fatal("nil injector must report zero stats and a disabled config")
+	if i.Stats().Total() != 0 {
+		t.Fatal("nil injector must report zero stats")
 	}
 }
 

@@ -225,9 +225,6 @@ func (p *PPE) Stats() Stats {
 	}
 }
 
-// Config returns the configuration in use.
-func (p *PPE) Config() Config { return p.cfg }
-
 // smt returns the issue-cost multiplier: with both SMT threads running,
 // each thread gets every other issue slot.
 func (p *PPE) smt() sim.Time {

@@ -55,7 +55,7 @@ type CalleeFunc func(at Time)
 // Call invokes f(at).
 func (f CalleeFunc) Call(at Time) { f(at) }
 
-// thunk is a closure without arguments stored as a Callee: At, Post and
+// thunk is a closure without arguments stored as a Callee: At and
 // AtDaemon keep their closure signatures on top of it.
 // Converting a func value to an interface allocates nothing.
 type thunk func()
@@ -103,8 +103,8 @@ const (
 // On top of the wheel sits the same-cycle dispatch queue cur: the batch of
 // events at the earliest pending timestamp, drained FIFO. The huge
 // population of delay-0 events (PPE fill drains, process activations, MFC
-// completion callbacks — see Post) is appended straight to the live batch
-// and never touches the wheel at all.
+// completion callbacks — see PostCallee) is appended straight to the live
+// batch and never touches the wheel at all.
 //
 // Steady-state scheduling is allocation-free: buckets and the batch queue
 // grow to their peak occupancy and are then reused for the rest of the run.
@@ -351,14 +351,6 @@ func (e *Engine) rewind() {
 	for _, ev := range all {
 		e.wheelInsert(ev)
 	}
-}
-
-// Post arranges for fn to run at the current simulated time, after every
-// event already scheduled for it. It is the closure form of PostCallee,
-// the same-cycle dispatch path: the event joins the live batch directly
-// and never touches the wheel.
-func (e *Engine) Post(fn func()) {
-	e.PostCallee(thunk(fn), 0)
 }
 
 // At arranges for fn to run at absolute time t (>= Now). It is the

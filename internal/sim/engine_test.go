@@ -288,8 +288,8 @@ func TestProcessCarrierReusedAfterPanic(t *testing.T) {
 	if reused != boomCarrier {
 		t.Fatal("next Spawn did not reuse the carrier of the panicked process")
 	}
-	if !p.Done() || at != 3 {
-		t.Fatalf("body on the reused carrier: done=%v at=%d, want done at 3", p.Done(), at)
+	if !p.done || at != 3 {
+		t.Fatalf("body on the reused carrier: done=%v at=%d, want done at 3", p.done, at)
 	}
 }
 
@@ -511,19 +511,19 @@ func TestProcessAccessors(t *testing.T) {
 	e := NewEngine()
 	var p *Process
 	p = Spawn(e, "worker", func(proc *Process) {
-		if proc.Name() != "worker" {
-			t.Error("Name accessor wrong")
+		if proc.name != "worker" {
+			t.Error("name wrong")
 		}
-		if proc.Engine() != e {
-			t.Error("Engine accessor wrong")
+		if proc.eng != e {
+			t.Error("engine wrong")
 		}
 		proc.Wait(5)
 	})
-	if p.Done() {
+	if p.done {
 		t.Fatal("process must not be done before running")
 	}
 	e.Run()
-	if !p.Done() {
+	if !p.done {
 		t.Fatal("process must be done after the engine drains")
 	}
 }

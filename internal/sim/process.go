@@ -157,17 +157,8 @@ func putCarrier(c *carrier) {
 	c.stop()
 }
 
-// Name returns the process name given at Spawn.
-func (p *Process) Name() string { return p.name }
-
-// Engine returns the engine driving this process.
-func (p *Process) Engine() *Engine { return p.eng }
-
 // Now returns the current simulated time.
 func (p *Process) Now() Time { return p.eng.Now() }
-
-// Done reports whether the process body has returned.
-func (p *Process) Done() bool { return p.done }
 
 // Wait blocks the process for d cycles of simulated time.
 func (p *Process) Wait(d Time) {

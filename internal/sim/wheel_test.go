@@ -34,10 +34,10 @@ func TestWheelScheduleAtNowDuringStep(t *testing.T) {
 	e.At(10, func() {
 		got = append(got, "a")
 		e.At(10, func() { got = append(got, "b") })
-		e.Post(func() {
+		e.PostCallee(thunk(func() {
 			got = append(got, "c")
 			e.At(e.Now(), func() { got = append(got, "d") })
-		})
+		}), 0)
 	})
 	e.At(11, func() { got = append(got, "e") })
 	e.Run()

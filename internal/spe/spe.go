@@ -409,9 +409,6 @@ func (m *Mailbox) Reset(eng *sim.Engine) {
 	m.writers = m.writers[:0]
 }
 
-// Len returns the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.queue) }
-
 // TryWrite appends v if there is room, reporting success.
 func (m *Mailbox) TryWrite(v uint32) bool {
 	if len(m.queue) >= m.cap {

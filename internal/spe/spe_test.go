@@ -202,8 +202,8 @@ func TestMailboxTryOps(t *testing.T) {
 	if v, ok := mb.TryRead(); !ok || v != 1 {
 		t.Fatalf("read %d/%v, want 1", v, ok)
 	}
-	if mb.Len() != 1 {
-		t.Fatalf("len %d, want 1", mb.Len())
+	if len(mb.queue) != 1 {
+		t.Fatalf("len %d, want 1", len(mb.queue))
 	}
 }
 

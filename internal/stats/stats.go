@@ -83,37 +83,3 @@ func Percentile(xs []float64, p float64) float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("min=%.2f max=%.2f med=%.2f avg=%.2f (n=%d)", s.Min, s.Max, s.Median, s.Mean, s.N)
 }
-
-// Series is a labeled X->samples mapping: one curve of a figure, with one
-// sample per run at each X.
-type Series struct {
-	Label  string
-	Xs     []int
-	Values [][]float64 // Values[i] holds the samples at Xs[i]
-}
-
-// NewSeries returns an empty series over the given x points.
-func NewSeries(label string, xs []int) *Series {
-	return &Series{Label: label, Xs: xs, Values: make([][]float64, len(xs))}
-}
-
-// Add appends a sample at x. It panics if x is not a point of the series.
-func (s *Series) Add(x int, v float64) {
-	for i, xx := range s.Xs {
-		if xx == x {
-			s.Values[i] = append(s.Values[i], v)
-			return
-		}
-	}
-	panic(fmt.Sprintf("stats: x=%d not in series %q", x, s.Label))
-}
-
-// At summarizes the samples at x.
-func (s *Series) At(x int) Summary {
-	for i, xx := range s.Xs {
-		if xx == x {
-			return Summarize(s.Values[i])
-		}
-	}
-	panic(fmt.Sprintf("stats: x=%d not in series %q", x, s.Label))
-}

@@ -48,29 +48,6 @@ func TestSpread(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries("get", []int{128, 256})
-	s.Add(128, 1.0)
-	s.Add(128, 3.0)
-	s.Add(256, 5.0)
-	if got := s.At(128).Mean; got != 2.0 {
-		t.Fatalf("mean at 128 = %v, want 2", got)
-	}
-	if got := s.At(256).Max; got != 5.0 {
-		t.Fatalf("max at 256 = %v, want 5", got)
-	}
-}
-
-func TestSeriesUnknownXPanics(t *testing.T) {
-	s := NewSeries("x", []int{1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown x should panic")
-		}
-	}()
-	s.Add(2, 1.0)
-}
-
 // Properties: min <= median <= max, min <= mean <= max, and summarizing a
 // constant sample gives zero stddev.
 func TestSummaryOrderingProperty(t *testing.T) {

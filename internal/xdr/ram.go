@@ -33,9 +33,6 @@ func NewRAM(total, block int64) *RAM {
 	return r
 }
 
-// Size returns the address-space size in bytes.
-func (r *RAM) Size() int64 { return r.total }
-
 // Reset forgets every materialized block, so all memory reads as zero
 // again, and resizes the address space to total bytes. Up to keepBytes of
 // storage chunks and as much of emptied slot tables are kept for reuse;

@@ -238,9 +238,6 @@ func (b *bank) applyNoise(now sim.Time) {
 // RAM returns the byte-addressable storage backing the memory system.
 func (m *Memory) RAM() *RAM { return m.ram }
 
-// Config returns the configuration in use.
-func (m *Memory) Config() Config { return m.cfg }
-
 // BankStats returns activity counters for bank 0 (local) or 1 (remote).
 // Requests counts bank accesses at issue; at the end of a run every one
 // has occupied the bank.

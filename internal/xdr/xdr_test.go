@@ -136,8 +136,8 @@ func TestRAMResetResizes(t *testing.T) {
 	r := NewRAM(1<<20, LineBytes)
 	r.Write(0, []byte{1})
 	r.Reset(2 << 20)
-	if r.Size() != 2<<20 {
-		t.Fatalf("Size %d after Reset(2 MiB)", r.Size())
+	if r.total != 2<<20 {
+		t.Fatalf("Size %d after Reset(2 MiB)", r.total)
 	}
 	r.Write(2<<20-1, []byte{2}) // out of range before the resize
 	got := []byte{9}
@@ -174,7 +174,7 @@ func TestRAMRoundTripProperty(t *testing.T) {
 
 func TestBankInterleave(t *testing.T) {
 	_, m := newMem(true)
-	page := m.Config().PageBytes
+	page := m.cfg.PageBytes
 	// The configured ratio must hold over any window of 10 pages, with
 	// remote pages spread out rather than clustered.
 	remote := 0
@@ -191,7 +191,7 @@ func TestBankInterleave(t *testing.T) {
 			run = 0
 		}
 	}
-	want := m.Config().RemotePagesPer10
+	want := m.cfg.RemotePagesPer10
 	if remote != want {
 		t.Fatalf("%d of 10 pages remote, want %d", remote, want)
 	}
@@ -216,7 +216,7 @@ func TestBankInterleave(t *testing.T) {
 
 func TestBankContiguous(t *testing.T) {
 	_, m := newMem(false)
-	half := m.Config().TotalBytes / 2
+	half := m.cfg.TotalBytes / 2
 	if m.Bank(0) != 0 || m.Bank(half-1) != 0 || m.Bank(half) != 1 {
 		t.Fatal("contiguous bank split wrong")
 	}
@@ -260,7 +260,7 @@ func TestWriteDeliversData(t *testing.T) {
 
 func TestReadLatencyLocalVsRemote(t *testing.T) {
 	eng, m := newMem(true)
-	page := m.Config().PageBytes
+	page := m.cfg.PageBytes
 	remoteAddr := int64(0)
 	for m.Bank(remoteAddr) != 1 {
 		remoteAddr += page
@@ -306,13 +306,13 @@ func TestBankServiceRateLimits(t *testing.T) {
 		m.Read(eib.RampSPE0, int64(i)*128, 128, 0, nil, sim.CalleeFunc(func(e sim.Time) { last = e }))
 	}
 	eng.Run()
-	min := sim.Time(n) * m.Config().LocalServiceCycles
+	min := sim.Time(n) * m.cfg.LocalServiceCycles
 	if last < min {
 		t.Fatalf("%d reads finished at %d, faster than bank service floor %d", n, last, min)
 	}
 	// And not absurdly slower: latency is pipelined, so the total should
 	// be service time plus one latency tail, within slack.
-	max := min + m.Config().LocalReadLatency + 500
+	max := min + m.cfg.LocalReadLatency + 500
 	if last > max {
 		t.Fatalf("%d reads finished at %d, want <= %d (latency must pipeline)", n, last, max)
 	}
