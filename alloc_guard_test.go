@@ -157,3 +157,38 @@ func TestWorkloadsAllocGuard(t *testing.T) {
 			bytes/(1<<20), baseline/(1<<20), limit/(1<<20))
 	}
 }
+
+// TestServeHitAllocGuard holds a memo-cache hit through the whole serving
+// path — HTTP client and server, admission, the point key, the NDJSON
+// answer — to the heap bytes per request the BENCH_eib.json ServeHit row
+// recorded, plus a fixed 2 KiB. The key of a hit must not build the
+// point's random layout, whose math/rand source alone is 4,856 bytes.
+func TestServeHitAllocGuard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hundreds of loopback requests: skipped in -short mode")
+	}
+	baseline := benchBaseline(t, "ServeHit", "bytes/request")
+	rig := newServeHitRig(t)
+	for range 100 { // reach steady state: connection, pools, journal
+		rig.post()
+	}
+	const requests = 400
+	bytes0, _ := heapTotals()
+	for range requests {
+		rig.post()
+	}
+	bytes1, _ := heapTotals()
+	perRequest := float64(bytes1-bytes0) / requests
+	if raceEnabled {
+		// The race runtime drops sync.Pool items at random and
+		// instruments pointer conversions, so the HTTP path allocates
+		// more (~35 KB/request, varying by ~2 KB run to run): not
+		// comparable to the recorded baseline.
+		t.Skipf("race build: %.0f B/request, not comparable to the baseline %.0f", perRequest, baseline)
+	}
+	if limit := baseline + 2048; perRequest > limit {
+		t.Fatalf("a served cache hit allocates %.0f B/request, baseline %.0f (limit %.0f): the hit path allocates again",
+			perRequest, baseline, limit)
+	}
+	t.Logf("served cache hit: %.0f B/request (baseline %.0f)", perRequest, baseline)
+}

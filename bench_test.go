@@ -347,58 +347,95 @@ func BenchmarkSweepWarm(b *testing.B) {
 	})
 }
 
+// serveHitRig is BenchmarkServeHit's server, shared with
+// TestServeHitAllocGuard: an in-process serve.New over loopback HTTP
+// whose scheduler journals to a real directory, answering a one-point
+// sweep that the rig has already simulated once.
+type serveHitRig struct {
+	tb    testing.TB
+	url   string
+	sched *core.Scheduler
+	jr    *journal.Journal
+}
+
+// serveHitBody is the rig's one-point sweep.
+var serveHitBody = []byte(`{"scenario":"pair","spes":2,"chunks":[4096],"seeds":[1],"volume":65536}`)
+
+// newServeHitRig starts the rig, posts the miss that warms its cache,
+// and stops it when tb ends.
+func newServeHitRig(tb testing.TB) *serveHitRig {
+	jr, _, err := journal.Open(tb.TempDir(), journal.Options{SyncEvery: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { jr.Close() })
+	sched := core.NewScheduler(core.SchedOptions{Workers: 2, CachePoints: 4096, Journal: jr})
+	tb.Cleanup(sched.Close)
+	ts := httptest.NewServer(serve.New(serve.Options{Sched: sched, Journal: jr}))
+	tb.Cleanup(ts.Close)
+	r := &serveHitRig{tb: tb, url: ts.URL + "/v1/sweeps", sched: sched, jr: jr}
+	r.post()
+	return r
+}
+
+// post sends the sweep and reads its NDJSON answer to the end.
+func (r *serveHitRig) post() {
+	resp, err := http.Post(r.url, "application/json", bytes.NewReader(serveHitBody))
+	if err != nil {
+		r.tb.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		r.tb.Fatalf("sweep request: status %d, %v", resp.StatusCode, err)
+	}
+}
+
+// heapTotals returns the process's cumulative heap allocations: bytes
+// and objects.
+func heapTotals() (bytes, objects uint64) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc, ms.Mallocs
+}
+
 // BenchmarkServeHit measures a memo-cache hit end to end through the
-// serving layer: a one-point sweep, already simulated once, posted over
-// loopback HTTP to an in-process serve.New whose scheduler journals to a
-// real directory, with the clock stopped after the NDJSON trailer. Each
-// iteration is a round of serveHitRound requests; the ServeHit row
-// records the rounds' ns/request (median, quartiles, min) and the
-// journal fsyncs per request. Record it with:
-// go test -run xxx -bench 'ServeHit$' -benchtime 10x .
+// serving layer: serveHitRig's one-point sweep, with the clock stopped
+// after the NDJSON trailer. Each iteration is a round of serveHitRound
+// requests; the ServeHit row records the rounds' ns/request (median,
+// quartiles, min), the heap allocations and bytes per request (client
+// and server together) and the journal fsyncs per request. Record it
+// with: go test -run xxx -bench 'ServeHit$' -benchtime 10x .
 func BenchmarkServeHit(b *testing.B) {
 	const serveHitRound = 200
-	jr, _, err := journal.Open(b.TempDir(), journal.Options{SyncEvery: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer jr.Close()
-	sched := core.NewScheduler(core.SchedOptions{Workers: 2, CachePoints: 4096, Journal: jr})
-	defer sched.Close()
-	ts := httptest.NewServer(serve.New(serve.Options{Sched: sched, Journal: jr}))
-	defer ts.Close()
-	body := []byte(`{"scenario":"pair","spes":2,"chunks":[4096],"seeds":[1],"volume":65536}`)
-	post := func() {
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, err = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			b.Fatalf("sweep request: status %d, %v", resp.StatusCode, err)
-		}
-	}
-	post() // the miss that warms the cache
-	syncs0 := jr.Health().Syncs
+	rig := newServeHitRig(b)
+	syncs0 := rig.jr.Health().Syncs
+	bytes0, objects0 := heapTotals()
 	var samples []float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		for range serveHitRound {
-			post()
+			rig.post()
 		}
 		samples = append(samples, float64(time.Since(start).Nanoseconds())/serveHitRound)
 	}
 	b.StopTimer()
+	bytes1, objects1 := heapTotals()
 	requests := float64(b.N * serveHitRound)
-	if st := sched.CacheStats(); st.Hits != int64(requests) || st.Simulations != 1 {
+	if st := rig.sched.CacheStats(); st.Hits != int64(requests) || st.Simulations != 1 {
 		b.Fatalf("cache stats %+v, want %d hits and the one warming simulation", st, int64(requests))
 	}
-	syncs := float64(jr.Health().Syncs-syncs0) / requests
+	syncs := float64(rig.jr.Health().Syncs-syncs0) / requests
+	allocs, perRequest := float64(objects1-objects0)/requests, float64(bytes1-bytes0)/requests
 	b.ReportMetric(syncs, "syncs/request")
+	b.ReportMetric(allocs, "allocs/request")
+	b.ReportMetric(perRequest, "B/request")
 	recordTimedBaseline(b, "ServeHit", "ns/request", samples, map[string]any{
 		"requests/round":        serveHitRound,
 		"journal syncs/request": syncs,
+		"allocs/request":        allocs,
+		"bytes/request":         perRequest,
 	})
 }
 

@@ -388,3 +388,62 @@ func TestShrink(t *testing.T) {
 		t.Errorf("shrinker returned a case that no longer fails the predicate")
 	}
 }
+
+// TestCaseString: a reported case names every knob a reproduction needs.
+func TestCaseString(t *testing.T) {
+	c := Case{
+		Scenario: cell.Scenario{Kind: "qcd", SPEs: 4, Chunk: 1040, Volume: 8320, Ring: 2, AddrSeeds: []int64{5, 6, 7, 8}},
+		Layout:   []int{3, 1, 0, 2, 4, 5, 6, 7},
+		ClockGHz: 3.2,
+		Faults:   fault.Config{XDRStallRate: 0.5},
+	}
+	want := "kind=qcd spes=4 chunk=1040 volume=8320 op=\"\" list=false ring=2 seeds=[5 6 7 8] layout=[3 1 0 2 4 5 6 7] clock=3.2 faults={MFCRetryRate:0 XDRStallRate:0.5 EIBSlowRate:0 EIBOutageRate:0 DoneDelayRate:0}"
+	if got := c.String(); got != want {
+		t.Errorf("Case.String:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestShrinkKeepsWhatFails walks the shrinker through the steps a
+// generated case rarely reaches: a ring offset and pinned address seeds
+// that must survive because the predicate needs them, an SPE count cut
+// that would strand them, and the GUPS chunk cap.
+func TestShrinkKeepsWhatFails(t *testing.T) {
+	c := Case{
+		Scenario: cell.Scenario{Kind: "qcd", SPEs: 8, Chunk: 48, Volume: 48 * 40, Ring: 7,
+			AddrSeeds: []int64{1, 2, 3, 4, 5, 6, 7, 8}},
+		Layout: cell.RandomLayout(9),
+		Faults: fault.Config{EIBSlowRate: 0.01},
+	}
+	needs := func(v Case) bool { return v.Scenario.Ring != 0 && len(v.Scenario.AddrSeeds) == v.Scenario.SPEs }
+	min := Shrink(c, needs)
+	sc := min.Scenario
+	if !needs(min) || min.Layout != nil || min.Faults.Enabled() || sc.SPEs != 8 || sc.Chunk != 16384 || sc.Volume/int64(sc.Chunk) >= 16 {
+		t.Errorf("shrunk to %v, want ring 7 and 8 seeds kept, everything else simplest", min)
+	}
+	// Cutting SPEs drops the seeds of the SPEs it removes and a ring the
+	// remaining ones cannot span.
+	fewer := Shrink(c, func(v Case) bool { return len(v.Scenario.AddrSeeds) == v.Scenario.SPEs && v.Scenario.SPEs > 2 })
+	if fewer.Scenario.SPEs != 3 || len(fewer.Scenario.AddrSeeds) != 3 || fewer.Scenario.Ring != 0 {
+		t.Errorf("shrunk to %v, want 3 SPEs with their 3 seeds and no ring", fewer)
+	}
+	gups := Case{Scenario: cell.Scenario{Kind: "gups", SPEs: 2, Chunk: 8, Volume: 8 * 16, Op: "get"}}
+	if got := Shrink(gups, func(Case) bool { return true }).Scenario; got.Chunk != 128 || got.Volume != 128*8 {
+		t.Errorf("gups shrunk to chunk %d volume %d, want the 128-byte cap at half the elements", got.Chunk, got.Volume)
+	}
+}
+
+// TestRunReportsFailures: a case that cannot install and a case that
+// deadlocks both come back as errors, not panics, and shrink as such.
+func TestRunReportsFailures(t *testing.T) {
+	bad := Case{Scenario: cell.Scenario{Kind: "pair", SPEs: 2, Chunk: 100, Volume: 1600}}
+	if _, err := Run(bad); err == nil {
+		t.Error("a 100-byte chunk installed")
+	}
+	wedge := Case{Scenario: cell.Scenario{Kind: "wedge", SPEs: 2, Chunk: 128, Volume: 128}, Layout: cell.RandomLayout(4)}
+	if _, err := Run(wedge); err == nil {
+		t.Fatal("the wedge scenario ran to completion")
+	}
+	if min := Shrink(wedge, func(v Case) bool { _, err := Run(v); return err != nil }); min.Layout != nil {
+		t.Errorf("failing wedge shrunk to %v, want the identity layout", min)
+	}
+}

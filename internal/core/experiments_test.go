@@ -17,7 +17,9 @@ import (
 // testSystem cold-boots a bare system on p's first layout run, for tests
 // that drive kernels by hand.
 func testSystem(p Params) *cell.System {
-	return cell.New(pointConfig(p.Base, p.FirstSeed))
+	cfg := machineConfig(p.Base, p.FirstSeed)
+	cfg.Layout = cell.RandomLayout(p.FirstSeed)
+	return cell.New(cfg)
 }
 
 // fastParams keeps experiment tests quick: 2 layout samples, small

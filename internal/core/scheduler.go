@@ -10,13 +10,13 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"cellbe/internal/cell"
 	"cellbe/internal/journal"
 	"cellbe/internal/perfctr"
-	"cellbe/internal/sim"
 )
 
 // ErrQueueFull is returned by Submit when the scheduler already holds
@@ -717,28 +717,56 @@ func (j *Job) finish() {
 // identically, whatever spec fields (Workers, Instrument, seed-list
 // order) differ around them. The figure knobs enter only when set, so a
 // figure-less point keeps the key journals already hold.
+//
+// The key is the SHA-256 of the JSON object
+//
+//	{"Scenario":…,"Config":…,"Seed":…,"MaxCycles":…[,"Figure":…]}
+//
+// byte for byte as json.Marshal writes it for a struct of those fields,
+// streamed into the hash piece by piece. The layout is a pure function of
+// the seed, so the key never builds it: Config is the layout-free
+// machineConfig, encoded with a null Layout.
 func pointKey(spec *SweepSpec, chunk int, seed int64) [sha256.Size]byte {
-	cfg := pointConfig(spec.Base, seed)
-	// The layout is a pure function of the seed; keying on the seed keeps
-	// the canonical form small and layout-representation independent.
-	cfg.Layout = nil
-	var figure *cell.PairFigure
-	if spec.figure != (cell.PairFigure{}) {
-		figure = &spec.figure
+	cfg := machineConfig(spec.Base, seed)
+	h := sha256.New()
+	buf := append(make([]byte, 0, 256), `{"Scenario":`...)
+	buf = append(buf, mustJSON(spec.scenario(chunk))...)
+	buf = append(buf, `,"Config":`...)
+	h.Write(buf)
+	if spec.Base == nil {
+		h.Write(defaultConfigJSON())
+	} else {
+		h.Write(mustJSON(&cfg))
 	}
-	k := struct {
-		Scenario  cell.Scenario
-		Config    cell.Config
-		Seed      int64
-		MaxCycles sim.Time
-		Figure    *cell.PairFigure `json:",omitempty"`
-	}{spec.scenario(chunk), cfg, seed, spec.MaxCycles, figure}
-	b, err := json.Marshal(k)
+	buf = append(buf[:0], `,"Seed":`...)
+	buf = strconv.AppendInt(buf, seed, 10)
+	buf = append(buf, `,"MaxCycles":`...)
+	buf = strconv.AppendInt(buf, int64(spec.MaxCycles), 10)
+	if spec.figure != (cell.PairFigure{}) {
+		buf = append(buf, `,"Figure":`...)
+		buf = append(buf, mustJSON(spec.figure)...)
+	}
+	h.Write(append(buf, '}'))
+	var key [sha256.Size]byte
+	copy(key[:], h.Sum(buf[:0]))
+	return key
+}
+
+// defaultConfigJSON is the encoding of the default machine, the config of
+// every point whose spec names no base: the default injects no faults, so
+// no point derives a fault seed on it. It is encoded once.
+var defaultConfigJSON = sync.OnceValue(func() []byte {
+	return mustJSON(cell.DefaultConfig())
+})
+
+// mustJSON encodes one part of a point key. The parts are plain data;
+// this cannot fail.
+func mustJSON(v any) []byte {
+	b, err := json.Marshal(v)
 	if err != nil {
-		// Scenario and Config are plain data; this cannot fail.
 		panic(fmt.Sprintf("core: canonicalizing point key: %v", err))
 	}
-	return sha256.Sum256(b)
+	return b
 }
 
 // CacheStats are the result-cache counters. Hits and Misses count each

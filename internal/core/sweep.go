@@ -212,19 +212,20 @@ func (s SweepSpec) scenario(chunk int) cell.Scenario {
 	return sc.WithDefaultOp().WithPairFigure(s.figure)
 }
 
-// pointConfig resolves the machine configuration one grid point runs on:
-// the base (or the default), with the point's layout and — for faulty
-// configs that left FaultSeed unset — the derived fault seed. It is the
-// one place layout and fault seeds are derived, for sweep points and
-// coroutine-kernel measurements alike. The base is cloned per point so
-// concurrent workers never share the Layout slice (or any future
-// reference field) through the spec.
-func pointConfig(base *cell.Config, seed int64) cell.Config {
+// machineConfig resolves the machine configuration one grid point runs
+// on, layout aside: the base (or the default) and, for faulty configs
+// that left FaultSeed unset, the derived fault seed. It is the one place
+// fault seeds are derived, for the point key and the run alike; the key
+// uses it as is, since the layout is a pure function of the seed, and
+// runPoint adds the seed's layout. The result shares no reference field
+// with the base (Layout is its only one), so concurrent workers never
+// share a slice through the spec.
+func machineConfig(base *cell.Config, seed int64) cell.Config {
 	cfg := cell.DefaultConfig()
 	if base != nil {
-		cfg = base.Clone()
+		cfg = *base
+		cfg.Layout = nil
 	}
-	cfg.Layout = cell.RandomLayout(seed)
 	if cfg.Faults.Enabled() && cfg.FaultSeed == 0 {
 		// Tie the fault stream to the grid point so seeds sweep fault
 		// patterns alongside layouts, deterministically.
@@ -280,7 +281,8 @@ func runPoint(spec *SweepSpec, arena *cell.Arena, chunk int, seed int64, attempt
 			res.Log = append(res.Log, res.Err.Error())
 		}
 	}()
-	cfg := pointConfig(spec.Base, seed)
+	cfg := machineConfig(spec.Base, seed)
+	cfg.Layout = cell.RandomLayout(seed)
 	if cfg.Faults.Enabled() {
 		cfg.FaultSeed = retryFaultSeed(cfg.FaultSeed, attempt)
 		res.FaultSeed = cfg.FaultSeed

@@ -430,18 +430,30 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
+	// Lines are flushed only before the stream waits on a result that is
+	// not ready yet: the header reaches the client before any simulation
+	// it waits on, the hits admission delivered ride out with it, and a
+	// job the cache answered whole leaves in one write when the handler
+	// returns, trailer included.
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 	enc.Encode(sweepHeader{Job: job.ID, Points: job.Total()})
-	flush()
-	for pr := range job.Results() {
+	results := job.Results()
+	for {
+		var pr core.PointResult
+		var ok bool
+		select {
+		case pr, ok = <-results:
+		default:
+			if flusher != nil {
+				flusher.Flush()
+			}
+			pr, ok = <-results
+		}
+		if !ok {
+			break
+		}
 		enc.Encode(toPoint(pr))
-		flush()
 	}
 	st := job.Status()
 	enc.Encode(sweepTrailer{
@@ -451,7 +463,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		Cached:    st.Cached,
 		Skipped:   st.Skipped,
 	})
-	flush()
 }
 
 // sweepResponse is the buffered (?wait=1) sweep answer.
